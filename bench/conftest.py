@@ -1,0 +1,8 @@
+"""Puts the benchmark's modules and the fedmentor sources on the import path for its tests."""
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
