@@ -7,7 +7,6 @@ Submodules:
     data        synthetic domain-shifted datasets
     trainer     frozen backbone, analytic adapter gradients, local SGD
     federation  the round loop: broadcast/train/privatize/aggregate/gate/decay
-    reference   plain FedAvg and centralized SGD baselines (no privacy engine)
     metrics     utility proxies and fairness spread statistics
     config      run configuration and experiment assembly
     cli         command-line entry point

@@ -21,7 +21,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, build_experiment, load_config
+from .config import ConfigError, RunConfig, build_experiment, config_from_dict, load_config
 from .federation import bytes_to_mb, run_training, write_metrics_csv, write_summary_json
 from .lora import serialize
 from .metrics import ACCURACY, write_comparison_csv
@@ -74,15 +74,10 @@ def run_command(
 ) -> Path:
     """Load config, apply CLI overrides, run, and return the run directory."""
     cfg = load_config(config_path)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if rounds is not None:
-        if rounds < 1:
-            raise ConfigError(f"rounds: must be >= 1, got {rounds}")
-        cfg = replace(cfg, rounds=rounds)
-    if out is not None:
-        cfg = replace(cfg, output_dir=out)
-
+    overrides = {"seed": seed, "rounds": rounds, "output_dir": out}
+    cfg = config_from_dict(
+        {**cfg.to_dict(), **{k: v for k, v in overrides.items() if v is not None}}
+    )
     run_dir = _fresh_run_dir(Path(cfg.output_dir), cfg.seed)
     summary = execute_run(cfg, run_dir)
     print(
@@ -107,15 +102,22 @@ def sweep_command(config_path, domain: str, eps_values: list[float], out: str | 
             f"sweep: domain {domain!r} has no budget; known: {sorted(cfg.budgets.entries)}"
         )
 
+    names = {}
+    for eps in eps_values:
+        if not eps > 0:
+            raise ConfigError(f"sweep: eps values must be > 0, got {eps}")
+        name = f"eps-{eps:g}"
+        if name in names:
+            raise ConfigError(f"sweep: eps values {names[name]} and {eps} both name the run {name}")
+        names[name] = eps
+
     sweep_dir = _fresh_run_dir(Path(cfg.output_dir), cfg.seed)
     rows = []
-    for eps in eps_values:
-        if eps <= 0:
-            raise ConfigError(f"sweep: eps values must be > 0, got {eps}")
+    for name, eps in names.items():
         entries = dict(cfg.budgets.entries)
         entries[domain] = eps
         run_cfg = replace(cfg, budgets=replace(cfg.budgets, entries=entries))
-        run_dir = sweep_dir / f"eps-{eps:g}"
+        run_dir = sweep_dir / name
         run_dir.mkdir()
         summary = execute_run(run_cfg, run_dir)
         rows.append(

@@ -10,6 +10,10 @@ Validation errors raise :class:`ConfigError` naming the offending field.
 """
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
+import types
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
@@ -117,184 +121,55 @@ class RunConfig:
         return out
 
 
-def _require(mapping: Mapping, context: str) -> None:
-    if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{context}: expected a mapping, got {type(mapping).__name__}")
+def _load(kind, value, path: str):
+    """Coerce a raw (YAML-shaped) value to the annotated type ``kind``.
 
-
-def _check_keys(mapping: Mapping, allowed: set[str], context: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}; allowed: {sorted(allowed)}")
-
-
-def _coerce(value, kind, context: str):
-    try:
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError
-            return float(value)
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError
-            return int(value)
-        if kind is str:
-            if not isinstance(value, str):
-                raise TypeError
-            return value
-    except TypeError:
-        pass
-    raise ConfigError(f"{context}: expected {kind.__name__}, got {value!r}")
-
-
-def _section(raw: Mapping, key: str) -> Mapping:
-    value = raw.get(key, {})
-    _require(value, key)
-    return value
+    Handles dataclasses (missing keys keep their defaults), ``X | None``
+    (``None`` means unset), ``tuple[X, ...]``, ``Mapping[K, V]``, and the
+    scalars int/float/str. Booleans are never numbers. Errors name ``path``.
+    """
+    where = path or "config"
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
+        hints = typing.get_type_hints(kind)
+        allowed = {f.name for f in dataclasses.fields(kind)}
+        unknown = sorted(set(value) - allowed)
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
+        prefix = f"{path}." if path else ""
+        kwargs = {k: _load(hints[k], v, prefix + k) for k, v in value.items()}
+        try:
+            return kind(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):  # only ever X | None here
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else _load(inner, value, path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        return tuple(_load(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is collections.abc.Mapping:
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
+        return {
+            _load(args[0], k, f"{where} key"): _load(args[1], v, f"{where}.{k}")
+            for k, v in value.items()
+        }
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if kind is str and isinstance(value, str):
+        return value
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
 def config_from_dict(raw: Mapping) -> RunConfig:
     """Build a RunConfig from a (possibly empty) nested mapping of overrides."""
-    _require(raw, "config")
-    _check_keys(
-        raw,
-        {
-            "seed", "rounds", "local_epochs", "learning_rate", "batch_size",
-            "model", "data", "strategy", "budgets", "calibration",
-            "thresholds", "output_dir",
-        },
-        "config",
-    )
-    defaults = RunConfig()
-
-    model_raw = _section(raw, "model")
-    _check_keys(model_raw, {"n_layers", "input_dim", "hidden_dim", "rank"}, "model")
-    model = ModelConfig(
-        n_layers=_coerce(model_raw.get("n_layers", defaults.model.n_layers), int, "model.n_layers"),
-        input_dim=_coerce(model_raw.get("input_dim", defaults.model.input_dim), int, "model.input_dim"),
-        hidden_dim=_coerce(model_raw.get("hidden_dim", defaults.model.hidden_dim), int, "model.hidden_dim"),
-        rank=_coerce(model_raw.get("rank", defaults.model.rank), int, "model.rank"),
-    )
-    if not 1 <= model.n_layers:
-        raise ConfigError(f"model.n_layers: must be >= 1, got {model.n_layers}")
-    if model.rank < 1:
-        raise ConfigError(f"model.rank: must be >= 1, got {model.rank}")
-
-    data_raw = _section(raw, "data")
-    _check_keys(data_raw, {"scale", "label_noise", "domains", "overrides"}, "data")
-    domains = data_raw.get("domains", list(defaults.data.domains))
-    if not isinstance(domains, (list, tuple)) or not domains:
-        raise ConfigError("data.domains: expected a nonempty list of domain names")
-    domains = tuple(_coerce(d, str, "data.domains[]") for d in domains)
-    if len(set(domains)) != len(domains):
-        raise ConfigError(f"data.domains: duplicate names in {list(domains)}")
-    overrides_raw = data_raw.get("overrides", {})
-    _require(overrides_raw, "data.overrides")
-    overrides = {}
-    for name, ov_raw in overrides_raw.items():
-        _require(ov_raw, f"data.overrides.{name}")
-        _check_keys(
-            ov_raw, {"n_train", "n_val", "rotation_angle", "label_noise"},
-            f"data.overrides.{name}",
-        )
-        overrides[name] = DomainOverride(
-            n_train=None if "n_train" not in ov_raw
-            else _coerce(ov_raw["n_train"], int, f"data.overrides.{name}.n_train"),
-            n_val=None if "n_val" not in ov_raw
-            else _coerce(ov_raw["n_val"], int, f"data.overrides.{name}.n_val"),
-            rotation_angle=None if "rotation_angle" not in ov_raw
-            else _coerce(ov_raw["rotation_angle"], float, f"data.overrides.{name}.rotation_angle"),
-            label_noise=None if "label_noise" not in ov_raw
-            else _coerce(ov_raw["label_noise"], float, f"data.overrides.{name}.label_noise"),
-        )
-    data = DataConfig(
-        scale=_coerce(data_raw.get("scale", defaults.data.scale), float, "data.scale"),
-        label_noise=_coerce(
-            data_raw.get("label_noise", defaults.data.label_noise), float, "data.label_noise"
-        ),
-        domains=domains,
-        overrides=overrides,
-    )
-    if data.scale <= 0:
-        raise ConfigError(f"data.scale: must be > 0, got {data.scale}")
-
-    strategy_raw = _section(raw, "strategy")
-    _check_keys(strategy_raw, {"kind", "eps_glob", "sigma", "tau"}, "strategy")
-    try:
-        strategy = PrivacyStrategy(
-            kind=_coerce(strategy_raw.get("kind", "domain_aware"), str, "strategy.kind"),
-            eps_glob=None if strategy_raw.get("eps_glob") is None
-            else _coerce(strategy_raw["eps_glob"], float, "strategy.eps_glob"),
-            sigma=None if strategy_raw.get("sigma") is None
-            else _coerce(strategy_raw["sigma"], float, "strategy.sigma"),
-            tau=None if strategy_raw.get("tau") is None
-            else _coerce(strategy_raw["tau"], float, "strategy.tau"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"strategy: {exc}") from exc
-
-    budgets_raw = _section(raw, "budgets")
-    _check_keys(budgets_raw, {"entries", "decay_rate", "floor", "decay_mode"}, "budgets")
-    entries_raw = budgets_raw.get("entries", dict(defaults.budgets.entries))
-    _require(entries_raw, "budgets.entries")
-    entries = {
-        _coerce(k, str, "budgets.entries key"): _coerce(v, float, f"budgets.entries.{k}")
-        for k, v in entries_raw.items()
-    }
-    budgets = BudgetConfig(
-        entries=entries,
-        decay_rate=_coerce(
-            budgets_raw.get("decay_rate", defaults.budgets.decay_rate), float, "budgets.decay_rate"
-        ),
-        floor=_coerce(budgets_raw.get("floor", defaults.budgets.floor), float, "budgets.floor"),
-        decay_mode=_coerce(
-            budgets_raw.get("decay_mode", defaults.budgets.decay_mode), str, "budgets.decay_mode"
-        ),
-    )
-
-    cal_raw = _section(raw, "calibration")
-    _check_keys(
-        cal_raw,
-        {"early", "middle", "late", "multiplier_a", "multiplier_b",
-         "gate_factor", "nominal_delta", "clip_norm"},
-        "calibration",
-    )
-    dc = defaults.calibration
-    calibration = CalibrationConfig(
-        early=_coerce(cal_raw.get("early", dc.early), float, "calibration.early"),
-        middle=_coerce(cal_raw.get("middle", dc.middle), float, "calibration.middle"),
-        late=_coerce(cal_raw.get("late", dc.late), float, "calibration.late"),
-        multiplier_a=_coerce(cal_raw.get("multiplier_a", dc.multiplier_a), float, "calibration.multiplier_a"),
-        multiplier_b=_coerce(cal_raw.get("multiplier_b", dc.multiplier_b), float, "calibration.multiplier_b"),
-        gate_factor=_coerce(cal_raw.get("gate_factor", dc.gate_factor), float, "calibration.gate_factor"),
-        nominal_delta=_coerce(cal_raw.get("nominal_delta", dc.nominal_delta), float, "calibration.nominal_delta"),
-        clip_norm=None if cal_raw.get("clip_norm") is None
-        else _coerce(cal_raw["clip_norm"], float, "calibration.clip_norm"),
-    )
-
-    thresholds_raw = raw.get("thresholds", dict(defaults.thresholds))
-    _require(thresholds_raw, "thresholds")
-    thresholds = {}
-    for name, tau in thresholds_raw.items():
-        name = _coerce(name, str, "thresholds key")
-        if name not in METRIC_NAMES:
-            raise ConfigError(f"thresholds.{name}: unknown metric; expected one of {METRIC_NAMES}")
-        thresholds[name] = _coerce(tau, float, f"thresholds.{name}")
-
-    cfg = RunConfig(
-        seed=_coerce(raw.get("seed", defaults.seed), int, "seed"),
-        rounds=_coerce(raw.get("rounds", defaults.rounds), int, "rounds"),
-        local_epochs=_coerce(raw.get("local_epochs", defaults.local_epochs), int, "local_epochs"),
-        learning_rate=_coerce(raw.get("learning_rate", defaults.learning_rate), float, "learning_rate"),
-        batch_size=_coerce(raw.get("batch_size", defaults.batch_size), int, "batch_size"),
-        model=model,
-        data=data,
-        strategy=strategy,
-        budgets=budgets,
-        calibration=calibration,
-        thresholds=thresholds,
-        output_dir=_coerce(raw.get("output_dir", defaults.output_dir), str, "output_dir"),
-    )
+    cfg = _load(RunConfig, raw, "")
     _validate(cfg)
     return cfg
 
@@ -310,14 +185,27 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"learning_rate: must be >= 0, got {cfg.learning_rate}")
     if cfg.batch_size < 1:
         raise ConfigError(f"batch_size: must be >= 1, got {cfg.batch_size}")
+    if cfg.model.n_layers < 1:
+        raise ConfigError(f"model.n_layers: must be >= 1, got {cfg.model.n_layers}")
+    if cfg.model.rank < 1:
+        raise ConfigError(f"model.rank: must be >= 1, got {cfg.model.rank}")
     if cfg.model.rank > min(cfg.model.hidden_dim, cfg.model.input_dim):
         raise ConfigError(
             f"model.rank: {cfg.model.rank} exceeds "
             f"min(hidden_dim={cfg.model.hidden_dim}, input_dim={cfg.model.input_dim})"
         )
+    if cfg.data.scale <= 0:
+        raise ConfigError(f"data.scale: must be > 0, got {cfg.data.scale}")
+    if not cfg.data.domains:
+        raise ConfigError("data.domains: expected a nonempty list of domain names")
+    if len(set(cfg.data.domains)) != len(cfg.data.domains):
+        raise ConfigError(f"data.domains: duplicate names in {list(cfg.data.domains)}")
     for name in cfg.data.overrides:
         if name not in cfg.data.domains:
             raise ConfigError(f"data.overrides.{name}: domain not in data.domains")
+    for name in cfg.thresholds:
+        if name not in METRIC_NAMES:
+            raise ConfigError(f"thresholds.{name}: unknown metric; expected one of {METRIC_NAMES}")
     if cfg.strategy.kind in ("domain_aware", "utility_threshold"):
         missing = [d for d in cfg.data.domains if d not in cfg.budgets.entries]
         if missing:

@@ -1,22 +1,16 @@
 """Server state machine: broadcast, train, privatize, aggregate, gate, decay.
 
 One round executes, in order: broadcast the global adapters to every client
-(bytes counted per recipient), train each client locally in parallel,
+(bytes counted per recipient), train each client locally in client-id order,
 privatize each update under the client's domain budget, upload (bytes
 counted per payload), aggregate with dataset-size weights, evaluate utility
 proxies on the server-held validation pool, apply the utility gate, and
 decay the budgets. Aggregation always consumes results sorted by client id,
-so neither worker scheduling nor client declaration order can change a
-single bit of the outcome.
-
-The worker pool size is capped by the ``FEDMENTOR_THREADS`` environment
-variable.
+so client declaration order cannot change a single bit of the outcome.
 """
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -205,18 +199,6 @@ def aggregate(updates: Sequence[AdapterSet], train_sizes: Sequence[int]) -> Adap
     return AdapterSet(tuple(pairs), first.total_layers)
 
 
-def _worker_count(n_clients: int) -> int:
-    cap = os.environ.get("FEDMENTOR_THREADS")
-    if cap is not None:
-        return max(1, int(cap))
-    return max(1, min(n_clients, os.cpu_count() or 1, 4))
-
-
-def _train_one(client: ClientState, global_adapters: AdapterSet, seed: int, round_number: int):
-    rng = Rng(seed).derive("client", client.id, "round", round_number)
-    return train_local(client, global_adapters, rng)
-
-
 def _privatized(
     server: ServerState, client: ClientState, update: AdapterSet, round_number: int
 ) -> AdapterSet:
@@ -257,20 +239,14 @@ def run_round(
     if not responders:
         raise ValueError(f"all clients failed in round {round_number}")
 
-    workers = _worker_count(len(responders))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trained = list(
-                pool.map(
-                    lambda c: _train_one(c, server.global_adapters, server.rng_seed, round_number),
-                    responders,
-                )
-            )
-    else:
-        trained = [
-            _train_one(c, server.global_adapters, server.rng_seed, round_number)
-            for c in responders
-        ]
+    trained = [
+        train_local(
+            c,
+            server.global_adapters,
+            Rng(server.rng_seed).derive("client", c.id, "round", round_number),
+        )
+        for c in responders
+    ]
 
     per_client = []
     updates = []

@@ -42,14 +42,12 @@ __all__ = [
     "WIRE_VERSION",
     "FIXED_HEADER_BYTES",
     "LAYER_HEADER_BYTES",
-    "SUPPORTED_SCALAR_WIDTHS",
 ]
 
 MAGIC = b"FMAD"
 WIRE_VERSION = 1
 FIXED_HEADER_BYTES = 12  # magic(4) + version(4) + layer_count(4)
 LAYER_HEADER_BYTES = 16  # layer_index, r, d, k as u32
-SUPPORTED_SCALAR_WIDTHS = (2, 4, 8)
 
 
 class AdapterKind(enum.Enum):
@@ -201,24 +199,13 @@ def trainable_param_count(adapters: AdapterSet) -> int:
     return sum(p.rank * (p.d + p.k) for p in adapters.pairs)
 
 
-def payload_bytes(
-    adapters: AdapterSet, bytes_per_scalar: int = 8, include_header: bool = True
-) -> int:
-    """Exact transmission size of an adapter set.
-
-    The accounting is exact rather than asymptotic: with the default 8-byte
-    scalars and the header included, the result equals ``len(serialize(s))``
-    for every set.
-    """
-    if bytes_per_scalar not in SUPPORTED_SCALAR_WIDTHS:
-        raise ValueError(
-            f"unsupported scalar width {bytes_per_scalar}; "
-            f"expected one of {SUPPORTED_SCALAR_WIDTHS}"
-        )
-    total = trainable_param_count(adapters) * bytes_per_scalar
-    if include_header:
-        total += FIXED_HEADER_BYTES + LAYER_HEADER_BYTES * len(adapters.pairs)
-    return total
+def payload_bytes(adapters: AdapterSet) -> int:
+    """Exact transmission size of an adapter set: ``len(serialize(adapters))``."""
+    return (
+        trainable_param_count(adapters) * 8
+        + FIXED_HEADER_BYTES
+        + LAYER_HEADER_BYTES * len(adapters.pairs)
+    )
 
 
 class WireFormatError(ValueError):
@@ -283,14 +270,6 @@ def deserialize(blob: bytes) -> AdapterSet:
 
     total_layers = max((p.layer_index for p in pairs), default=-1) + 1
     return AdapterSet(tuple(pairs), total_layers)
-
-
-def zeros_like(adapters: AdapterSet) -> AdapterSet:
-    """Adapter set of the same shape with every entry zero."""
-    return AdapterSet(
-        tuple(LoraPair.zeros(p.layer_index, p.d, p.k, p.rank) for p in adapters.pairs),
-        adapters.total_layers,
-    )
 
 
 def map_pairs(adapters: AdapterSet, fn) -> AdapterSet:

@@ -17,16 +17,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import metrics as metrics_mod
-from .federation import ClientRoundStats, RoundRecord, SimChannel
-from .linalg import Matrix, Rng
-from .lora import AdapterSet, LoraPair, serialize
-from .trainer import (
+from fedmentor import metrics as metrics_mod
+from fedmentor.federation import ClientRoundStats, RoundRecord, SimChannel
+from fedmentor.linalg import Matrix, Rng
+from fedmentor.lora import AdapterSet, LoraPair, serialize
+from fedmentor.trainer import (
     BackboneModel,
     ClientState,
     forward_batch,
     grad_adapters,
-    mean_loss,
     train_local,
 )
 
@@ -152,6 +151,3 @@ def run_centralized_sgd(
                 adapters = AdapterSet(tuple(pairs), adapters.total_layers)
     return adapters
 
-
-def centralized_final_loss(client: ClientState, adapters: AdapterSet) -> float:
-    return mean_loss(client.model, adapters, client.data.train_x, client.data.train_y)

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmentor.cli import (
     EXIT_CONFIG,
@@ -15,15 +18,21 @@ from fedmentor.cli import (
     sweep_command,
 )
 from fedmentor.config import (
+    BudgetConfig,
+    CalibrationConfig,
     ConfigError,
+    DataConfig,
+    DomainOverride,
+    ModelConfig,
     RunConfig,
     build_experiment,
     config_from_dict,
     load_config,
 )
-from fedmentor.federation import metrics_csv_lines, run_training
+from fedmentor.federation import PrivacyStrategy, metrics_csv_lines, run_training
 from fedmentor.lora import serialize
-from fedmentor.reference import run_plain_fedavg
+from fedmentor.metrics import METRIC_NAMES
+from reference import run_plain_fedavg
 
 
 def write_config(tmp_path, text: str):
@@ -87,6 +96,124 @@ class TestConfigParsing:
     def test_rank_must_fit_model(self, tmp_path):
         with pytest.raises(ConfigError, match="model.rank"):
             load_config(write_config(tmp_path, "model: {rank: 99}\n"))
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([1], "config: expected a mapping"),
+            ({"bogus": 1}, "config: unknown keys"),
+            ({"model": {"depth": 3}}, "model: unknown keys"),
+            ({"data": {"size": 1}}, "data: unknown keys"),
+            ({"data": {"overrides": {"IRF": {"size": 1}}}}, "data.overrides.IRF: unknown keys"),
+            ({"strategy": {"eps": 1.0}}, "strategy: unknown keys"),
+            ({"budgets": {"rate": 0.1}}, "budgets: unknown keys"),
+            ({"calibration": {"mid": 0.1}}, "calibration: unknown keys"),
+            ({"rounds": "many"}, "rounds: expected int"),
+            ({"rounds": None}, "rounds: expected int"),
+            ({"seed": True}, "seed: expected int"),
+            ({"batch_size": 3.5}, "batch_size: expected int"),
+            ({"model": {"rank": "4"}}, "model.rank: expected int"),
+            ({"data": {"overrides": {"IRF": {"n_train": "x"}}}},
+             "data.overrides.IRF.n_train: expected int"),
+            ({"learning_rate": "fast"}, "learning_rate: expected float"),
+            ({"data": {"scale": True}}, "data.scale: expected float"),
+            ({"budgets": {"entries": {"IRF": "x"}}}, "budgets.entries.IRF: expected float"),
+            ({"calibration": {"clip_norm": "big"}}, "calibration.clip_norm: expected float"),
+            ({"thresholds": {"accuracy": "high"}}, "thresholds.accuracy: expected float"),
+            ({"strategy": {"kind": 1}}, "strategy.kind: expected str"),
+            ({"model": 3}, "model: expected a mapping"),
+            ({"data": [1]}, "data: expected a mapping"),
+            ({"data": {"overrides": {"IRF": 2}}}, "data.overrides.IRF: expected a mapping"),
+            ({"budgets": {"entries": [1]}}, "budgets.entries: expected a mapping"),
+            ({"thresholds": 0.5}, "thresholds: expected a mapping"),
+            ({"strategy": {"kind": "loud"}}, "strategy: unknown strategy 'loud'"),
+            ({"strategy": {"kind": "uniform"}}, "strategy: uniform strategy requires eps_glob"),
+            ({"data": {"domains": []}}, "data.domains: expected a"),
+            ({"data": {"domains": "IRF"}}, "data.domains: expected a"),
+            ({"data": {"domains": ["IRF", "IRF"]}}, "data.domains: duplicate names"),
+            ({"thresholds": {"bert": 0.5}}, "thresholds.bert: unknown metric"),
+            ({"seed": -1}, "seed: must be a 64-bit unsigned integer"),
+            ({"seed": 2**64}, "seed: must be a 64-bit unsigned integer"),
+            ({"model": {"rank": 0}}, "model.rank: must be >= 1"),
+            ({"model": {"rank": 99}}, "model.rank: 99 exceeds"),
+            ({"model": {"n_layers": 0}}, "model.n_layers: must be >= 1"),
+            ({"data": {"scale": 0.0}}, "data.scale: must be > 0"),
+            ({"budgets": {"decay_rate": 1.5}}, "budgets: decay_rate must be in [0, 1)"),
+            ({"budgets": {"decay_rate": -0.1}}, "budgets: decay_rate must be in [0, 1)"),
+        ],
+    )
+    def test_malformed_config_names_field(self, raw, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(raw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_echo_round_trips_random_valid_configs(self, data):
+        cfg = data.draw(_run_configs())
+        assert config_from_dict(cfg.to_dict()) == cfg
+
+
+def _floats(lo: float, hi: float):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _run_configs(draw) -> RunConfig:
+    """Random RunConfigs that pass validation."""
+    domains = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    rank = draw(st.integers(1, 4))
+    optional = lambda values: st.none() | values  # noqa: E731
+    overrides = draw(st.dictionaries(st.sampled_from(domains), st.builds(
+        DomainOverride,
+        n_train=optional(st.integers(1, 100)),
+        n_val=optional(st.integers(1, 20)),
+        rotation_angle=optional(_floats(-3.0, 3.0)),
+        label_noise=optional(_floats(0.0, 0.5)),
+    )))
+    strategy = draw(st.one_of(
+        st.builds(PrivacyStrategy, kind=st.sampled_from(["domain_aware", "off"])),
+        st.builds(PrivacyStrategy, kind=st.just("uniform"), eps_glob=_floats(0.01, 5.0)),
+        st.builds(PrivacyStrategy, kind=st.just("static_noise"), sigma=_floats(0.0, 1.0)),
+        st.builds(PrivacyStrategy, kind=st.just("utility_threshold"), tau=_floats(-1.0, 1.0)),
+    ))
+    return RunConfig(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        rounds=draw(st.integers(1, 50)),
+        local_epochs=draw(st.integers(0, 5)),
+        learning_rate=draw(_floats(0.0, 2.0)),
+        batch_size=draw(st.integers(1, 64)),
+        model=ModelConfig(
+            n_layers=draw(st.integers(1, 5)),
+            input_dim=draw(st.integers(rank, 16)),
+            hidden_dim=draw(st.integers(rank, 16)),
+            rank=rank,
+        ),
+        data=DataConfig(
+            scale=draw(_floats(0.001, 2.0)),
+            label_noise=draw(_floats(0.0, 0.5)),
+            domains=tuple(domains),
+            overrides=overrides,
+        ),
+        strategy=strategy,
+        budgets=BudgetConfig(
+            entries={d: draw(_floats(0.01, 5.0)) for d in domains},
+            decay_rate=draw(_floats(0.0, 0.99)),
+            floor=draw(_floats(0.001, 1.0)),
+            decay_mode=draw(st.sampled_from(["multiplicative", "linear"])),
+        ),
+        calibration=CalibrationConfig(
+            early=draw(_floats(0.0, 1.0)),
+            middle=draw(_floats(0.0, 1.0)),
+            late=draw(_floats(0.0, 1.0)),
+            multiplier_a=draw(_floats(0.0, 2.0)),
+            multiplier_b=draw(_floats(0.0, 2.0)),
+            gate_factor=draw(_floats(0.01, 0.99)),
+            nominal_delta=draw(_floats(0.0, 1e-3)),
+            clip_norm=draw(optional(_floats(0.01, 10.0))),
+        ),
+        thresholds=draw(st.dictionaries(st.sampled_from(METRIC_NAMES), _floats(-2.0, 2.0))),
+        output_dir=draw(st.text(max_size=10)),
+    )
 
 
 class TestBuildExperiment:
@@ -218,6 +345,21 @@ class TestSweepCommand:
         with pytest.raises(ConfigError, match="no budget"):
             sweep_command(cfg_path, "Nope", [0.5], out=str(tmp_path / "out"))
 
+    @pytest.mark.parametrize(
+        "eps, message",
+        [(["1.0", "-2"], "must be > 0"), (["1", "1.0"], "eps-1")],
+    )
+    def test_bad_eps_list_rejected_before_any_run(self, tmp_path, capsys, eps, message):
+        cfg_path = write_config(tmp_path, "rounds: 1\ndata: {scale: 0.02}\n")
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--config", str(cfg_path), "--domain", "IRF", "--eps", *eps,
+            "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestReportCommand:
     def test_report_prints_rounds_and_totals(self, tmp_path, capsys):
@@ -262,6 +404,14 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "rounds" in err
+
+    def test_invalid_override_rejected_before_run_dir(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "rounds: 1\ndata: {scale: 0.02}\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_cli_overrides_apply(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "rounds: 5\nseed: 1\ndata: {scale: 0.02}\n")

@@ -1,7 +1,7 @@
 """Matrix primitives and rng streams."""
 from __future__ import annotations
 
-import concurrent.futures
+import threading
 
 import numpy as np
 import pytest
@@ -187,8 +187,17 @@ class TestRng:
             return Rng(77, "worker", tag).standard_normal(8, 8)
 
         sequential = [sample(i) for i in range(6)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
-            threaded = list(pool.map(sample, range(6)))
+        threaded = [None] * 6
+
+        def fill(i):
+            threaded[i] = sample(i)
+
+        workers = [threading.Thread(target=fill, args=(i,)) for i in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+            assert not w.is_alive()
         for s, t in zip(sequential, threaded):
             assert np.array_equal(s, t)
 

@@ -141,24 +141,17 @@ class TestAccounting:
 
     def test_payload_headerless_example(self):
         s = AdapterSet((LoraPair.zeros(0, 4, 4, 2),), 1)
-        assert payload_bytes(s, 8, include_header=False) == 128
+        assert trainable_param_count(s) * 8 == 128
 
     def test_doubling_rank_doubles_payload(self):
         s1 = AdapterSet((LoraPair.zeros(0, 8, 8, 2),), 1)
         s2 = AdapterSet((LoraPair.zeros(0, 8, 8, 4),), 1)
-        assert payload_bytes(s2, 8, include_header=False) == 2 * payload_bytes(
-            s1, 8, include_header=False
-        )
-
-    def test_unsupported_width_rejected(self):
-        s = random_set(Rng(1), 1)
-        with pytest.raises(ValueError, match="scalar width"):
-            payload_bytes(s, 3)
+        assert trainable_param_count(s2) * 8 == 2 * trainable_param_count(s1) * 8
 
     def test_header_size_is_documented_constant(self):
         s = random_set(Rng(1), 4)
-        with_header = payload_bytes(s, 8)
-        without = payload_bytes(s, 8, include_header=False)
+        with_header = payload_bytes(s)
+        without = trainable_param_count(s) * 8
         assert with_header - without == FIXED_HEADER_BYTES + 4 * LAYER_HEADER_BYTES
 
 
@@ -180,7 +173,7 @@ class TestWireFormat:
             k = 2 + (i * 5) % 6
             r = 1 + i % min(d, k)
             s = random_set(shape_rng, n_layers, d=d, k=k, r=r)
-            assert len(serialize(s)) == payload_bytes(s, 8)
+            assert len(serialize(s)) == payload_bytes(s)
 
     def test_corrupt_magic_rejected(self):
         blob = bytearray(serialize(random_set(Rng(24), 1)))
