@@ -14,9 +14,7 @@ so they never overlap and either split can be regenerated independently.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,8 +25,6 @@ __all__ = [
     "Dataset",
     "make_domain",
     "default_federation_specs",
-    "dump_csv",
-    "load_csv",
     "DEFAULT_DOMAIN_SIZES",
     "DEFAULT_ROTATIONS",
 ]
@@ -176,34 +172,3 @@ def default_federation_specs(
         )
     return specs
 
-
-def dump_csv(dataset: Dataset, train_path, val_path) -> None:
-    """Write both splits as CSV: feature columns then a label column."""
-    for path, x, y in (
-        (train_path, dataset.train_x, dataset.train_y),
-        (val_path, dataset.val_x, dataset.val_y),
-    ):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i}" for i in range(x.shape[1])] + ["label"])
-            for row, label in zip(x, y):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
-def load_csv(domain: str, train_path, val_path) -> Dataset:
-    """Inverse of :func:`dump_csv`."""
-
-    def read_split(path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            n_features = len(header) - 1
-            xs, ys = [], []
-            for row in reader:
-                xs.append([float(v) for v in row[:n_features]])
-                ys.append(int(row[n_features]))
-        return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.int64)
-
-    train_x, train_y = read_split(Path(train_path))
-    val_x, val_y = read_split(Path(val_path))
-    return Dataset(domain, train_x, train_y, val_x, val_y)

@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .linalg import Matrix, Rng, frobenius_norm, gaussian
+import numpy as np
+
+from .linalg import Matrix, Rng
 from .lora import AdapterKind, AdapterSet, LayerPosition, classify_layer, map_pairs
 
 __all__ = [
@@ -146,9 +148,6 @@ class BudgetTable:
                 f"domain {domain!r} has no budget; known: {sorted(self.entries)}"
             ) from None
 
-    def domains(self) -> tuple[DomainId, ...]:
-        return tuple(sorted(self.entries))
-
 
 def noise_std(
     position: LayerPosition,
@@ -170,7 +169,7 @@ def noise_std(
 def _clipped(m: Matrix, clip_norm: float | None) -> Matrix:
     if clip_norm is None:
         return m
-    norm = frobenius_norm(m)
+    norm = float(np.sqrt(np.sum(m.array * m.array)))
     if norm <= clip_norm:
         return m
     return Matrix(m.array * (clip_norm / norm))
@@ -180,8 +179,7 @@ def _noised(m: Matrix, std: float, rng: Rng) -> Matrix:
     # std == 0 must return the input bit-for-bit, so skip sampling entirely.
     if std == 0.0:
         return m
-    noise = gaussian(rng, m.rows, m.cols, 0.0, std)
-    return Matrix(m.array + noise.array)
+    return Matrix(m.array + std * rng.standard_normal(m.rows, m.cols))
 
 
 def privatize(

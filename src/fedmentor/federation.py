@@ -26,7 +26,7 @@ from .dp import (
     privatize_static,
 )
 from .linalg import Matrix, Rng, ShapeError
-from .lora import AdapterSet, LoraPair, merge_delta, serialize
+from .lora import AdapterSet, LoraPair, serialize
 from .trainer import BackboneModel, ClientState, forward_batch, train_local
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "aggregate",
     "run_round",
     "run_training",
-    "global_model",
     "write_metrics_csv",
     "write_summary_json",
     "adapters_sha256",
@@ -146,7 +145,6 @@ class RoundRecord:
     avg_eval_loss: float
     broadcast_bytes: int
     upload_bytes: int
-    total_comm_bytes: int
     utilities: Mapping[str, float]
     gate_triggered: bool
     scale_multiplier: float
@@ -292,7 +290,6 @@ def run_round(
         avg_eval_loss=float(np.mean([c.eval_loss for c in per_client])),
         broadcast_bytes=broadcast_bytes,
         upload_bytes=upload_bytes,
-        total_comm_bytes=broadcast_bytes + upload_bytes,
         utilities=report.per_metric,
         gate_triggered=gate_triggered,
         scale_multiplier=new_cal.scale_multiplier,
@@ -328,14 +325,6 @@ def run_training(
             raise RoundError(f"round {round_number}: {exc}") from exc
         records.append(record)
     return server, records, channel
-
-
-def global_model(server: ServerState) -> list[Matrix]:
-    """Effective per-layer weights: frozen backbone plus merged adapter deltas."""
-    merged = []
-    for w, pair in zip(server.backbone.layers, server.global_adapters.pairs):
-        merged.append(Matrix(w.array + merge_delta(pair).array))
-    return merged
 
 
 # ---------------------------- artifact emission ---------------------------- #
@@ -375,7 +364,8 @@ def metrics_csv_lines(records: Sequence[RoundRecord]) -> list[str]:
         for cid in client_ids:
             stats = by_id.get(cid)
             row += ["", ""] if stats is None else [_fmt(stats.train_loss), _fmt(stats.eval_loss)]
-        row += [str(rec.broadcast_bytes), str(rec.upload_bytes), str(rec.total_comm_bytes)]
+        total = rec.broadcast_bytes + rec.upload_bytes
+        row += [str(rec.broadcast_bytes), str(rec.upload_bytes), str(total)]
         row += [_fmt(rec.utilities[m]) for m in metrics_mod.METRIC_NAMES]
         row += [_fmt(rec.gate_triggered), _fmt(rec.scale_multiplier)]
         row += [_fmt(rec.budgets[d]) for d in domains]
@@ -404,7 +394,7 @@ def write_summary_json(
         "config": config_echo,
         "final_adapters_sha256": adapters_sha256(final_adapters),
         "rounds_completed": len(records),
-        "total_comm_bytes": sum(r.total_comm_bytes for r in records),
+        "total_comm_bytes": sum(r.broadcast_bytes + r.upload_bytes for r in records),
         "final_utilities": dict(records[-1].utilities) if records else {},
     }
     with open(path, "w") as fh:

@@ -1,13 +1,16 @@
-"""Dense float64 matrices and reproducible random streams.
+"""The validated boundary matrix type and reproducible random streams.
 
-Everything downstream (adapters, backbone weights, data batches) is built on
-two primitives defined here: an immutable 2-D ``Matrix`` of 64-bit floats and
-a seeded ``Rng`` whose output depends only on the seed tuple it was derived
-from, never on call order elsewhere in the program or on thread scheduling.
+``Matrix`` is a 2-D, finite, read-only float64 array. It is built only where
+adapters or weights cross a trust boundary: fresh initialization, the end of
+a client's local training, privatization, aggregation and decoding from the
+wire. Inside those boundaries, on the SGD hot path, code works on plain
+numpy arrays.
 
-The generator is numpy's PCG64 keyed through ``SeedSequence``; Gaussian
-samples come from numpy's ziggurat (``standard_normal``). Both are fixed by
-name here so that streams are bit-reproducible across platforms and runs.
+``Rng`` is a seeded stream whose output depends only on the seed tuple it was
+derived from, never on call order elsewhere in the program. The generator is
+numpy's PCG64 keyed through ``SeedSequence``; Gaussian samples come from
+numpy's ziggurat (``standard_normal``). Both are fixed by name here so that
+streams are bit-reproducible across platforms and runs.
 """
 from __future__ import annotations
 
@@ -16,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ShapeError",
-    "Matrix",
-    "Rng",
-    "matmul",
-    "gaussian",
-    "axpy",
-    "frobenius_norm",
-]
+__all__ = ["ShapeError", "Matrix", "Rng"]
 
 
 class ShapeError(ValueError):
@@ -48,8 +43,8 @@ def _as_matrix_array(values) -> np.ndarray:
 class Matrix:
     """Immutable row-major dense matrix of float64 scalars.
 
-    Safe to share across threads: the backing array is marked read-only at
-    construction and every public operation returns a new ``Matrix``.
+    Construction copies its input (an array or nested lists), checks that it
+    is 2-D, non-empty and finite, and marks the copy read-only.
     """
 
     array: np.ndarray
@@ -69,26 +64,9 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.array.shape
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the entries (read-only)."""
-        return self.array.reshape(-1)
-
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def full(cls, rows: int, cols: int, value: float) -> "Matrix":
-        return cls(np.full((rows, cols), float(value)))
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        return cls(np.array(rows, dtype=np.float64))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(np.eye(n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -139,12 +117,8 @@ class Rng:
     def seed(self) -> int:
         return self._seed
 
-    @property
-    def stream(self) -> tuple[int | str, ...]:
-        return self._stream
-
     def derive(self, *tags: int | str) -> "Rng":
-        """Fresh independent stream for (seed, *self.stream, *tags)."""
+        """Fresh independent stream for (seed, *this stream's tags, *tags)."""
         return Rng(self._seed, *self._stream, *tags)
 
     def standard_normal(self, rows: int, cols: int) -> np.ndarray:
@@ -159,33 +133,3 @@ class Rng:
     def __repr__(self) -> str:
         return f"Rng(seed={self._seed}, stream={self._stream!r})"
 
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product a @ b."""
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"matmul shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-        )
-    return Matrix(a.array @ b.array)
-
-
-def gaussian(rng: Rng, rows: int, cols: int, mean: float = 0.0, std: float = 1.0) -> Matrix:
-    """Matrix of i.i.d. Gaussian samples; std=0 degenerates to a constant matrix."""
-    std = float(std)
-    if std < 0:
-        raise ValueError(f"standard deviation must be >= 0, got {std}")
-    if std == 0.0:
-        return Matrix.full(rows, cols, mean)
-    return Matrix(mean + std * rng.standard_normal(rows, cols))
-
-
-def axpy(alpha: float, x: Matrix, y: Matrix) -> Matrix:
-    """Element-wise alpha*x + y."""
-    if x.shape != y.shape:
-        raise ShapeError(f"axpy shape mismatch: {x.shape} vs {y.shape}")
-    return Matrix(float(alpha) * x.array + y.array)
-
-
-def frobenius_norm(m: Matrix) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.sqrt(np.sum(m.array * m.array)))

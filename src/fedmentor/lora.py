@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, matmul
+from .linalg import Matrix
 
 __all__ = [
     "AdapterKind",
@@ -33,7 +33,6 @@ __all__ = [
     "AdapterSet",
     "WireFormatError",
     "classify_layer",
-    "merge_delta",
     "trainable_param_count",
     "payload_bytes",
     "serialize",
@@ -187,11 +186,6 @@ class AdapterSet:
                 for p, q in zip(self.pairs, other.pairs)
             )
         )
-
-
-def merge_delta(pair: LoraPair) -> Matrix:
-    """Materialize the d x k delta weight b @ a."""
-    return matmul(pair.b, pair.a)
 
 
 def trainable_param_count(adapters: AdapterSet) -> int:

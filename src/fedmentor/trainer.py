@@ -6,6 +6,12 @@ and a frozen linear head producing one logit. Only adapter entries ever
 receive gradient; the backbone and head never change, which the checksum
 makes easy to assert.
 
+Local training runs on plain arrays: ``train_local`` unpacks the global
+``AdapterSet`` once into one ``(a, b)`` pair of float64 arrays per layer,
+``grad_adapters`` takes and returns such pairs, and each SGD step is
+``a - lr * ga`` and ``b - lr * gb``. The trained pairs become an
+``AdapterSet`` again, and are checked for finiteness, once per client-round.
+
 tanh is used between layers (rather than ReLU) so the analytic gradients can
 be validated against central finite differences without subgradient
 headaches. Gradients are derived by hand: with effective weight
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .linalg import Matrix, Rng, ShapeError, axpy
+from .linalg import Matrix, Rng, ShapeError
 from .lora import AdapterSet, LoraPair
 
 __all__ = [
@@ -115,12 +121,12 @@ def _check_conformable(model: BackboneModel, adapters: AdapterSet) -> None:
             )
 
 
-def _effective_weights(model: BackboneModel, adapters: AdapterSet) -> list[np.ndarray]:
-    _check_conformable(model, adapters)
-    return [
-        w.array + pair.b.array @ pair.a.array
-        for w, pair in zip(model.layers, adapters.pairs)
-    ]
+def _effective_weights(model: BackboneModel, params) -> list[np.ndarray]:
+    return [w.array + b @ a for w, (a, b) in zip(model.layers, params)]
+
+
+def _array_pairs(adapters: AdapterSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [(p.a.array, p.b.array) for p in adapters.pairs]
 
 
 def forward_batch(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray) -> np.ndarray:
@@ -133,7 +139,8 @@ def forward_batch(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray) ->
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.input_dim:
         raise ShapeError(f"batch shape {xs.shape} does not match input dim {model.input_dim}")
-    effs = _effective_weights(model, adapters)
+    _check_conformable(model, adapters)
+    effs = _effective_weights(model, _array_pairs(adapters))
     act = xs
     for eff in effs[:-1]:
         act = np.tanh(act @ eff.T)
@@ -171,21 +178,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def grad_adapters(
     model: BackboneModel,
-    adapters: AdapterSet,
+    params: list[tuple[np.ndarray, np.ndarray]],
     xs: np.ndarray,
     ys: np.ndarray,
-) -> AdapterSet:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Mean batch gradient of the loss w.r.t. every A and B entry.
 
-    Returned in adapter-set shape so SGD steps are a per-matrix axpy. The
-    backbone gradient is never formed into updates.
+    ``params`` holds one ``(a, b)`` array pair per backbone layer, in layer
+    order, already known to conform to the model; the result has the same
+    layout, ``(dL/dA, dL/dB)`` per layer. The backbone gradient is never
+    formed into updates.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise ValueError("grad_adapters needs a nonempty 2-D batch")
 
-    eff = _effective_weights(model, adapters)
+    eff = _effective_weights(model, params)
     last = model.n_layers - 1
     acts = [xs]
     for l, e in enumerate(eff):
@@ -197,18 +206,16 @@ def grad_adapters(
     dlogit = (_sigmoid(logits) - ys) / n  # (n,)
     g_act = np.outer(dlogit, model.head.array[0])  # (n, d_last)
 
-    grads: list[LoraPair] = []
+    grads = [None] * model.n_layers
     for l in range(last, -1, -1):
         # The final layer is linear into the head; earlier ones pass tanh.
         g_z = g_act if l == last else g_act * (1.0 - acts[l + 1] ** 2)
         g_eff = g_z.T @ acts[l]  # (d_l, d_{l-1})
-        pair = adapters.pairs[l]
-        g_b = g_eff @ pair.a.array.T
-        g_a = pair.b.array.T @ g_eff
-        grads.append(LoraPair(pair.layer_index, Matrix(g_a), Matrix(g_b)))
+        a, b = params[l]
+        grads[l] = (b.T @ g_eff, g_eff @ a.T)
         if l > 0:
             g_act = g_z @ eff[l]
-    return AdapterSet(tuple(reversed(grads)), adapters.total_layers)
+    return grads
 
 
 @dataclass(frozen=True)
@@ -247,15 +254,6 @@ class TrainStats:
     wall_time: float
 
 
-def _sgd_step(adapters: AdapterSet, grads: AdapterSet, lr: float) -> AdapterSet:
-    pairs = []
-    for p, g in zip(adapters.pairs, grads.pairs):
-        pairs.append(
-            LoraPair(p.layer_index, axpy(-lr, g.a, p.a), axpy(-lr, g.b, p.b))
-        )
-    return AdapterSet(tuple(pairs), adapters.total_layers)
-
-
 def train_local(
     client: ClientState,
     global_adapters: AdapterSet,
@@ -269,10 +267,15 @@ def train_local(
     Minibatches follow the shuffled order with the last partial batch kept.
     Only adapter weights change; the returned stats carry post-training mean
     losses on the full train and validation splits.
+
+    The steps never check finiteness: a client that diverges runs its
+    remaining steps on NaN/Inf, and the ``ValueError`` raised when the result
+    becomes an ``AdapterSet`` names the client, its domain and the phase.
     """
     started = time.perf_counter()
     _check_conformable(client.model, global_adapters)
-    adapters = global_adapters
+    params = _array_pairs(global_adapters)
+    lr = client.learning_rate
     xs, ys = client.data.train_x, client.data.train_y
     n = xs.shape[0]
     steps = 0
@@ -280,9 +283,17 @@ def train_local(
         order = rng.derive("epoch", epoch, "shuffle").permutation(n)
         for start in range(0, n, client.batch_size):
             batch = order[start : start + client.batch_size]
-            grads = grad_adapters(client.model, adapters, xs[batch], ys[batch])
-            adapters = _sgd_step(adapters, grads, client.learning_rate)
+            grads = grad_adapters(client.model, params, xs[batch], ys[batch])
+            params = [(a - lr * ga, b - lr * gb) for (a, b), (ga, gb) in zip(params, grads)]
             steps += 1
+    try:
+        pairs = [
+            LoraPair(p.layer_index, Matrix(a), Matrix(b))
+            for p, (a, b) in zip(global_adapters.pairs, params)
+        ]
+    except ValueError as exc:
+        raise ValueError(f"client {client.id} ({client.domain}): local training: {exc}") from exc
+    adapters = AdapterSet(tuple(pairs), global_adapters.total_layers)
     stats = TrainStats(
         final_train_loss=mean_loss(client.model, adapters, xs, ys),
         final_eval_loss=mean_loss(client.model, adapters, client.data.val_x, client.data.val_y),

@@ -24,6 +24,11 @@ def randomized_adapters(model: BackboneModel, rank: int, rng: Rng, scale: float 
     return AdapterSet(tuple(pairs), model.n_layers)
 
 
+def array_pairs(adapters: AdapterSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(a, b)`` array pair per layer that ``grad_adapters`` takes."""
+    return [(p.a.array, p.b.array) for p in adapters.pairs]
+
+
 def merged_forward(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray) -> np.ndarray:
     """Reference forward that first materializes every merged weight."""
     merged = [w.array + p.b.array @ p.a.array for w, p in zip(model.layers, adapters.pairs)]
@@ -56,12 +61,12 @@ def fd_gradient_check(model, adapters, xs, ys, h=1e-5, rel_tol=1e-5, abs_floor=1
     from the relative test (both sides are numerically zero). Returns the
     worst relative error seen.
     """
-    analytic = grad_adapters(model, adapters, xs, ys)
+    analytic = grad_adapters(model, array_pairs(adapters), xs, ys)
     worst = 0.0
     for li, pair in enumerate(adapters.pairs):
-        for field in ("a", "b"):
+        for slot, field in enumerate(("a", "b")):
             base = getattr(pair, field).array
-            grad = getattr(analytic.pairs[li], field).array
+            grad = analytic[li][slot]
             for idx in np.ndindex(base.shape):
                 def perturbed(delta):
                     arr = base.copy()

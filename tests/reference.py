@@ -106,7 +106,6 @@ def run_plain_fedavg(
                 avg_eval_loss=float(np.mean([c.eval_loss for c in per_client])),
                 broadcast_bytes=broadcast_bytes,
                 upload_bytes=upload_bytes,
-                total_comm_bytes=broadcast_bytes + upload_bytes,
                 utilities=report.per_metric,
                 gate_triggered=False,
                 scale_multiplier=1.0,
@@ -138,14 +137,15 @@ def run_centralized_sgd(
             order = rng.derive("epoch", epoch, "shuffle").permutation(n)
             for start in range(0, n, client.batch_size):
                 batch = order[start : start + client.batch_size]
-                grads = grad_adapters(client.model, adapters, xs[batch], ys[batch])
+                params = [(p.a.array, p.b.array) for p in adapters.pairs]
+                grads = grad_adapters(client.model, params, xs[batch], ys[batch])
                 pairs = []
-                for p, g in zip(adapters.pairs, grads.pairs):
+                for p, (g_a, g_b) in zip(adapters.pairs, grads):
                     pairs.append(
                         LoraPair(
                             p.layer_index,
-                            Matrix(p.a.array - lr * g.a.array),
-                            Matrix(p.b.array - lr * g.b.array),
+                            Matrix(p.a.array - lr * g_a),
+                            Matrix(p.b.array - lr * g_b),
                         )
                     )
                 adapters = AdapterSet(tuple(pairs), adapters.total_layers)

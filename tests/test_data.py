@@ -9,8 +9,6 @@ from fedmentor.data import (
     Dataset,
     DomainSpec,
     default_federation_specs,
-    dump_csv,
-    load_csv,
     make_domain,
 )
 from fedmentor.linalg import Rng
@@ -150,17 +148,6 @@ class TestDefaultFederation:
 
 
 class TestCsvRoundTrip:
-    def test_dump_and_load(self, tmp_path):
-        ds = make_domain(simple_spec(n_train=20, n_val=5), Rng(9))
-        train_p = tmp_path / "train.csv"
-        val_p = tmp_path / "val.csv"
-        dump_csv(ds, train_p, val_p)
-        back = load_csv("d", train_p, val_p)
-        assert np.array_equal(back.train_x, ds.train_x)
-        assert np.array_equal(back.train_y, ds.train_y)
-        assert np.array_equal(back.val_x, ds.val_x)
-        assert np.array_equal(back.val_y, ds.val_y)
-
     def test_split_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Dataset("d", np.zeros((3, 2)), np.zeros(2, dtype=np.int64),

@@ -127,7 +127,7 @@ class TestPrivatize:
 
     def test_clipping_bounds_frobenius_norm(self):
         big = AdapterSet(
-            (LoraPair(0, Matrix.full(2, 4, 10.0), Matrix.full(4, 2, 10.0)),), 1
+            (LoraPair(0, Matrix(np.full((2, 4), 10.0)), Matrix(np.full((4, 2), 10.0))),), 1
         )
         cal = NoiseCalibration(scale_multiplier=0.0, clip_norm=1.0)
         out = privatize(big, "IRF", self.budgets(), cal, Rng(3))

@@ -1,10 +1,14 @@
 """Adapter structures, layer classification, accounting, wire format."""
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedmentor.linalg import Matrix, Rng, matmul
+from fedmentor.linalg import Matrix, Rng
 from fedmentor.lora import (
     FIXED_HEADER_BYTES,
     LAYER_HEADER_BYTES,
@@ -15,7 +19,6 @@ from fedmentor.lora import (
     WireFormatError,
     classify_layer,
     deserialize,
-    merge_delta,
     payload_bytes,
     serialize,
     trainable_param_count,
@@ -31,6 +34,24 @@ def random_pair(rng: Rng, layer_index: int, d: int, k: int, r: int) -> LoraPair:
 def random_set(rng: Rng, n_layers: int, d: int = 6, k: int = 5, r: int = 2) -> AdapterSet:
     pairs = tuple(random_pair(rng, i, d, k, r) for i in range(n_layers))
     return AdapterSet(pairs, n_layers)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def adapter_sets(draw) -> AdapterSet:
+    """Complete adapter sets (one pair per layer) with per-layer shapes and ranks."""
+    n_layers = draw(st.integers(0, 4))
+    pairs = []
+    for i in range(n_layers):
+        d = draw(st.integers(1, 6))
+        k = draw(st.integers(1, 6))
+        r = draw(st.integers(1, min(d, k)))
+        a = draw(st.lists(_finite, min_size=r * k, max_size=r * k))
+        b = draw(st.lists(_finite, min_size=d * r, max_size=d * r))
+        pairs.append(LoraPair(i, Matrix(np.reshape(a, (r, k))), Matrix(np.reshape(b, (d, r)))))
+    return AdapterSet(tuple(pairs), n_layers)
 
 
 class TestConstants:
@@ -108,25 +129,6 @@ class TestAdapterSet:
         assert not s1.conformable_with(random_set(Rng(3), 3, d=7))
 
 
-class TestMergeDelta:
-    def test_zero_a_gives_zero_delta(self):
-        p = LoraPair(0, Matrix.zeros(2, 4), Matrix(Rng(1).standard_normal(5, 2)))
-        assert merge_delta(p) == Matrix.zeros(5, 4)
-
-    def test_rank_one_by_hand(self):
-        p = LoraPair(0, Matrix.from_rows([[2.0, 3.0]]), Matrix.from_rows([[1.0], [0.0]]))
-        assert merge_delta(p) == Matrix.from_rows([[2.0, 3.0], [0.0, 0.0]])
-
-    def test_matches_matmul_oracle_exactly(self):
-        p = random_pair(Rng(9), 0, 6, 5, 3)
-        assert merge_delta(p) == matmul(p.b, p.a)
-
-    def test_bilinearity_in_a(self):
-        p = random_pair(Rng(10), 0, 6, 5, 3)
-        scaled = LoraPair(0, Matrix(3.0 * p.a.array), p.b)
-        assert np.allclose(merge_delta(scaled).array, 3.0 * merge_delta(p).array, atol=1e-12)
-
-
 class TestAccounting:
     def test_single_layer_count(self):
         s = AdapterSet((LoraPair.zeros(0, 4, 4, 2),), 1)
@@ -202,3 +204,21 @@ class TestWireFormat:
     def test_empty_set_round_trips(self):
         s = AdapterSet((), 0)
         assert deserialize(serialize(s)) == s
+
+    @settings(max_examples=60, deadline=None)
+    @given(adapter_sets())
+    def test_round_trip_property(self, s):
+        blob = serialize(s)
+        back = deserialize(blob)
+        assert back == s
+        assert serialize(back) == blob
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("scalar", [0, 11, 21])
+    def test_non_finite_scalar_rejected(self, bad, scalar):
+        # Two 6x5 rank-2 layers: scalars 0-11 are layer 0's B then 12-21 its A.
+        blob = bytearray(serialize(random_set(Rng(28), 2)))
+        offset = FIXED_HEADER_BYTES + 2 * LAYER_HEADER_BYTES + 8 * scalar
+        struct.pack_into("<d", blob, offset, bad)
+        with pytest.raises(WireFormatError, match="finite"):
+            deserialize(bytes(blob))

@@ -18,7 +18,7 @@ from fedmentor.trainer import (
     mean_loss,
     train_local,
 )
-from oracles import fd_gradient_check, merged_forward, randomized_adapters
+from oracles import array_pairs, fd_gradient_check, merged_forward, randomized_adapters
 
 
 def tiny_dataset(rng: Rng, n: int = 40, dim: int = 5) -> Dataset:
@@ -77,8 +77,8 @@ class TestForward:
     def test_identity_effective_weight_single_layer(self):
         # Theta = 0 and B@A = I: the logit is the head applied to x directly.
         d = 3
-        model = BackboneModel((Matrix.zeros(d, d),), Matrix.from_rows([[1.0, -2.0, 0.5]]))
-        adapters = AdapterSet((LoraPair(0, Matrix.identity(d), Matrix.identity(d)),), 1)
+        model = BackboneModel((Matrix.zeros(d, d),), Matrix([[1.0, -2.0, 0.5]]))
+        adapters = AdapterSet((LoraPair(0, Matrix(np.eye(d)), Matrix(np.eye(d))),), 1)
         x = np.array([0.3, -1.2, 2.0])
         assert forward(model, adapters, x) == pytest.approx(
             float(model.head.array[0] @ x), abs=1e-15
@@ -133,14 +133,12 @@ class TestGradients:
 
     def test_saturated_batch_has_negligible_gradient(self):
         # Single layer driven deep into correct saturation: logit ~ +40.
-        model = BackboneModel((Matrix.from_rows([[40.0]]),), Matrix.from_rows([[1.0]]))
-        adapters = AdapterSet((LoraPair(0, Matrix.full(1, 1, 0.5), Matrix.full(1, 1, 0.5)),), 1)
+        model = BackboneModel((Matrix([[40.0]]),), Matrix([[1.0]]))
+        params = [(np.full((1, 1), 0.5), np.full((1, 1), 0.5))]
         xs = np.ones((4, 1))
         ys = np.ones(4, dtype=np.int64)
-        grads = grad_adapters(model, adapters, xs, ys)
-        total = sum(
-            float(np.abs(g.a.array).sum() + np.abs(g.b.array).sum()) for g in grads.pairs
-        )
+        grads = grad_adapters(model, params, xs, ys)
+        total = sum(float(np.abs(g_a).sum() + np.abs(g_b).sum()) for g_a, g_b in grads)
         assert total < 1e-6
 
     def test_grad_b_is_zero_when_a_is_zero(self):
@@ -152,15 +150,16 @@ class TestGradients:
         adapters = AdapterSet(pairs, 2)
         xs = Rng(11, "x").standard_normal(5, 4)
         ys = np.array([0, 1, 0, 1, 0])
-        grads = grad_adapters(model, adapters, xs, ys)
-        for g in grads.pairs:
-            assert g.b == Matrix.zeros(*g.b.shape)
+        grads = grad_adapters(model, array_pairs(adapters), xs, ys)
+        for (_, b), (_, g_b) in zip(array_pairs(adapters), grads):
+            assert g_b.shape == b.shape
+            assert not g_b.any()
 
     def test_empty_batch_rejected(self):
         model = BackboneModel.random(Rng(12), 4, 5, 1)
         adapters = init_adapters(model, 2, Rng(12))
         with pytest.raises(ValueError):
-            grad_adapters(model, adapters, np.zeros((0, 4)), np.zeros(0))
+            grad_adapters(model, array_pairs(adapters), np.zeros((0, 4)), np.zeros(0))
 
 
 def make_client(seed: int, epochs: int = 2, lr: float = 0.3, n: int = 40) -> ClientState:
@@ -227,6 +226,26 @@ class TestTrainLocal:
         client = make_client(7, epochs=1, n=41)
         _, stats = train_local(client, client.adapters, Rng(7, "r"))
         assert stats.steps == 6
+
+    def test_matrix_constructions_do_not_grow_with_steps(self, monkeypatch):
+        # Matrix is built only at the boundary: the trained a and b per layer.
+        clients = [make_client(9, epochs=1), make_client(9, epochs=4)]
+        built = []
+        original = Matrix.__post_init__
+
+        def counting(m):
+            built.append(m)
+            original(m)
+
+        monkeypatch.setattr(Matrix, "__post_init__", counting)
+        counts, steps = [], []
+        for client in clients:
+            before = len(built)
+            _, stats = train_local(client, client.adapters, Rng(9, "r"))
+            counts.append(len(built) - before)
+            steps.append(stats.steps)
+        assert steps == [5, 20]
+        assert counts[0] == counts[1] <= 2 * clients[0].model.n_layers
 
     def test_nonconformable_global_adapters_rejected(self):
         client = make_client(8)
