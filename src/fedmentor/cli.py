@@ -7,7 +7,9 @@
 Each run writes into its own directory named by seed and timestamp (never
 overwriting an earlier run): ``metrics.csv`` with one row per round,
 ``summary.json`` with the config echo and the final adapter checksum, and
-``adapters.bin`` holding the final global adapters in wire format.
+``adapters.bin`` holding the final global adapters in wire format. A run
+whose round fails keeps ``metrics.csv`` and ``adapters.bin`` for the rounds
+it completed, if any, and its ``summary.json`` carries the error.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 runtime error.
 """
@@ -22,7 +24,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, build_experiment, config_from_dict, load_config
-from .federation import bytes_to_mb, run_training, write_metrics_csv, write_summary_json
+from .federation import (
+    RoundError, bytes_to_mb, run_training, write_metrics_csv, write_summary_json,
+)
 from .lora import serialize
 from .metrics import ACCURACY, write_comparison_csv
 
@@ -47,20 +51,31 @@ def _fresh_run_dir(parent: Path, seed: int) -> Path:
 
 
 def execute_run(cfg: RunConfig, run_dir: Path) -> dict:
-    """Train per the config and emit metrics.csv / summary.json / adapters.bin."""
+    """Train per the config and emit metrics.csv / summary.json / adapters.bin.
+
+    If a round fails, the artifacts of the rounds completed before it are
+    written, and then its ``RoundError`` is raised again.
+    """
     experiment = build_experiment(cfg)
-    server, records, channel = run_training(
-        experiment.server, experiment.clients, cfg.rounds
+    error = None
+    try:
+        server, records = run_training(experiment.server, experiment.clients, cfg.rounds)
+    except RoundError as exc:
+        server, records, error = exc.server, exc.records, exc
+    if records:
+        write_metrics_csv(records, run_dir / "metrics.csv")
+        (run_dir / "adapters.bin").write_bytes(serialize(server.global_adapters))
+    write_summary_json(
+        run_dir / "summary.json", cfg.to_dict(), server.global_adapters, records, error
     )
-    write_metrics_csv(records, run_dir / "metrics.csv")
-    write_summary_json(run_dir / "summary.json", cfg.to_dict(), server.global_adapters, records)
-    (run_dir / "adapters.bin").write_bytes(serialize(server.global_adapters))
+    if error is not None:
+        raise error
     final = records[-1]
     return {
         "run_dir": str(run_dir),
         "rounds": len(records),
         "final_accuracy": final.utilities[ACCURACY],
-        "total_comm_bytes": channel.total_bytes,
+        "total_comm_bytes": sum(r.broadcast_bytes + r.upload_bytes for r in records),
         "gate_rounds": sum(1 for r in records if r.gate_triggered),
         "scale_multiplier": final.scale_multiplier,
     }

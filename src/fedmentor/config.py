@@ -20,7 +20,7 @@ from typing import Mapping
 
 import yaml
 
-from .data import DEFAULT_ROTATIONS, Dataset, DomainSpec, default_federation_specs, make_domain
+from .data import DEFAULT_ROTATIONS, DomainSpec, default_federation_specs, make_domain
 from .dp import DEFAULT_BUDGETS, BudgetTable, NoiseCalibration
 from .federation import PrivacyStrategy, ServerState
 from .linalg import Rng
@@ -263,7 +263,6 @@ class Experiment:
     backbone: BackboneModel
     clients: tuple[ClientState, ...]
     server: ServerState
-    datasets: Mapping[str, Dataset]
 
 
 def _domain_specs(cfg: RunConfig, rng: Rng) -> list[DomainSpec]:
@@ -327,7 +326,6 @@ def build_experiment(cfg: RunConfig) -> Experiment:
             domain=spec.domain,
             data=datasets[spec.domain],
             model=backbone,
-            adapters=adapters0,
             learning_rate=cfg.learning_rate,
             local_epochs=cfg.local_epochs,
             batch_size=cfg.batch_size,
@@ -363,4 +361,4 @@ def build_experiment(cfg: RunConfig) -> Experiment:
         round_index=0,
         rng_seed=cfg.seed,
     )
-    return Experiment(cfg, backbone, clients, server, datasets)
+    return Experiment(cfg, backbone, clients, server)

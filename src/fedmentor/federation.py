@@ -1,18 +1,21 @@
 """Server state machine: broadcast, train, privatize, aggregate, gate, decay.
 
-One round executes, in order: broadcast the global adapters to every client
-(bytes counted per recipient), train each client locally in client-id order,
-privatize each update under the client's domain budget, upload (bytes
-counted per payload), aggregate with dataset-size weights, evaluate utility
+One round executes, in order: encode the global adapters and decode that
+broadcast, train each responding client from the decoded adapters in
+client-id order, privatize each update under the client's domain budget,
+encode it as the client's upload, decode every upload on the server and
+aggregate the decoded sets with dataset-size weights, evaluate utility
 proxies on the server-held validation pool, apply the utility gate, and
-decay the budgets. Aggregation always consumes results sorted by client id,
-so client declaration order cannot change a single bit of the outcome.
+decay the budgets. Adapters travel only through the wire format, and the
+round's byte counts are the lengths of those payloads (the broadcast once
+per recipient). Aggregation always consumes results sorted by client id, so
+client declaration order cannot change a single bit of the outcome.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -26,14 +29,13 @@ from .dp import (
     privatize_static,
 )
 from .linalg import Matrix, Rng, ShapeError
-from .lora import AdapterSet, LoraPair, serialize
+from .lora import AdapterSet, LoraPair, WireFormatError, deserialize, serialize
 from .trainer import BackboneModel, ClientState, forward_batch, train_local
 
 __all__ = [
     "PrivacyStrategy",
     "STRATEGY_KINDS",
     "ServerState",
-    "SimChannel",
     "ClientRoundStats",
     "RoundRecord",
     "RoundError",
@@ -103,37 +105,11 @@ class ServerState:
         object.__setattr__(self, "thresholds", dict(self.thresholds))
 
 
-@dataclass
-class SimChannel:
-    """Byte counters for the simulated network, plus injectable failures."""
-
-    broadcast_bytes: int = 0
-    upload_bytes: int = 0
-    failures: set = field(default_factory=set)  # {(round, client_id)}
-
-    def fail(self, round_number: int, client_id: int) -> None:
-        self.failures.add((round_number, client_id))
-
-    def is_failed(self, round_number: int, client_id: int) -> bool:
-        return (round_number, client_id) in self.failures
-
-    def record_broadcast(self, payload_len: int, n_recipients: int) -> None:
-        self.broadcast_bytes += payload_len * n_recipients
-
-    def record_upload(self, payload_len: int) -> None:
-        self.upload_bytes += payload_len
-
-    @property
-    def total_bytes(self) -> int:
-        return self.broadcast_bytes + self.upload_bytes
-
-
 @dataclass(frozen=True)
 class ClientRoundStats:
     client_id: int
     train_loss: float
     eval_loss: float
-    payload_bytes: int
     wall_time: float
 
 
@@ -156,7 +132,16 @@ class RoundRecord:
 
 
 class RoundError(RuntimeError):
-    """A round failed; the message carries the 1-based round number."""
+    """A round failed; the message carries the 1-based round number.
+
+    ``records`` holds the rounds completed before the failure, and ``server``
+    the state after the last of them (the starting state if none completed).
+    """
+
+    def __init__(self, message: str, server: ServerState, records: list[RoundRecord]):
+        super().__init__(message)
+        self.server = server
+        self.records = records
 
 
 def aggregate(updates: Sequence[AdapterSet], train_sizes: Sequence[int]) -> AdapterSet:
@@ -223,24 +208,29 @@ def _validate_clients(server: ServerState, clients: Sequence[ClientState]) -> li
 def run_round(
     server: ServerState,
     clients: Sequence[ClientState],
-    channel: SimChannel,
+    dropouts: Collection[tuple[int, int]] = frozenset(),
 ) -> tuple[ServerState, RoundRecord]:
-    """Execute one federated round and return the advanced server state."""
+    """Execute one federated round and return the advanced server state.
+
+    ``dropouts`` holds ``(round, client_id)`` pairs; a client listed for this
+    round neither trains nor uploads, and the weights renormalize over the
+    clients that respond.
+    """
     ordered = _validate_clients(server, clients)
     round_number = server.round_index + 1
 
     broadcast_blob = serialize(server.global_adapters)
-    channel.record_broadcast(len(broadcast_blob), len(ordered))
+    broadcast = deserialize(broadcast_blob)
     broadcast_bytes = len(broadcast_blob) * len(ordered)
 
-    responders = [c for c in ordered if not channel.is_failed(round_number, c.id)]
+    responders = [c for c in ordered if (round_number, c.id) not in dropouts]
     if not responders:
         raise ValueError(f"all clients failed in round {round_number}")
 
     trained = [
         train_local(
             c,
-            server.global_adapters,
+            broadcast,
             Rng(server.rng_seed).derive("client", c.id, "round", round_number),
         )
         for c in responders
@@ -251,23 +241,22 @@ def run_round(
     sizes = []
     upload_bytes = 0
     for client, (update, stats) in zip(responders, trained):
-        noised = _privatized(server, client, update, round_number)
-        payload = serialize(noised)
-        channel.record_upload(len(payload))
+        payload = serialize(_privatized(server, client, update, round_number))
         upload_bytes += len(payload)
-        updates.append(noised)
+        try:
+            updates.append(deserialize(payload))
+        except WireFormatError as exc:
+            raise ValueError(f"client {client.id} ({client.domain}): upload: {exc}") from exc
         sizes.append(client.data.n_train)
         per_client.append(
             ClientRoundStats(
                 client_id=client.id,
                 train_loss=stats.final_train_loss,
                 eval_loss=stats.final_eval_loss,
-                payload_bytes=len(payload),
                 wall_time=stats.wall_time,
             )
         )
 
-    # Dropped clients are simply excluded; weights renormalize over responders.
     new_global = aggregate(updates, sizes)
 
     pool_datasets = [c.data for c in ordered]
@@ -309,22 +298,24 @@ def run_training(
     server: ServerState,
     clients: Sequence[ClientState],
     rounds: int,
-    channel: SimChannel | None = None,
-) -> tuple[ServerState, list[RoundRecord], SimChannel]:
-    """Run ``rounds`` sequential federated rounds from the given state."""
+    dropouts: Collection[tuple[int, int]] = frozenset(),
+) -> tuple[ServerState, list[RoundRecord]]:
+    """Run ``rounds`` sequential federated rounds from the given state.
+
+    A failing round raises ``RoundError``, which carries the records and the
+    server state of the rounds completed before it.
+    """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if channel is None:
-        channel = SimChannel()
     records: list[RoundRecord] = []
     for _ in range(rounds):
         round_number = server.round_index + 1
         try:
-            server, record = run_round(server, clients, channel)
+            server, record = run_round(server, clients, dropouts)
         except Exception as exc:
-            raise RoundError(f"round {round_number}: {exc}") from exc
+            raise RoundError(f"round {round_number}: {exc}", server, records) from exc
         records.append(record)
-    return server, records, channel
+    return server, records
 
 
 # ---------------------------- artifact emission ---------------------------- #
@@ -389,7 +380,9 @@ def write_summary_json(
     config_echo: Mapping,
     final_adapters: AdapterSet,
     records: Sequence[RoundRecord],
+    error: Exception | None = None,
 ) -> None:
+    """Write the run summary; a failed run's summary also names its error."""
     summary = {
         "config": config_echo,
         "final_adapters_sha256": adapters_sha256(final_adapters),
@@ -397,6 +390,8 @@ def write_summary_json(
         "total_comm_bytes": sum(r.broadcast_bytes + r.upload_bytes for r in records),
         "final_utilities": dict(records[-1].utilities) if records else {},
     }
+    if error is not None:
+        summary["error"] = str(error)
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

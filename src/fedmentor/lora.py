@@ -2,8 +2,10 @@
 
 An adapted layer carries two trainable factors: B (d x r) and A (r x k) whose
 product B@A is the layer's delta weight. Adapter sets are the only state that
-ever leaves a client, so this module also owns the exact byte accounting and
-the serialization format used for every simulated transmission.
+ever leaves a client, so this module also owns the wire format every
+simulated transmission uses: the round loop sends ``serialize`` output,
+works on what ``deserialize`` gives back, and counts bytes as the lengths of
+those payloads.
 
 Wire format v1 (little-endian throughout):
 
@@ -33,8 +35,6 @@ __all__ = [
     "AdapterSet",
     "WireFormatError",
     "classify_layer",
-    "trainable_param_count",
-    "payload_bytes",
     "serialize",
     "deserialize",
     "MAGIC",
@@ -139,10 +139,6 @@ class LoraPair:
         """Input dimension of the adapted weight."""
         return self.a.cols
 
-    @classmethod
-    def zeros(cls, layer_index: int, d: int, k: int, rank: int) -> "LoraPair":
-        return cls(layer_index, Matrix.zeros(rank, k), Matrix.zeros(d, rank))
-
 
 @dataclass(frozen=True)
 class AdapterSet:
@@ -186,20 +182,6 @@ class AdapterSet:
                 for p, q in zip(self.pairs, other.pairs)
             )
         )
-
-
-def trainable_param_count(adapters: AdapterSet) -> int:
-    """Total trainable scalars: sum over layers of r*(d+k)."""
-    return sum(p.rank * (p.d + p.k) for p in adapters.pairs)
-
-
-def payload_bytes(adapters: AdapterSet) -> int:
-    """Exact transmission size of an adapter set: ``len(serialize(adapters))``."""
-    return (
-        trainable_param_count(adapters) * 8
-        + FIXED_HEADER_BYTES
-        + LAYER_HEADER_BYTES * len(adapters.pairs)
-    )
 
 
 class WireFormatError(ValueError):

@@ -14,6 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
+from .trainer import cross_entropy
 
 __all__ = [
     "UtilityReport",
@@ -84,10 +85,7 @@ def evaluate(model_view: ModelView, datasets: Sequence[Dataset]) -> UtilityRepor
         per_client[idx] = hits / ds.n_val
         correct += hits
         total += ds.n_val
-        ys = ds.val_y.astype(np.float64)
-        loss_sum += float(
-            np.sum(np.maximum(logits, 0.0) - logits * ys + np.log1p(np.exp(-np.abs(logits))))
-        )
+        loss_sum += float(np.sum(cross_entropy(logits, ds.val_y)))
     return UtilityReport(
         per_metric={ACCURACY: correct / total, NEG_EVAL_LOSS: -loss_sum / total},
         per_client_accuracy=per_client,

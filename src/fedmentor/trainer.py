@@ -3,8 +3,7 @@
 The model is a small dense network with a frozen backbone: per layer an
 immutable weight matrix plus a low-rank adapter pair, tanh between layers,
 and a frozen linear head producing one logit. Only adapter entries ever
-receive gradient; the backbone and head never change, which the checksum
-makes easy to assert.
+receive gradient; the backbone and head never change.
 
 Local training runs on plain arrays: ``train_local`` unpacks the global
 ``AdapterSet`` once into one ``(a, b)`` pair of float64 arrays per layer,
@@ -20,7 +19,6 @@ gradient with respect to E.
 """
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 
@@ -35,9 +33,8 @@ __all__ = [
     "ClientState",
     "TrainStats",
     "init_adapters",
-    "forward",
     "forward_batch",
-    "loss",
+    "cross_entropy",
     "mean_loss",
     "grad_adapters",
     "train_local",
@@ -73,14 +70,6 @@ class BackboneModel:
     @property
     def input_dim(self) -> int:
         return self.layers[0].cols
-
-    def checksum(self) -> str:
-        """SHA-256 over all frozen weights; constant across any training."""
-        h = hashlib.sha256()
-        for w in self.layers:
-            h.update(w.array.tobytes())
-        h.update(self.head.array.tobytes())
-        return h.hexdigest()
 
     @classmethod
     def random(cls, rng: Rng, input_dim: int, hidden_dim: int, n_layers: int) -> "BackboneModel":
@@ -148,23 +137,14 @@ def forward_batch(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray) ->
     return act @ model.head.array[0]
 
 
-def forward(model: BackboneModel, adapters: AdapterSet, x) -> float:
-    """Single-sample logit."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(forward_batch(model, adapters, x)[0])
-
-
-def loss(logit: float, label: int) -> float:
-    """Binary cross-entropy with sigmoid, in the stable log-sum-exp form."""
-    z = float(logit)
-    y = float(label)
-    return max(z, 0.0) - z * y + np.log1p(np.exp(-abs(z)))
+def cross_entropy(logits: np.ndarray, labels) -> np.ndarray:
+    """Elementwise binary cross-entropy with sigmoid, in the stable log-sum-exp form."""
+    ys = np.asarray(labels, dtype=np.float64)
+    return np.maximum(logits, 0.0) - logits * ys + np.log1p(np.exp(-np.abs(logits)))
 
 
 def mean_loss(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray, ys: np.ndarray) -> float:
-    zs = forward_batch(model, adapters, xs)
-    ys = np.asarray(ys, dtype=np.float64)
-    return float(np.mean(np.maximum(zs, 0.0) - zs * ys + np.log1p(np.exp(-np.abs(zs)))))
+    return float(np.mean(cross_entropy(forward_batch(model, adapters, xs), ys)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -220,13 +200,16 @@ def grad_adapters(
 
 @dataclass(frozen=True)
 class ClientState:
-    """One client: its data, backbone view, adapters, and hyperparameters."""
+    """One client: its data, backbone view, and hyperparameters.
+
+    A client holds no adapters of its own: each round it trains from the
+    adapters the server broadcasts.
+    """
 
     id: int
     domain: str
     data: Dataset
     model: BackboneModel
-    adapters: AdapterSet
     learning_rate: float
     local_epochs: int
     batch_size: int
@@ -243,7 +226,6 @@ class ClientState:
                 f"client {self.id}: data dim {self.data.input_dim} vs "
                 f"model dim {self.model.input_dim}"
             )
-        _check_conformable(self.model, self.adapters)
 
 
 @dataclass(frozen=True)

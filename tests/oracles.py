@@ -2,16 +2,43 @@
 
 These deliberately avoid the library's own code paths: the matrix product is
 a triple loop, the weighted mean is an elementwise pure-Python sum, the
-forward pass materializes merged weights first, and gradients are checked by
-central finite differences.
+forward pass materializes merged weights first, gradients are checked by
+central finite differences, and the wire length of an adapter set is
+computed from its shapes rather than by encoding it.
 """
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
 from fedmentor.linalg import Matrix, Rng
 from fedmentor.lora import AdapterSet, LoraPair
 from fedmentor.trainer import BackboneModel, grad_adapters, mean_loss
+
+
+def zero_pair(layer_index: int, d: int, k: int, rank: int) -> LoraPair:
+    """Adapter pair with both factors zero: b is d x rank, a is rank x k."""
+    return LoraPair(layer_index, Matrix.zeros(rank, k), Matrix.zeros(d, rank))
+
+
+def trainable_param_count(adapters: AdapterSet) -> int:
+    """Total trainable scalars: sum over layers of r*(d+k)."""
+    return sum(p.rank * (p.d + p.k) for p in adapters.pairs)
+
+
+def wire_length(adapters: AdapterSet) -> int:
+    """Bytes in the v1 encoding: 12-byte fixed header, 16 per layer header, 8 per scalar."""
+    return 12 + 16 * len(adapters.pairs) + 8 * trainable_param_count(adapters)
+
+
+def backbone_checksum(model: BackboneModel) -> str:
+    """SHA-256 over all frozen weights and the head; constant across any training."""
+    h = hashlib.sha256()
+    for w in model.layers:
+        h.update(w.array.tobytes())
+    h.update(model.head.array.tobytes())
+    return h.hexdigest()
 
 
 def randomized_adapters(model: BackboneModel, rank: int, rng: Rng, scale: float = 0.3) -> AdapterSet:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from fedmentor import metrics as metrics_mod
-from fedmentor.federation import ClientRoundStats, RoundRecord, SimChannel
+from fedmentor.federation import ClientRoundStats, RoundRecord
 from fedmentor.linalg import Matrix, Rng
 from fedmentor.lora import AdapterSet, LoraPair, serialize
 from fedmentor.trainer import (
@@ -56,22 +56,20 @@ def run_plain_fedavg(
     seed: int,
     rounds: int,
     budgets_echo: Mapping[str, float],
-    channel: SimChannel | None = None,
-) -> tuple[AdapterSet, list[RoundRecord], SimChannel]:
+) -> tuple[AdapterSet, list[RoundRecord]]:
     """Plain dataset-weighted FedAvg with no noise, no gate, no decay.
 
     ``budgets_echo`` is copied verbatim into every round record so the
     emitted metrics line up column-for-column with a noise-off pipeline run.
+    Byte counts are kept in local integers: every recipient's copy of the
+    broadcast, and every upload.
     """
     ordered = sorted(clients, key=lambda c: c.id)
-    if channel is None:
-        channel = SimChannel()
     global_adapters = initial_adapters
     records: list[RoundRecord] = []
 
     for round_number in range(1, rounds + 1):
         blob = serialize(global_adapters)
-        channel.record_broadcast(len(blob), len(ordered))
         broadcast_bytes = len(blob) * len(ordered)
 
         updates, sizes, per_client = [], [], []
@@ -80,7 +78,6 @@ def run_plain_fedavg(
             rng = Rng(seed).derive("client", client.id, "round", round_number)
             update, stats = train_local(client, global_adapters, rng)
             payload = serialize(update)
-            channel.record_upload(len(payload))
             upload_bytes += len(payload)
             updates.append(update)
             sizes.append(client.data.n_train)
@@ -89,7 +86,6 @@ def run_plain_fedavg(
                     client_id=client.id,
                     train_loss=stats.final_train_loss,
                     eval_loss=stats.final_eval_loss,
-                    payload_bytes=len(payload),
                     wall_time=stats.wall_time,
                 )
             )
@@ -112,7 +108,7 @@ def run_plain_fedavg(
                 budgets=dict(budgets_echo),
             )
         )
-    return global_adapters, records, channel
+    return global_adapters, records
 
 
 def run_centralized_sgd(

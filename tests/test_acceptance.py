@@ -17,7 +17,6 @@ from fedmentor.dp import BudgetTable, NoiseCalibration, noise_std, privatize
 from fedmentor.federation import (
     BYTES_PER_MB,
     PrivacyStrategy,
-    SimChannel,
     aggregate,
     bytes_to_mb,
     run_training,
@@ -29,12 +28,17 @@ from fedmentor.lora import (
     AdapterSet,
     LayerPosition,
     LoraPair,
-    payload_bytes,
     serialize,
 )
 from fedmentor.metrics import ACCURACY, spread
 from fedmentor.trainer import BackboneModel
-from oracles import brute_force_weighted_mean, fd_gradient_check, randomized_adapters
+from oracles import (
+    brute_force_weighted_mean,
+    fd_gradient_check,
+    randomized_adapters,
+    wire_length,
+    zero_pair,
+)
 from reference import run_centralized_sgd, run_plain_fedavg
 
 
@@ -47,7 +51,7 @@ def test_criterion_01_noise_calibration_statistics():
     started = time.perf_counter()
     cal = NoiseCalibration()
     # One layer per position; every matrix holds 1e5 entries (500x200 / 200x500).
-    zero = AdapterSet(tuple(LoraPair.zeros(i, 500, 500, 200) for i in range(3)), 3)
+    zero = AdapterSet(tuple(zero_pair(i, 500, 500, 200) for i in range(3)), 3)
     positions = [LayerPosition.EARLY, LayerPosition.MIDDLE, LayerPosition.LATE]
     for eps in (0.5, 1.5, 2.0):
         budgets = BudgetTable.from_initial({"d": eps})
@@ -105,11 +109,11 @@ def test_criterion_03_dp_off_byte_equivalence(tmp_path):
     """strategy=off pipeline is byte-identical to the plain-FedAvg path."""
     cfg = config_from_dict({"rounds": 8, "seed": 4, "strategy": {"kind": "off"}})
     exp = build_experiment(cfg)
-    server, records, _ = run_training(exp.server, exp.clients, cfg.rounds)
+    server, records = run_training(exp.server, exp.clients, cfg.rounds)
     write_metrics_csv(records, tmp_path / "pipeline.csv")
     (tmp_path / "pipeline.bin").write_bytes(serialize(server.global_adapters))
 
-    ref_adapters, ref_records, _ = run_plain_fedavg(
+    ref_adapters, ref_records = run_plain_fedavg(
         exp.backbone, list(exp.clients), exp.server.global_adapters,
         cfg.seed, cfg.rounds, budgets_echo=dict(exp.server.budgets.entries),
     )
@@ -137,10 +141,7 @@ def test_criterion_04_gradient_finite_differences():
 def test_criterion_05_communication_arithmetic():
     """3 x 16.56 MB/round totals 49.68 MB, within 0.1% of the reported 49.69."""
     per_client_bytes = int(16.56 * BYTES_PER_MB)
-    channel = SimChannel()
-    for _ in range(3):
-        channel.record_upload(per_client_bytes)
-    total_mb = bytes_to_mb(channel.upload_bytes)
+    total_mb = bytes_to_mb(3 * per_client_bytes)
     assert round(total_mb, 2) == 49.68
     assert abs(total_mb - 49.69) / 49.69 < 0.001
 
@@ -159,7 +160,7 @@ def test_criterion_05_communication_arithmetic():
             for i in range(n_layers)
         )
         s = AdapterSet(pairs, n_layers)
-        assert len(serialize(s)) == payload_bytes(s)
+        assert len(serialize(s)) == wire_length(s)
     report(5, "49.68 MB/round within 0.1% of 49.69; serialize length exact on 100 shapes")
 
 
@@ -169,7 +170,7 @@ def test_criterion_06_gate_behavior():
 
     cfg_hot = replace(base, thresholds={"accuracy": 1.1})
     exp = build_experiment(cfg_hot)
-    _, records, _ = run_training(exp.server, exp.clients, cfg_hot.rounds)
+    _, records = run_training(exp.server, exp.clients, cfg_hot.rounds)
     running = 1.0
     for t, record in enumerate(records, start=1):
         assert record.gate_triggered, f"gate silent in round {t} despite tau=1.1"
@@ -179,7 +180,7 @@ def test_criterion_06_gate_behavior():
 
     cfg_cold = replace(base, thresholds={"accuracy": 0.0})
     exp = build_experiment(cfg_cold)
-    _, records, _ = run_training(exp.server, exp.clients, cfg_cold.rounds)
+    _, records = run_training(exp.server, exp.clients, cfg_cold.rounds)
     assert all(not r.gate_triggered for r in records)
     assert all(r.scale_multiplier == 1.0 for r in records)
     report(6, "gate fires 8/8 with multiplier 0.8^t exactly; tau=0 never fires")
@@ -190,7 +191,7 @@ def test_criterion_07_budget_decay():
     cfg = config_from_dict({"rounds": 8, "seed": 7, "data": {"scale": 0.02},
                             "thresholds": {"accuracy": 0.0}})
     exp = build_experiment(cfg)
-    _, records, _ = run_training(exp.server, exp.clients, cfg.rounds)
+    _, records = run_training(exp.server, exp.clients, cfg.rounds)
     initial = {"Dreaddit": 2.0, "IRF": 0.5, "MultiWD": 1.5}
     floor = exp.server.budgets.floor
     for domain, eps0 in initial.items():
@@ -215,12 +216,12 @@ def test_criterion_08_learning_sanity():
 
     plain_cfg = replace(base, strategy=PrivacyStrategy(kind="off"))
     exp = build_experiment(plain_cfg)
-    _, plain_records, _ = run_training(exp.server, exp.clients, plain_cfg.rounds)
+    _, plain_records = run_training(exp.server, exp.clients, plain_cfg.rounds)
     plain_acc = plain_records[-1].utilities[ACCURACY]
 
     dp_cfg = base  # domain_aware with stock budgets
     exp = build_experiment(dp_cfg)
-    _, dp_records, _ = run_training(exp.server, exp.clients, dp_cfg.rounds)
+    _, dp_records = run_training(exp.server, exp.clients, dp_cfg.rounds)
     dp_acc = dp_records[-1].utilities[ACCURACY]
 
     elapsed = time.perf_counter() - started
@@ -243,7 +244,7 @@ def test_criterion_09_single_client_centralization():
         "data": {"domains": ["Dreaddit"], "scale": 0.05},
     })
     exp = build_experiment(cfg)
-    server, _, _ = run_training(exp.server, exp.clients, cfg.rounds)
+    server, _ = run_training(exp.server, exp.clients, cfg.rounds)
 
     direct = run_centralized_sgd(
         exp.clients[0], exp.server.global_adapters, cfg.seed, cfg.rounds

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmentor.dp import (
     DEFAULT_BUDGETS,
@@ -17,12 +19,13 @@ from fedmentor.dp import (
 )
 from fedmentor.linalg import Matrix, Rng
 from fedmentor.lora import AdapterKind, AdapterSet, LayerPosition, LoraPair
+from oracles import zero_pair
 
 EPS = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
 
 
 def zero_set(n_layers: int, d: int, k: int, r: int) -> AdapterSet:
-    return AdapterSet(tuple(LoraPair.zeros(i, d, k, r) for i in range(n_layers)), n_layers)
+    return AdapterSet(tuple(zero_pair(i, d, k, r) for i in range(n_layers)), n_layers)
 
 
 class TestNoiseStd:
@@ -100,7 +103,7 @@ class TestPrivatize:
 
     def test_empirical_std_matches_formula(self):
         # One early layer in a 3-layer set; 500x200 = 1e5 entries per matrix.
-        s = AdapterSet(tuple(LoraPair.zeros(i, 500, 200, 200) for i in range(3)), 3)
+        s = AdapterSet(tuple(zero_pair(i, 500, 200, 200) for i in range(3)), 3)
         out = privatize(s, "IRF", self.budgets(), NoiseCalibration(), Rng(99))
         a_noise = out.pairs[0].a.array  # early layer, kind A
         assert abs(a_noise.std() - 0.024) / 0.024 < 0.02
@@ -136,7 +139,7 @@ class TestPrivatize:
             assert np.sqrt((pair.b.array**2).sum()) <= 1.0 + 1e-12
 
     def test_static_noise_ignores_position_and_kind(self):
-        s = AdapterSet(tuple(LoraPair.zeros(i, 300, 300, 100) for i in range(3)), 3)
+        s = AdapterSet(tuple(zero_pair(i, 300, 300, 100) for i in range(3)), 3)
         out = privatize_static(s, 0.008, Rng(11))
         for pair in out.pairs:  # early, middle, late all get the same sigma
             assert abs(pair.a.array.std() - 0.008) / 0.008 < 0.02
@@ -231,6 +234,24 @@ class TestBudgets:
             for domain, eps in table.entries.items():
                 assert 0.0 < eps <= prev[domain]
             prev = dict(table.entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        eps=st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=4),
+        decay_rate=st.floats(0.0, 0.99),
+        floor=st.floats(1e-3, 10.0),
+        mode=st.sampled_from(["multiplicative", "linear"]),
+    )
+    def test_decay_never_increases_nor_crosses_floor_property(self, eps, decay_rate, floor, mode):
+        # A budget that starts below the floor freezes there; any other never drops below it.
+        table = BudgetTable.from_initial(
+            {f"d{i}": e for i, e in enumerate(eps)}, decay_rate, floor, mode
+        )
+        for _ in range(30):
+            decayed = decay_budget(table)
+            for domain, before in table.entries.items():
+                assert min(before, floor) <= decayed.entries[domain] <= before
+            table = decayed
 
     def test_uniform_table(self):
         table = BudgetTable.uniform(("a", "b"), 1.0)

@@ -3,23 +3,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedmentor import federation
 from fedmentor.data import DomainSpec, make_domain
 from fedmentor.dp import BudgetTable, NoiseCalibration
 from fedmentor.federation import (
     PrivacyStrategy,
     RoundError,
     ServerState,
-    SimChannel,
     aggregate,
+    bytes_to_mb,
     metrics_csv_lines,
     run_round,
     run_training,
 )
 from fedmentor.linalg import Matrix, Rng, ShapeError
-from fedmentor.lora import AdapterSet, LoraPair, payload_bytes, serialize
+from fedmentor.lora import AdapterSet, LoraPair, deserialize, serialize
 from fedmentor.trainer import BackboneModel, ClientState, forward_batch, init_adapters
-from oracles import brute_force_weighted_mean, merged_forward
+from oracles import brute_force_weighted_mean, merged_forward, wire_length
 from reference import run_plain_fedavg
 
 EPS = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
@@ -46,7 +49,52 @@ def random_set(rng: Rng, n_layers: int = 2, d: int = 4, k: int = 3, r: int = 2) 
     return AdapterSet(pairs, n_layers)
 
 
+_entries = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def conformable_updates(draw) -> tuple[list[AdapterSet], list[int]]:
+    """One to five conformable adapter sets of random shapes, with positive sizes."""
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        d, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        shapes.append((d, k, draw(st.integers(1, min(d, k)))))
+    n = draw(st.integers(1, 5))
+
+    def matrix(rows, cols):
+        values = draw(st.lists(_entries, min_size=rows * cols, max_size=rows * cols))
+        return Matrix(np.reshape(values, (rows, cols)))
+
+    sets = [
+        AdapterSet(
+            tuple(LoraPair(i, matrix(r, k), matrix(d, r)) for i, (d, k, r) in enumerate(shapes)),
+            len(shapes),
+        )
+        for _ in range(n)
+    ]
+    return sets, draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n))
+
+
 class TestAggregate:
+    @settings(max_examples=60, deadline=None)
+    @given(conformable_updates())
+    def test_entrywise_convex_property(self, case):
+        sets, sizes = case
+        out = aggregate(sets, sizes)
+        for li, pair in enumerate(out.pairs):
+            for got, field in ((pair.a.array, "a"), (pair.b.array, "b")):
+                stack = np.stack([getattr(s.pairs[li], field).array for s in sets])
+                tol = 1e-13 * float(np.max(np.abs(stack)))
+                assert np.all(got >= stack.min(axis=0) - tol)
+                assert np.all(got <= stack.max(axis=0) + tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conformable_updates())
+    def test_identical_updates_fixed_point_property(self, case):
+        sets, sizes = case
+        decoded = [deserialize(serialize(sets[0])) for _ in sizes]
+        assert aggregate(decoded, sizes) == sets[0]
+
     def test_unweighted_mean(self):
         out = aggregate([constant_set(0.0), constant_set(2.0)], [10, 10])
         assert out == constant_set(1.0)
@@ -123,7 +171,6 @@ def build_federation(seed: int = 0, n_clients: int = 3, strategy: PrivacyStrateg
                 domain=domain,
                 data=make_domain(spec, rng.derive("data", domain)),
                 model=model,
-                adapters=adapters0,
                 learning_rate=0.3,
                 local_epochs=epochs,
                 batch_size=16,
@@ -148,7 +195,7 @@ class TestRunRound:
                                            strategy=PrivacyStrategy(kind="off"))
         from fedmentor.trainer import train_local
 
-        new_server, record = run_round(server, clients, SimChannel())
+        new_server, record = run_round(server, clients)
         rng = Rng(server.rng_seed).derive("client", clients[0].id, "round", 1)
         expected, _ = train_local(clients[0], server.global_adapters, rng)
         assert serialize(new_server.global_adapters) == serialize(expected)
@@ -157,57 +204,52 @@ class TestRunRound:
     def test_three_clients_dp_off_matches_plain_fedavg_bitwise(self):
         strategy = PrivacyStrategy(kind="off")
         server, clients = build_federation(seed=2, strategy=strategy)
-        final_server, records, channel = run_training(server, clients, 4)
+        final_server, records = run_training(server, clients, 4)
 
-        ref_adapters, ref_records, ref_channel = run_plain_fedavg(
+        ref_adapters, ref_records = run_plain_fedavg(
             server.backbone, clients, server.global_adapters, server.rng_seed, 4,
             budgets_echo=dict(server.budgets.entries),
         )
         assert serialize(final_server.global_adapters) == serialize(ref_adapters)
         assert metrics_csv_lines(records) == metrics_csv_lines(ref_records)
-        assert channel.total_bytes == ref_channel.total_bytes
+        byte_counts = [(r.broadcast_bytes, r.upload_bytes) for r in records]
+        assert byte_counts == [(r.broadcast_bytes, r.upload_bytes) for r in ref_records]
 
     def test_gate_fires_under_unreachable_threshold(self):
         server, clients = build_federation(seed=3, thresholds={"accuracy": 1.1})
-        new_server, record = run_round(server, clients, SimChannel())
+        new_server, record = run_round(server, clients)
         assert record.gate_triggered
         assert record.scale_multiplier == pytest.approx(0.8, abs=0)
         assert new_server.calibration.scale_multiplier == pytest.approx(0.8, abs=0)
 
     def test_gate_silent_with_zero_threshold(self):
         server, clients = build_federation(seed=4, thresholds={"accuracy": 0.0})
-        _, record = run_round(server, clients, SimChannel())
+        _, record = run_round(server, clients)
         assert not record.gate_triggered
         assert record.scale_multiplier == 1.0
 
     def test_upload_bytes_equal_payload_accounting(self):
         server, clients = build_federation(seed=5)
-        channel = SimChannel()
-        _, record = run_round(server, clients, channel)
-        for stats in record.per_client:
-            assert stats.payload_bytes == payload_bytes(server.global_adapters)
-        assert channel.upload_bytes == sum(s.payload_bytes for s in record.per_client)
+        _, record = run_round(server, clients)
+        assert record.upload_bytes == 3 * wire_length(server.global_adapters)
 
     def test_broadcast_counts_every_recipient(self):
         server, clients = build_federation(seed=6)
-        channel = SimChannel()
-        _, record = run_round(server, clients, channel)
+        _, record = run_round(server, clients)
         assert record.broadcast_bytes == len(serialize(server.global_adapters)) * 3
-        assert channel.broadcast_bytes == record.broadcast_bytes
+        assert record.broadcast_bytes == wire_length(server.global_adapters) * 3
 
     def test_client_order_is_irrelevant(self):
         server, clients = build_federation(seed=7)
-        a, rec_a = run_round(server, list(clients), SimChannel())
-        b, rec_b = run_round(server, list(reversed(clients)), SimChannel())
+        a, rec_a = run_round(server, list(clients))
+        b, rec_b = run_round(server, list(reversed(clients)))
         assert serialize(a.global_adapters) == serialize(b.global_adapters)
         assert metrics_csv_lines([rec_a]) == metrics_csv_lines([rec_b])
 
     def test_failed_client_excluded_and_weights_renormalized(self):
         strategy = PrivacyStrategy(kind="off")
         server, clients = build_federation(seed=9, strategy=strategy)
-        channel = SimChannel()
-        channel.fail(1, clients[1].id)
-        new_server, record = run_round(server, clients, channel)
+        new_server, record = run_round(server, clients, {(1, clients[1].id)})
         assert {s.client_id for s in record.per_client} == {0, 2}
 
         from fedmentor.trainer import train_local
@@ -223,10 +265,8 @@ class TestRunRound:
 
     def test_all_clients_failed_is_an_error(self):
         server, clients = build_federation(seed=10, n_clients=1)
-        channel = SimChannel()
-        channel.fail(1, clients[0].id)
         with pytest.raises(ValueError, match="all clients failed"):
-            run_round(server, clients, channel)
+            run_round(server, clients, {(1, clients[0].id)})
 
     def test_unknown_domain_rejected_upfront(self):
         server, clients = build_federation(seed=11)
@@ -243,19 +283,19 @@ class TestRunRound:
         from fedmentor.dp import UnknownDomainError
 
         with pytest.raises(UnknownDomainError):
-            run_round(server, clients, SimChannel())
+            run_round(server, clients)
 
     def test_duplicate_client_ids_rejected(self):
         server, clients = build_federation(seed=12, n_clients=2)
         twins = [clients[0], clients[0]]
         with pytest.raises(ValueError, match="duplicate"):
-            run_round(server, twins, SimChannel())
+            run_round(server, twins)
 
 
 class TestRunTraining:
     def test_budget_trace_follows_decay(self):
         server, clients = build_federation(seed=13)
-        _, records, _ = run_training(server, clients, 8)
+        _, records = run_training(server, clients, 8)
         # records[r-1] holds the post-decay budgets of round r
         for r, record in enumerate(records, start=1):
             assert record.budgets["Dreaddit"] == pytest.approx(2.0 * 0.9**r, rel=1e-12)
@@ -264,30 +304,50 @@ class TestRunTraining:
 
     def test_comm_total_is_rounds_times_fixed_payload(self):
         server, clients = build_federation(seed=14)
-        _, records, channel = run_training(server, clients, 5)
-        per_round = records[0].broadcast_bytes + records[0].upload_bytes
+        _, records = run_training(server, clients, 5)
+        per_round = 6 * wire_length(server.global_adapters)  # 3 broadcast copies + 3 uploads
         assert all(r.broadcast_bytes + r.upload_bytes == per_round for r in records)
-        assert channel.total_bytes == 5 * per_round
+        total = sum(r.broadcast_bytes + r.upload_bytes for r in records)
+        assert bytes_to_mb(total) == 5 * per_round / (1024 * 1024)
 
     def test_round_indices_advance_by_one(self):
         server, clients = build_federation(seed=15)
-        final_server, records, _ = run_training(server, clients, 3)
+        final_server, records = run_training(server, clients, 3)
         assert [r.round for r in records] == [1, 2, 3]
         assert final_server.round_index == 3
 
     def test_same_seed_same_csv_bytes(self):
         server, clients = build_federation(seed=16)
-        _, records_a, _ = run_training(server, clients, 3)
+        _, records_a = run_training(server, clients, 3)
         server2, clients2 = build_federation(seed=16)
-        _, records_b, _ = run_training(server2, clients2, 3)
+        _, records_b = run_training(server2, clients2, 3)
         assert metrics_csv_lines(records_a) == metrics_csv_lines(records_b)
 
     def test_round_errors_carry_round_number(self):
         server, clients = build_federation(seed=17, n_clients=1)
-        channel = SimChannel()
-        channel.fail(2, clients[0].id)
-        with pytest.raises(RoundError, match="round 2"):
-            run_training(server, clients, 3, channel)
+        with pytest.raises(RoundError, match="round 2") as info:
+            run_training(server, clients, 3, {(2, clients[0].id)})
+        assert [r.round for r in info.value.records] == [1]
+        assert info.value.server.round_index == 1
+
+    def test_corrupted_upload_names_round_client_domain_and_phase(self, monkeypatch):
+        server, clients = build_federation(seed=25)
+        real_serialize = federation.serialize
+        calls = []
+
+        def corrupting(adapters):
+            calls.append(adapters)
+            blob = real_serialize(adapters)
+            # Call 1 is round 1's broadcast; calls 2 and 3 are the uploads of clients 0 and 1.
+            return blob + b"\x00" if len(calls) == 3 else blob
+
+        monkeypatch.setattr(federation, "serialize", corrupting)
+        with pytest.raises(RoundError) as info:
+            run_training(server, clients, 2)
+        message = str(info.value)
+        for part in ("round 1", "client 1", "IRF", "upload"):
+            assert part in message
+        assert info.value.records == []
 
     def test_divergence_names_round_client_domain_and_phase(self):
         from fedmentor.config import build_experiment, config_from_dict
@@ -312,7 +372,7 @@ class TestRunTraining:
         from fedmentor.lora import AdapterKind, LayerPosition
 
         server, clients = build_federation(seed=19, thresholds={"accuracy": 0.0})
-        _, records, _ = run_training(server, clients, 10)
+        _, records = run_training(server, clients, 10)
         for domain in EPS:
             stds = [
                 noise_std(LayerPosition.EARLY, AdapterKind.A, r.budgets[domain],
@@ -327,7 +387,7 @@ class TestStrategies:
         strategy = PrivacyStrategy(kind="static_noise", sigma=0.008)
         server, clients = build_federation(seed=20, strategy=strategy,
                                            thresholds={"accuracy": 1.1})
-        _, records, _ = run_training(server, clients, 3)
+        _, records = run_training(server, clients, 3)
         for record in records:
             assert record.budgets == EPS
             assert record.scale_multiplier == 1.0
@@ -337,7 +397,7 @@ class TestStrategies:
         strategy = PrivacyStrategy(kind="off")
         server, clients = build_federation(seed=21, strategy=strategy,
                                            thresholds={"accuracy": 1.1})
-        _, records, _ = run_training(server, clients, 2)
+        _, records = run_training(server, clients, 2)
         assert all(not r.gate_triggered for r in records)
         assert all(r.scale_multiplier == 1.0 for r in records)
 
@@ -353,7 +413,7 @@ class TestStrategies:
 class TestGlobalModel:
     def test_merged_weights_reproduce_factored_forward(self):
         server, clients = build_federation(seed=23)
-        new_server, _ = run_round(server, clients, SimChannel())
+        new_server, _ = run_round(server, clients)
         xs = Rng(23, "probe").standard_normal(15, 6)
         via_merged = merged_forward(new_server.backbone, new_server.global_adapters, xs)
         via_factored = forward_batch(new_server.backbone, new_server.global_adapters, xs)

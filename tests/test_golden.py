@@ -52,5 +52,5 @@ def test_two_round_final_adapters_sha256(case):
     overrides, expected = GOLDEN[case]
     cfg = config_from_dict({"rounds": 2, **overrides})
     exp = build_experiment(cfg)
-    server, _, _ = run_training(exp.server, exp.clients, cfg.rounds)
+    server, _ = run_training(exp.server, exp.clients, cfg.rounds)
     assert adapters_sha256(server.global_adapters) == expected

@@ -19,10 +19,9 @@ from fedmentor.lora import (
     WireFormatError,
     classify_layer,
     deserialize,
-    payload_bytes,
     serialize,
-    trainable_param_count,
 )
+from oracles import trainable_param_count, wire_length, zero_pair
 
 
 def random_pair(rng: Rng, layer_index: int, d: int, k: int, r: int) -> LoraPair:
@@ -113,13 +112,13 @@ class TestLoraPair:
 
 class TestAdapterSet:
     def test_duplicate_layer_index_rejected(self):
-        p = LoraPair.zeros(0, 4, 4, 2)
+        p = zero_pair(0, 4, 4, 2)
         with pytest.raises(ValueError, match="duplicate"):
             AdapterSet((p, p), 2)
 
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            AdapterSet((LoraPair.zeros(5, 4, 4, 2),), 3)
+            AdapterSet((zero_pair(5, 4, 4, 2),), 3)
 
     def test_conformable(self):
         s1 = random_set(Rng(1), 3)
@@ -131,28 +130,28 @@ class TestAdapterSet:
 
 class TestAccounting:
     def test_single_layer_count(self):
-        s = AdapterSet((LoraPair.zeros(0, 4, 4, 2),), 1)
+        s = AdapterSet((zero_pair(0, 4, 4, 2),), 1)
         assert trainable_param_count(s) == 16
 
     def test_empty_set(self):
         assert trainable_param_count(AdapterSet((), 0)) == 0
 
     def test_three_layer_formula(self):
-        s = AdapterSet(tuple(LoraPair.zeros(i, 64, 64, 8) for i in range(3)), 3)
+        s = AdapterSet(tuple(zero_pair(i, 64, 64, 8) for i in range(3)), 3)
         assert trainable_param_count(s) == 3 * 8 * 128
 
     def test_payload_headerless_example(self):
-        s = AdapterSet((LoraPair.zeros(0, 4, 4, 2),), 1)
+        s = AdapterSet((zero_pair(0, 4, 4, 2),), 1)
         assert trainable_param_count(s) * 8 == 128
 
     def test_doubling_rank_doubles_payload(self):
-        s1 = AdapterSet((LoraPair.zeros(0, 8, 8, 2),), 1)
-        s2 = AdapterSet((LoraPair.zeros(0, 8, 8, 4),), 1)
+        s1 = AdapterSet((zero_pair(0, 8, 8, 2),), 1)
+        s2 = AdapterSet((zero_pair(0, 8, 8, 4),), 1)
         assert trainable_param_count(s2) * 8 == 2 * trainable_param_count(s1) * 8
 
     def test_header_size_is_documented_constant(self):
         s = random_set(Rng(1), 4)
-        with_header = payload_bytes(s)
+        with_header = len(serialize(s))
         without = trainable_param_count(s) * 8
         assert with_header - without == FIXED_HEADER_BYTES + 4 * LAYER_HEADER_BYTES
 
@@ -175,7 +174,7 @@ class TestWireFormat:
             k = 2 + (i * 5) % 6
             r = 1 + i % min(d, k)
             s = random_set(shape_rng, n_layers, d=d, k=k, r=r)
-            assert len(serialize(s)) == payload_bytes(s)
+            assert len(serialize(s)) == wire_length(s)
 
     def test_corrupt_magic_rejected(self):
         blob = bytearray(serialize(random_set(Rng(24), 1)))
