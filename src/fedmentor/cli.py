@@ -94,7 +94,11 @@ def run_command(
         {**cfg.to_dict(), **{k: v for k, v in overrides.items() if v is not None}}
     )
     run_dir = _fresh_run_dir(Path(cfg.output_dir), cfg.seed)
-    summary = execute_run(cfg, run_dir)
+    try:
+        summary = execute_run(cfg, run_dir)
+    except RoundError:
+        print(f"partial artifacts in {run_dir}", file=sys.stderr)
+        raise
     print(
         f"run complete: {summary['rounds']} rounds, "
         f"final accuracy {summary['final_accuracy']:.4f}, "

@@ -28,7 +28,7 @@ from .dp import (
     privatize,
     privatize_static,
 )
-from .linalg import Matrix, Rng, ShapeError
+from .linalg import Matrix, Rng, ShapeError, single_blas_thread
 from .lora import AdapterSet, LoraPair, WireFormatError, deserialize, serialize
 from .trainer import BackboneModel, ClientState, forward_batch, train_local
 
@@ -304,17 +304,24 @@ def run_training(
 
     A failing round raises ``RoundError``, which carries the records and the
     server state of the rounds completed before it.
+
+    The rounds run with numpy's OpenBLAS on one thread (see
+    ``linalg.single_blas_thread``): no matmul in a round is large enough to
+    gain from a second thread, whose spin-waiting roughly doubled the CPU time
+    of every benchmarked run, and one thread keeps results independent of the
+    core count. The previous thread count is back when this returns or raises.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     records: list[RoundRecord] = []
-    for _ in range(rounds):
-        round_number = server.round_index + 1
-        try:
-            server, record = run_round(server, clients, dropouts)
-        except Exception as exc:
-            raise RoundError(f"round {round_number}: {exc}", server, records) from exc
-        records.append(record)
+    with single_blas_thread():
+        for _ in range(rounds):
+            round_number = server.round_index + 1
+            try:
+                server, record = run_round(server, clients, dropouts)
+            except Exception as exc:
+                raise RoundError(f"round {round_number}: {exc}", server, records) from exc
+            records.append(record)
     return server, records
 
 

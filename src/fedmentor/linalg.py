@@ -1,4 +1,4 @@
-"""The validated boundary matrix type and reproducible random streams.
+"""The validated boundary matrix type, reproducible random streams, and BLAS threads.
 
 ``Matrix`` is a 2-D, finite, read-only float64 array. It is built only where
 adapters or weights cross a trust boundary: fresh initialization, the end of
@@ -11,15 +11,24 @@ derived from, never on call order elsewhere in the program. The generator is
 numpy's PCG64 keyed through ``SeedSequence``; Gaussian samples come from
 numpy's ziggurat (``standard_normal``). Both are fixed by name here so that
 streams are bit-reproducible across platforms and runs.
+
+``single_blas_thread`` runs a block with numpy's bundled OpenBLAS on one
+thread. Every matmul here has at most a few hundred columns, too small to
+gain from a second thread, while an idle OpenBLAS worker spin-waits after
+each threaded call and roughly doubles the CPU time of a run. One thread
+also makes results independent of the machine's core count.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ShapeError", "Matrix", "Rng"]
+__all__ = ["ShapeError", "Matrix", "Rng", "single_blas_thread"]
 
 
 class ShapeError(ValueError):
@@ -33,7 +42,7 @@ def _as_matrix_array(values) -> np.ndarray:
     rows, cols = arr.shape
     if rows < 1 or cols < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     arr.setflags(write=False)
     return arr
@@ -102,6 +111,9 @@ class Rng:
     workers. Use :meth:`derive` to mint a fresh stream for a sub-task (e.g.
     per client, per round, per purpose) — derivation does not advance this
     stream's state, so scheduling order cannot change results.
+
+    The seed and tags are checked at construction, but the generator is built
+    on the first draw: a stream used only to derive others never builds one.
     """
 
     def __init__(self, seed: int, *stream: int | str):
@@ -110,8 +122,13 @@ class Rng:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self._seed = seed
         self._stream = tuple(stream)
-        entropy = [seed] + [_tag_to_entropy(t) for t in stream]
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        self._entropy = [seed] + [_tag_to_entropy(t) for t in stream]
+        self._gen: np.random.Generator | None = None
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self._entropy)))
+        return self._gen
 
     @property
     def seed(self) -> int:
@@ -122,14 +139,51 @@ class Rng:
         return Rng(self._seed, *self._stream, *tags)
 
     def standard_normal(self, rows: int, cols: int) -> np.ndarray:
-        return self._gen.standard_normal((rows, cols))
+        return self._generator().standard_normal((rows, cols))
 
     def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        return self._generator().permutation(n)
 
     def uniform(self, size: int) -> np.ndarray:
-        return self._gen.random(size)
+        return self._generator().random(size)
 
     def __repr__(self) -> str:
         return f"Rng(seed={self._seed}, stream={self._stream!r})"
 
+
+def _openblas_thread_controls():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread.
+
+    The previous thread count is restored on exit, also when the block
+    raises. Where numpy bundles no OpenBLAS (another BLAS, or a build
+    linked against the system's), the block runs unchanged. The count is
+    process-wide, so the block should not overlap BLAS work on other
+    threads.
+    """
+    controls = _openblas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)

@@ -10,6 +10,9 @@ Local training runs on plain arrays: ``train_local`` unpacks the global
 ``grad_adapters`` takes and returns such pairs, and each SGD step is
 ``a - lr * ga`` and ``b - lr * gb``. The trained pairs become an
 ``AdapterSet`` again, and are checked for finiteness, once per client-round.
+The effective weights W + B@A of the trained adapters are then built once and
+shared by both post-training losses (train and validation split), through
+the same ``_logits`` pass that ``forward_batch`` uses.
 
 tanh is used between layers (rather than ReLU) so the analytic gradients can
 be validated against central finite differences without subgradient
@@ -129,7 +132,10 @@ def forward_batch(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray) ->
     if xs.ndim != 2 or xs.shape[1] != model.input_dim:
         raise ShapeError(f"batch shape {xs.shape} does not match input dim {model.input_dim}")
     _check_conformable(model, adapters)
-    effs = _effective_weights(model, _array_pairs(adapters))
+    return _logits(model, _effective_weights(model, _array_pairs(adapters)), xs)
+
+
+def _logits(model: BackboneModel, effs: list[np.ndarray], xs: np.ndarray) -> np.ndarray:
     act = xs
     for eff in effs[:-1]:
         act = np.tanh(act @ eff.T)
@@ -276,9 +282,11 @@ def train_local(
     except ValueError as exc:
         raise ValueError(f"client {client.id} ({client.domain}): local training: {exc}") from exc
     adapters = AdapterSet(tuple(pairs), global_adapters.total_layers)
+    effs = _effective_weights(client.model, _array_pairs(adapters))
+    val_x, val_y = client.data.val_x, client.data.val_y
     stats = TrainStats(
-        final_train_loss=mean_loss(client.model, adapters, xs, ys),
-        final_eval_loss=mean_loss(client.model, adapters, client.data.val_x, client.data.val_y),
+        final_train_loss=float(np.mean(cross_entropy(_logits(client.model, effs, xs), ys))),
+        final_eval_loss=float(np.mean(cross_entropy(_logits(client.model, effs, val_x), val_y))),
         steps=steps,
         wall_time=time.perf_counter() - started,
     )

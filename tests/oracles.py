@@ -3,12 +3,15 @@
 These deliberately avoid the library's own code paths: the matrix product is
 a triple loop, the weighted mean is an elementwise pure-Python sum, the
 forward pass materializes merged weights first, gradients are checked by
-central finite differences, and the wire length of an adapter set is
-computed from its shapes rather than by encoding it.
+central finite differences, the wire length of an adapter set is
+computed from its shapes rather than by encoding it, and the OpenBLAS thread
+count is read through a ctypes lookup of its own.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +42,22 @@ def backbone_checksum(model: BackboneModel) -> str:
         h.update(w.array.tobytes())
     h.update(model.head.array.tobytes())
     return h.hexdigest()
+
+
+def openblas_threads():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or None without one."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for get_name, set_name in (
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+        ):
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
 
 
 def randomized_adapters(model: BackboneModel, rank: int, rng: Rng, scale: float = 0.3) -> AdapterSet:

@@ -415,8 +415,10 @@ class TestMainExitCodes:
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == EXIT_RUNTIME
-        assert "round 4" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "round 4" in err
         (run_dir,) = (tmp_path / "out").iterdir()
+        assert f"partial artifacts in {run_dir}" in err
         lines = (run_dir / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + rounds 1-3
         assert (run_dir / "adapters.bin").exists()

@@ -13,6 +13,7 @@ from fedmentor.federation import (
     PrivacyStrategy,
     RoundError,
     ServerState,
+    adapters_sha256,
     aggregate,
     bytes_to_mb,
     metrics_csv_lines,
@@ -22,7 +23,7 @@ from fedmentor.federation import (
 from fedmentor.linalg import Matrix, Rng, ShapeError
 from fedmentor.lora import AdapterSet, LoraPair, deserialize, serialize
 from fedmentor.trainer import BackboneModel, ClientState, forward_batch, init_adapters
-from oracles import brute_force_weighted_mean, merged_forward, wire_length
+from oracles import brute_force_weighted_mean, merged_forward, openblas_threads, wire_length
 from reference import run_plain_fedavg
 
 EPS = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
@@ -329,6 +330,61 @@ class TestRunTraining:
             run_training(server, clients, 3, {(2, clients[0].id)})
         assert [r.round for r in info.value.records] == [1]
         assert info.value.server.round_index == 1
+
+    @settings(max_examples=6, deadline=None)  # 3! orders
+    @given(st.permutations(range(3)))
+    def test_client_order_is_irrelevant_over_rounds_property(self, order):
+        server, clients = build_federation(seed=28)
+        final, records = run_training(server, clients, 2)
+        shuffled_final, shuffled_records = run_training(server, [clients[i] for i in order], 2)
+        assert adapters_sha256(shuffled_final.global_adapters) == adapters_sha256(
+            final.global_adapters
+        )
+        assert metrics_csv_lines(shuffled_records) == metrics_csv_lines(records)
+
+    @pytest.fixture
+    def blas_threads(self):
+        """OpenBLAS set to two threads for the test: yields ``(get, count outside rounds)``."""
+        controls = openblas_threads()
+        if controls is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        get, set_ = controls
+        saved = get()
+        set_(2)
+        try:
+            yield get, get()
+        finally:
+            set_(saved)
+
+    def test_rounds_run_on_one_blas_thread(self, blas_threads, monkeypatch):
+        get, outside = blas_threads
+        seen = []
+        real_run_round = federation.run_round
+
+        def observing(*args, **kwargs):
+            seen.append(get())
+            return real_run_round(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "run_round", observing)
+        server, clients = build_federation(seed=26)
+        run_training(server, clients, 2)
+        assert seen == [1, 1]
+        assert get() == outside
+
+    def test_blas_threads_restored_when_a_round_fails(self, blas_threads, monkeypatch):
+        get, outside = blas_threads
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(get())
+            raise ValueError("injected")
+
+        monkeypatch.setattr(federation, "run_round", failing)
+        server, clients = build_federation(seed=27)
+        with pytest.raises(RoundError, match="round 1: injected"):
+            run_training(server, clients, 2)
+        assert seen == [1]
+        assert get() == outside
 
     def test_corrupted_upload_names_round_client_domain_and_phase(self, monkeypatch):
         server, clients = build_federation(seed=25)

@@ -71,6 +71,13 @@ class TestRng:
         first = rng.standard_normal(2, 2)
         assert np.array_equal(first, Rng(5).standard_normal(2, 2))
 
+    def test_undrawn_derived_stream_changes_no_other_draws(self):
+        parent = Rng(8)
+        parent.derive("idle")  # derived, never drawn from
+        sibling = parent.derive("busy")
+        assert np.array_equal(sibling.standard_normal(3, 3), Rng(8, "busy").standard_normal(3, 3))
+        assert np.array_equal(parent.uniform(4), Rng(8).uniform(4))
+
     def test_derivation_is_stable_and_composable(self):
         direct = Rng(5, "client", 2, "round", 3).standard_normal(3, 3)
         chained = Rng(5).derive("client", 2).derive("round", 3).standard_normal(3, 3)
@@ -106,6 +113,8 @@ class TestRng:
             Rng(0, 1.5)  # type: ignore[arg-type]
         with pytest.raises(TypeError):
             Rng(0, True)  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            Rng(0).derive(1.5)  # type: ignore[arg-type]
 
     def test_permutation_covers_range(self):
         perm = Rng(3).permutation(100)

@@ -209,6 +209,13 @@ class TestTrainLocal:
         _, stats = train_local(client, adapters, Rng(3, "r"))
         assert stats.final_train_loss < initial
 
+    def test_reported_losses_equal_mean_loss_bitwise(self):
+        client, adapters = make_client(7, epochs=3)
+        out, stats = train_local(client, adapters, Rng(7, "r"))
+        data = client.data
+        assert stats.final_train_loss == mean_loss(client.model, out, data.train_x, data.train_y)
+        assert stats.final_eval_loss == mean_loss(client.model, out, data.val_x, data.val_y)
+
     def test_backbone_frozen_through_training(self):
         client, adapters = make_client(4, epochs=5)
         before = backbone_checksum(client.model)
