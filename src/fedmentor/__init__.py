@@ -1,12 +1,14 @@
 """Federated LoRA fine-tuning simulator with domain-aware DP noise.
 
-Adapters cross module boundaries as ``lora.AdapterSet`` values built from
-``linalg.Matrix``, which is 2-D, finite and read-only by construction; local
-SGD in ``trainer`` runs on plain ``(a, b)`` numpy array pairs in between.
+A client's adapters cross module boundaries as one ``lora.AdapterSet``: one
+flat, finite, read-only float64 vector in wire order (B then A per layer),
+which privatization noises and aggregation averages as a whole. Local SGD in
+``trainer`` runs on plain ``(a, b)`` numpy array pairs, views into that
+vector. ``linalg.Matrix`` types only the frozen backbone's weights.
 
 Submodules:
-    linalg      the validated Matrix boundary type and reproducible random streams
-    lora        adapter pairs of Matrix factors, layer classification, wire format
+    linalg      the validated Matrix weight type and reproducible random streams
+    lora        flat adapter vectors, layer classification, wire format
     dp          Gaussian privatization, utility gate, budget decay
     data        synthetic domain-shifted datasets
     trainer     frozen backbone, analytic gradients on plain array pairs, local SGD

@@ -1,7 +1,9 @@
 """Domain-aware Gaussian privatization of adapter updates.
 
-Every matrix entry of a client update is perturbed before transmission with
-independent Gaussian noise of standard deviation
+A client's update is one flat adapter vector (``lora.AdapterSet``), made of
+one segment per matrix: B then A for each layer. Every entry of a segment is
+perturbed before transmission with independent Gaussian noise of standard
+deviation
 
     sigma = base_scale(position) * kind_multiplier(kind) * scale_multiplier / eps_domain
 
@@ -15,7 +17,8 @@ decay every round so privacy tightens over time.
 No clipping bound is enforced by default and no delta-dependent sigma rule
 exists, so the (eps, delta) labels are nominal: this module implements the
 stated mechanism literally rather than a formally accounted one. An optional
-per-matrix Frobenius clipping norm is available for experimentation.
+Frobenius clipping norm, applied to each segment on its own before the noise,
+is available for experimentation.
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import Matrix, Rng
-from .lora import AdapterKind, AdapterSet, LayerPosition, classify_layer, map_pairs
+from .linalg import Rng
+from .lora import AdapterKind, AdapterSet, LayerPosition, classify_layer
 
 __all__ = [
     "DomainId",
@@ -166,20 +169,30 @@ def noise_std(
     )
 
 
-def _clipped(m: Matrix, clip_norm: float | None) -> Matrix:
-    if clip_norm is None:
-        return m
-    norm = float(np.sqrt(np.sum(m.array * m.array)))
-    if norm <= clip_norm:
-        return m
-    return Matrix(m.array * (clip_norm / norm))
+def _noised(adapters: AdapterSet, stds, clip_norm: float | None, rng: Rng) -> AdapterSet:
+    """Clip each matrix to ``clip_norm``, then add noise of its std from ``stds``.
 
-
-def _noised(m: Matrix, std: float, rng: Rng) -> Matrix:
-    # std == 0 must return the input bit-for-bit, so skip sampling entirely.
-    if std == 0.0:
-        return m
-    return Matrix(m.array + std * rng.standard_normal(m.rows, m.cols))
+    ``stds`` holds one std per matrix in vector order (B then A per layer).
+    One draw covers the entries whose std is nonzero, in vector order, which
+    equals drawing matrix by matrix; an entry with std 0 keeps its bits, as
+    adding 0.0 would turn -0.0 into +0.0.
+    """
+    vec = np.array(adapters.vec)
+    sizes = adapters.segment_sizes
+    if clip_norm is not None:
+        start = 0
+        for size in sizes:
+            segment = vec[start : start + size]
+            norm = float(np.sqrt(np.sum(segment * segment)))
+            if norm > clip_norm:
+                segment *= clip_norm / norm
+            start += size
+    std = np.repeat(stds, sizes)
+    noisy = std != 0.0
+    count = int(np.count_nonzero(noisy))
+    if count:
+        vec[noisy] += std[noisy] * rng.standard_normal(count)
+    return AdapterSet(adapters.shapes, vec)
 
 
 def privatize(
@@ -192,35 +205,27 @@ def privatize(
     """Perturb every adapter matrix with its calibrated Gaussian noise.
 
     Noise std per matrix follows :func:`noise_std` with the layer position
-    from :func:`classify_layer` and the domain's current budget. The input is
-    never modified; with ``scale_multiplier == 0`` the output equals the
-    input exactly. For each layer the B factor is noised before the A factor,
-    in pair order, so a fixed rng stream gives a fixed result.
+    from :func:`classify_layer` and the domain's current budget. With
+    ``cal.clip_norm`` set, each matrix is first scaled down to that Frobenius
+    norm if it exceeds it. The input is never modified; with
+    ``scale_multiplier == 0`` (and no clipping) the output equals the input
+    exactly. Noise is drawn in vector order, B before A per layer, so a fixed
+    rng stream gives a fixed result.
     """
     eps = budgets.epsilon(domain)
-
-    def noise_pair(pair):
-        position = classify_layer(pair.layer_index, adapters.total_layers)
-        std_a = noise_std(position, AdapterKind.A, eps, cal)
-        std_b = noise_std(position, AdapterKind.B, eps, cal)
-        b = _noised(_clipped(pair.b, cal.clip_norm), std_b, rng)
-        a = _noised(_clipped(pair.a, cal.clip_norm), std_a, rng)
-        return a, b
-
-    return map_pairs(adapters, noise_pair)
+    n_layers = len(adapters.shapes)
+    stds = []
+    for i in range(n_layers):
+        position = classify_layer(i, n_layers)
+        stds += [noise_std(position, kind, eps, cal) for kind in (AdapterKind.B, AdapterKind.A)]
+    return _noised(adapters, stds, cal.clip_norm, rng)
 
 
 def privatize_static(adapters: AdapterSet, sigma: float, rng: Rng) -> AdapterSet:
     """Fixed-std variant: the same sigma for every parameter, no eps division."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-
-    def noise_pair(pair):
-        b = _noised(pair.b, sigma, rng)
-        a = _noised(pair.a, sigma, rng)
-        return a, b
-
-    return map_pairs(adapters, noise_pair)
+    return _noised(adapters, [sigma] * len(adapters.segment_sizes), None, rng)
 
 
 def apply_utility_gate(

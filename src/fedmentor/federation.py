@@ -28,9 +28,9 @@ from .dp import (
     privatize,
     privatize_static,
 )
-from .linalg import Matrix, Rng, ShapeError, single_blas_thread
-from .lora import AdapterSet, LoraPair, WireFormatError, deserialize, serialize
-from .trainer import BackboneModel, ClientState, forward_batch, train_local
+from .linalg import Rng, ShapeError, single_blas_thread
+from .lora import AdapterSet, WireFormatError, deserialize, serialize
+from .trainer import BackboneModel, ClientState, model_view, train_local
 
 __all__ = [
     "PrivacyStrategy",
@@ -145,10 +145,10 @@ class RoundError(RuntimeError):
 
 
 def aggregate(updates: Sequence[AdapterSet], train_sizes: Sequence[int]) -> AdapterSet:
-    """Dataset-weighted FedAvg: per-matrix convex combination of updates.
+    """Dataset-weighted FedAvg: entrywise convex combination of update vectors.
 
-    Weights are train_sizes normalized to sum to one; every A and B matrix is
-    averaged independently, accumulating in list order.
+    Weights are train_sizes normalized to sum to one; the adapter vectors are
+    summed with their weights left to right, in list order.
     """
     if len(updates) == 0:
         raise ValueError("aggregate needs at least one update")
@@ -171,15 +171,10 @@ def aggregate(updates: Sequence[AdapterSet], train_sizes: Sequence[int]) -> Adap
     weights = [s / total for s in train_sizes]
     assert abs(sum(weights) - 1.0) < 1e-12
 
-    pairs = []
-    for li, pair in enumerate(first.pairs):
-        acc_a = weights[0] * pair.a.array
-        acc_b = weights[0] * pair.b.array
-        for u, w in zip(updates[1:], weights[1:]):
-            acc_a = acc_a + w * u.pairs[li].a.array
-            acc_b = acc_b + w * u.pairs[li].b.array
-        pairs.append(LoraPair(pair.layer_index, Matrix(acc_a), Matrix(acc_b)))
-    return AdapterSet(tuple(pairs), first.total_layers)
+    acc = weights[0] * first.vec
+    for u, w in zip(updates[1:], weights[1:]):
+        acc = acc + w * u.vec
+    return AdapterSet(first.shapes, acc)
 
 
 def _privatized(
@@ -260,8 +255,7 @@ def run_round(
     new_global = aggregate(updates, sizes)
 
     pool_datasets = [c.data for c in ordered]
-    view = lambda xs: forward_batch(server.backbone, new_global, xs)  # noqa: E731
-    report = metrics_mod.evaluate(view, pool_datasets)
+    report = metrics_mod.evaluate(model_view(server.backbone, new_global), pool_datasets)
 
     if server.strategy.adaptive:
         new_cal, gate_triggered = apply_utility_gate(

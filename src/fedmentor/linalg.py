@@ -1,10 +1,9 @@
-"""The validated boundary matrix type, reproducible random streams, and BLAS threads.
+"""The validated weight matrix type, reproducible random streams, and BLAS threads.
 
-``Matrix`` is a 2-D, finite, read-only float64 array. It is built only where
-adapters or weights cross a trust boundary: fresh initialization, the end of
-a client's local training, privatization, aggregation and decoding from the
-wire. Inside those boundaries, on the SGD hot path, code works on plain
-numpy arrays.
+``Matrix`` is a 2-D, finite, read-only float64 array: the type of the frozen
+backbone's weights and head, which are checked once when a model is built.
+Adapters do not use it; they travel as one flat vector (``lora.AdapterSet``),
+and the SGD hot path works on plain numpy arrays.
 
 ``Rng`` is a seeded stream whose output depends only on the seed tuple it was
 derived from, never on call order elsewhere in the program. The generator is
@@ -73,10 +72,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.array.shape
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -138,8 +133,8 @@ class Rng:
         """Fresh independent stream for (seed, *this stream's tags, *tags)."""
         return Rng(self._seed, *self._stream, *tags)
 
-    def standard_normal(self, rows: int, cols: int) -> np.ndarray:
-        return self._generator().standard_normal((rows, cols))
+    def standard_normal(self, *shape: int) -> np.ndarray:
+        return self._generator().standard_normal(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._generator().permutation(n)

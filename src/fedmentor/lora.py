@@ -1,11 +1,14 @@
-"""Low-rank adapter pairs, layer classification, and the adapter wire format.
+"""Adapter sets, layer classification, and the adapter wire format.
 
 An adapted layer carries two trainable factors: B (d x r) and A (r x k) whose
-product B@A is the layer's delta weight. Adapter sets are the only state that
-ever leaves a client, so this module also owns the wire format every
-simulated transmission uses: the round loop sends ``serialize`` output,
-works on what ``deserialize`` gives back, and counts bytes as the lengths of
-those payloads.
+product B@A is the layer's delta weight. An ``AdapterSet`` holds every
+layer's factors as one flat float64 vector in wire order, so serializing,
+decoding, privatizing and averaging a client's update are each one step over
+one vector; ``factors()`` gives the per-layer matrices as views where local
+training and evaluation need them. Adapter sets are the only state that ever
+leaves a client, so this module also owns the wire format every simulated
+transmission uses: the round loop sends ``serialize`` output, works on what
+``deserialize`` gives back, and counts bytes as the lengths of those payloads.
 
 Wire format v1 (little-endian throughout):
 
@@ -26,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix
+from .linalg import ShapeError
 
 __all__ = [
     "AdapterKind",
     "LayerPosition",
-    "LoraPair",
     "AdapterSet",
     "WireFormatError",
     "classify_layer",
@@ -103,85 +105,78 @@ def classify_layer(layer_index: int, total_layers: int) -> LayerPosition:
     return LayerPosition.LATE
 
 
-@dataclass(frozen=True)
-class LoraPair:
-    """Adapter factors for one layer: b is d x r, a is r x k, delta = b@a."""
-
-    layer_index: int
-    a: Matrix
-    b: Matrix
-
-    def __post_init__(self):
-        if self.layer_index < 0:
-            raise ValueError(f"layer_index must be >= 0, got {self.layer_index}")
-        if self.a.rows != self.b.cols:
-            raise ValueError(
-                f"rank mismatch at layer {self.layer_index}: "
-                f"a is {self.a.rows}x{self.a.cols}, b is {self.b.rows}x{self.b.cols}"
-            )
-        r = self.a.rows
-        if r > min(self.d, self.k):
-            raise ValueError(
-                f"rank {r} exceeds min(d={self.d}, k={self.k}) at layer {self.layer_index}"
-            )
-
-    @property
-    def rank(self) -> int:
-        return self.a.rows
-
-    @property
-    def d(self) -> int:
-        """Output dimension of the adapted weight."""
-        return self.b.rows
-
-    @property
-    def k(self) -> int:
-        """Input dimension of the adapted weight."""
-        return self.a.cols
+def _check_shape(layer: int, r: int, d: int, k: int) -> None:
+    if min(r, d, k) < 1:
+        raise ShapeError(f"layer {layer}: dimensions must be >= 1, got r={r}, d={d}, k={k}")
+    if r > min(d, k):
+        raise ShapeError(f"layer {layer}: rank {r} exceeds min(d={d}, k={k})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdapterSet:
-    """Ordered per-layer adapter pairs; the only trainable/transmitted state."""
+    """Every layer's adapter factors as one flat vector; the only transmitted state.
 
-    pairs: tuple[LoraPair, ...]
-    total_layers: int
+    ``shapes`` holds one ``(r, d, k)`` per layer, the layer index being the
+    position. ``vec`` holds, per layer, B (d x r) then A (r x k), row-major:
+    the order of the wire payload. Construction copies ``vec``, checks it
+    against ``shapes`` and for finiteness once, and marks the copy read-only.
+    """
+
+    shapes: tuple[tuple[int, int, int], ...]
+    vec: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if self.total_layers < 0:
-            raise ValueError(f"total_layers must be >= 0, got {self.total_layers}")
-        seen = set()
-        for pair in self.pairs:
-            if pair.layer_index >= self.total_layers:
-                raise ValueError(
-                    f"layer_index {pair.layer_index} out of range for "
-                    f"total_layers={self.total_layers}"
-                )
-            if pair.layer_index in seen:
-                raise ValueError(f"duplicate layer_index {pair.layer_index}")
-            seen.add(pair.layer_index)
+        shapes = tuple((int(r), int(d), int(k)) for r, d, k in self.shapes)
+        for i, shape in enumerate(shapes):
+            _check_shape(i, *shape)
+        object.__setattr__(self, "shapes", shapes)
+        vec = np.array(self.vec, dtype=np.float64, copy=True)
+        expected = sum(self.segment_sizes)
+        if vec.shape != (expected,):
+            raise ShapeError(f"vector of shape {vec.shape} does not hold {expected} entries")
+        finite = np.isfinite(vec)
+        if not finite.all():
+            raise ValueError(f"entry {int(np.argmin(finite))} is not finite (NaN/Inf)")
+        vec.setflags(write=False)
+        object.__setattr__(self, "vec", vec)
+
+    @classmethod
+    def from_factors(cls, factors) -> "AdapterSet":
+        """Pack one ``(a, b)`` array pair per layer, a r x k and b d x r."""
+        shapes, parts = [], []
+        for i, (a, b) in enumerate(factors):
+            a, b = np.asarray(a), np.asarray(b)
+            if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[1]:
+                raise ShapeError(f"layer {i}: a is {a.shape}, b is {b.shape}")
+            shapes.append((a.shape[0], b.shape[0], a.shape[1]))
+            parts += [b.ravel(), a.ravel()]
+        return cls(tuple(shapes), np.concatenate(parts) if parts else np.empty(0))
+
+    @property
+    def segment_sizes(self) -> tuple[int, ...]:
+        """Entry counts of the vector's matrices in order: B then A per layer."""
+        return tuple(n for r, d, k in self.shapes for n in (d * r, r * k))
+
+    def factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Read-only ``(a, b)`` views into the vector, one pair per layer."""
+        out = []
+        start = 0
+        for r, d, k in self.shapes:
+            b = self.vec[start : start + d * r].reshape(d, r)
+            start += d * r
+            a = self.vec[start : start + r * k].reshape(r, k)
+            start += r * k
+            out.append((a, b))
+        return out
 
     def conformable_with(self, other: "AdapterSet") -> bool:
         """True when per-layer shapes match pairwise."""
-        if self.total_layers != other.total_layers or len(self.pairs) != len(other.pairs):
-            return False
-        return all(
-            p.layer_index == q.layer_index and p.a.shape == q.a.shape and p.b.shape == q.b.shape
-            for p, q in zip(self.pairs, other.pairs)
-        )
+        return self.shapes == other.shapes
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdapterSet):
             return NotImplemented
-        return (
-            self.total_layers == other.total_layers
-            and len(self.pairs) == len(other.pairs)
-            and all(
-                p.layer_index == q.layer_index and p.a == q.a and p.b == q.b
-                for p, q in zip(self.pairs, other.pairs)
-            )
-        )
+        return self.shapes == other.shapes and np.array_equal(self.vec, other.vec)
 
 
 class WireFormatError(ValueError):
@@ -194,22 +189,18 @@ class WireFormatError(ValueError):
 
 def serialize(adapters: AdapterSet) -> bytes:
     """Encode an adapter set in wire format v1 (bit-exact round-trip)."""
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<II", WIRE_VERSION, len(adapters.pairs))
-    for p in adapters.pairs:
-        out += struct.pack("<IIII", p.layer_index, p.rank, p.d, p.k)
-    for p in adapters.pairs:
-        out += p.b.array.astype("<f8", copy=False).tobytes(order="C")
-        out += p.a.array.astype("<f8", copy=False).tobytes(order="C")
-    return bytes(out)
+    header = struct.pack("<4sII", MAGIC, WIRE_VERSION, len(adapters.shapes))
+    header += b"".join(
+        struct.pack("<IIII", i, r, d, k) for i, (r, d, k) in enumerate(adapters.shapes)
+    )
+    return header + adapters.vec.astype("<f8", copy=False).tobytes()
 
 
 def deserialize(blob: bytes) -> AdapterSet:
-    """Decode wire format v1, validating shapes before reading bulk data.
+    """Decode wire format v1, validating every header before reading bulk data.
 
-    ``total_layers`` is reconstructed as max(layer_index)+1, which is exact
-    for the complete adapter sets the protocol transmits (one pair per layer).
+    Layer indices must run 0, 1, 2, ... in header order: the protocol only
+    ever transmits complete adapter sets.
     """
     if len(blob) < FIXED_HEADER_BYTES:
         raise WireFormatError(len(blob), "truncated fixed header")
@@ -220,38 +211,27 @@ def deserialize(blob: bytes) -> AdapterSet:
         raise WireFormatError(4, f"unsupported version {version}, expected {WIRE_VERSION}")
 
     offset = FIXED_HEADER_BYTES
-    headers: list[tuple[int, int, int, int]] = []
-    for _ in range(layer_count):
+    shapes: list[tuple[int, int, int]] = []
+    for position in range(layer_count):
         if offset + LAYER_HEADER_BYTES > len(blob):
             raise WireFormatError(offset, "truncated layer header")
-        headers.append(struct.unpack_from("<IIII", blob, offset))
+        layer_index, r, d, k = struct.unpack_from("<IIII", blob, offset)
+        if layer_index != position:
+            raise WireFormatError(offset, f"layer index {layer_index} in header {position}")
+        try:
+            _check_shape(position, r, d, k)
+        except ShapeError as exc:
+            raise WireFormatError(offset, str(exc)) from exc
+        shapes.append((r, d, k))
         offset += LAYER_HEADER_BYTES
 
-    expected = offset + sum((d * r + r * k) * 8 for _, r, d, k in headers)
+    expected = offset + sum((d * r + r * k) * 8 for r, d, k in shapes)
     if len(blob) < expected:
         raise WireFormatError(len(blob), f"truncated payload, expected {expected} bytes")
     if len(blob) > expected:
         raise WireFormatError(expected, f"{len(blob) - expected} trailing bytes")
-
-    pairs = []
-    for layer_index, r, d, k in headers:
-        b_arr = np.frombuffer(blob, dtype="<f8", count=d * r, offset=offset).reshape(d, r)
-        offset += d * r * 8
-        a_arr = np.frombuffer(blob, dtype="<f8", count=r * k, offset=offset).reshape(r, k)
-        offset += r * k * 8
-        try:
-            pairs.append(LoraPair(layer_index, Matrix(a_arr), Matrix(b_arr)))
-        except ValueError as exc:
-            raise WireFormatError(offset, f"invalid layer payload: {exc}") from exc
-
-    total_layers = max((p.layer_index for p in pairs), default=-1) + 1
-    return AdapterSet(tuple(pairs), total_layers)
-
-
-def map_pairs(adapters: AdapterSet, fn) -> AdapterSet:
-    """Adapter set with fn(pair) -> (a, b) applied per layer, shapes preserved."""
-    new_pairs = []
-    for p in adapters.pairs:
-        a, b = fn(p)
-        new_pairs.append(LoraPair(p.layer_index, a, b))
-    return AdapterSet(tuple(new_pairs), adapters.total_layers)
+    vec = np.frombuffer(blob, dtype="<f8", count=(expected - offset) // 8, offset=offset)
+    try:
+        return AdapterSet(tuple(shapes), vec)
+    except ValueError as exc:
+        raise WireFormatError(offset, f"invalid payload: {exc}") from exc

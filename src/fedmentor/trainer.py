@@ -5,14 +5,14 @@ immutable weight matrix plus a low-rank adapter pair, tanh between layers,
 and a frozen linear head producing one logit. Only adapter entries ever
 receive gradient; the backbone and head never change.
 
-Local training runs on plain arrays: ``train_local`` unpacks the global
-``AdapterSet`` once into one ``(a, b)`` pair of float64 arrays per layer,
-``grad_adapters`` takes and returns such pairs, and each SGD step is
-``a - lr * ga`` and ``b - lr * gb``. The trained pairs become an
-``AdapterSet`` again, and are checked for finiteness, once per client-round.
-The effective weights W + B@A of the trained adapters are then built once and
-shared by both post-training losses (train and validation split), through
-the same ``_logits`` pass that ``forward_batch`` uses.
+Local training runs on plain arrays: ``train_local`` starts from the
+``factors()`` of the global ``AdapterSet``, read-only ``(a, b)`` views into
+its flat vector, one pair per layer; ``grad_adapters`` takes and returns such
+pairs, and each SGD step is ``a - lr * ga`` and ``b - lr * gb``. The trained
+pairs are packed into one ``AdapterSet`` vector, and checked for finiteness,
+once per client-round. Both post-training losses (train and validation
+split) then go through one ``model_view`` of the trained adapters, which
+builds the effective weights W + B@A once; the server evaluates the same way.
 
 tanh is used between layers (rather than ReLU) so the analytic gradients can
 be validated against central finite differences without subgradient
@@ -24,21 +24,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .data import Dataset
 from .linalg import Matrix, Rng, ShapeError
-from .lora import AdapterSet, LoraPair
+from .lora import AdapterSet
 
 __all__ = [
     "BackboneModel",
     "ClientState",
     "TrainStats",
     "init_adapters",
-    "forward_batch",
+    "model_view",
     "cross_entropy",
-    "mean_loss",
     "grad_adapters",
     "train_local",
 ]
@@ -89,68 +89,57 @@ class BackboneModel:
 
 def init_adapters(model: BackboneModel, rank: int, rng: Rng, a_std: float = 0.01) -> AdapterSet:
     """Fresh adapters: A from a small Gaussian, B at zero, so delta starts at 0."""
-    pairs = []
+    factors = []
     for i, w in enumerate(model.layers):
         d, k = w.rows, w.cols
         if rank > min(d, k):
             raise ValueError(f"rank {rank} too large for layer {i} ({d}x{k})")
         a = rng.derive("adapter-a", i).standard_normal(rank, k) * a_std
-        pairs.append(LoraPair(i, Matrix(a), Matrix.zeros(d, rank)))
-    return AdapterSet(tuple(pairs), model.n_layers)
+        factors.append((a, np.zeros((d, rank))))
+    return AdapterSet.from_factors(factors)
 
 
 def _check_conformable(model: BackboneModel, adapters: AdapterSet) -> None:
-    if adapters.total_layers != model.n_layers or len(adapters.pairs) != model.n_layers:
+    if len(adapters.shapes) != model.n_layers:
         raise ShapeError(
-            f"adapter set covers {len(adapters.pairs)}/{adapters.total_layers} layers, "
-            f"model has {model.n_layers}"
+            f"adapter set covers {len(adapters.shapes)} layers, model has {model.n_layers}"
         )
-    for pair, w in zip(adapters.pairs, model.layers):
-        if pair.d != w.rows or pair.k != w.cols:
-            raise ShapeError(
-                f"adapter at layer {pair.layer_index} is {pair.d}x{pair.k}, "
-                f"weight is {w.rows}x{w.cols}"
-            )
+    for i, ((_, d, k), w) in enumerate(zip(adapters.shapes, model.layers)):
+        if (d, k) != w.shape:
+            raise ShapeError(f"adapter at layer {i} is {d}x{k}, weight is {w.rows}x{w.cols}")
 
 
 def _effective_weights(model: BackboneModel, params) -> list[np.ndarray]:
     return [w.array + b @ a for w, (a, b) in zip(model.layers, params)]
 
 
-def _array_pairs(adapters: AdapterSet) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(p.a.array, p.b.array) for p in adapters.pairs]
+def model_view(model: BackboneModel, adapters: AdapterSet) -> Callable[[np.ndarray], np.ndarray]:
+    """The adapted model as a function from feature rows (n, input_dim) to logits (n,).
 
-
-def forward_batch(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray) -> np.ndarray:
-    """Logits for a batch of feature rows (n, input_dim) -> (n,).
-
-    tanh sits between consecutive layers only; the last layer feeds the head
-    linearly, so a one-layer model with identity effective weight is exactly
-    the head.
+    Conformance is checked and the effective weights W + B@A are built once,
+    here, so evaluating many batches costs one pass each. tanh sits between
+    consecutive layers only; the last layer feeds the head linearly, so a
+    one-layer model with identity effective weight is exactly the head.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != model.input_dim:
-        raise ShapeError(f"batch shape {xs.shape} does not match input dim {model.input_dim}")
     _check_conformable(model, adapters)
-    return _logits(model, _effective_weights(model, _array_pairs(adapters)), xs)
+    effs = _effective_weights(model, adapters.factors())
 
+    def logits(xs: np.ndarray) -> np.ndarray:
+        act = np.asarray(xs, dtype=np.float64)
+        if act.ndim != 2 or act.shape[1] != model.input_dim:
+            raise ShapeError(f"batch shape {act.shape} does not match input dim {model.input_dim}")
+        for eff in effs[:-1]:
+            act = np.tanh(act @ eff.T)
+        act = act @ effs[-1].T
+        return act @ model.head.array[0]
 
-def _logits(model: BackboneModel, effs: list[np.ndarray], xs: np.ndarray) -> np.ndarray:
-    act = xs
-    for eff in effs[:-1]:
-        act = np.tanh(act @ eff.T)
-    act = act @ effs[-1].T
-    return act @ model.head.array[0]
+    return logits
 
 
 def cross_entropy(logits: np.ndarray, labels) -> np.ndarray:
     """Elementwise binary cross-entropy with sigmoid, in the stable log-sum-exp form."""
     ys = np.asarray(labels, dtype=np.float64)
     return np.maximum(logits, 0.0) - logits * ys + np.log1p(np.exp(-np.abs(logits)))
-
-
-def mean_loss(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray, ys: np.ndarray) -> float:
-    return float(np.mean(cross_entropy(forward_batch(model, adapters, xs), ys)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -262,7 +251,7 @@ def train_local(
     """
     started = time.perf_counter()
     _check_conformable(client.model, global_adapters)
-    params = _array_pairs(global_adapters)
+    params = global_adapters.factors()
     lr = client.learning_rate
     xs, ys = client.data.train_x, client.data.train_y
     n = xs.shape[0]
@@ -275,18 +264,14 @@ def train_local(
             params = [(a - lr * ga, b - lr * gb) for (a, b), (ga, gb) in zip(params, grads)]
             steps += 1
     try:
-        pairs = [
-            LoraPair(p.layer_index, Matrix(a), Matrix(b))
-            for p, (a, b) in zip(global_adapters.pairs, params)
-        ]
+        adapters = AdapterSet.from_factors(params)
     except ValueError as exc:
         raise ValueError(f"client {client.id} ({client.domain}): local training: {exc}") from exc
-    adapters = AdapterSet(tuple(pairs), global_adapters.total_layers)
-    effs = _effective_weights(client.model, _array_pairs(adapters))
+    view = model_view(client.model, adapters)
     val_x, val_y = client.data.val_x, client.data.val_y
     stats = TrainStats(
-        final_train_loss=float(np.mean(cross_entropy(_logits(client.model, effs, xs), ys))),
-        final_eval_loss=float(np.mean(cross_entropy(_logits(client.model, effs, val_x), val_y))),
+        final_train_loss=float(np.mean(cross_entropy(view(xs), ys))),
+        final_eval_loss=float(np.mean(cross_entropy(view(val_x), val_y))),
         steps=steps,
         wall_time=time.perf_counter() - started,
     )

@@ -1,11 +1,11 @@
 """Independent reference implementations shared by the test modules.
 
-These deliberately avoid the library's own code paths: the matrix product is
-a triple loop, the weighted mean is an elementwise pure-Python sum, the
-forward pass materializes merged weights first, gradients are checked by
-central finite differences, the wire length of an adapter set is
-computed from its shapes rather than by encoding it, and the OpenBLAS thread
-count is read through a ctypes lookup of its own.
+These deliberately avoid the library's own code paths: the weighted mean is
+an elementwise pure-Python sum, the forward pass materializes merged weights
+first, gradients are checked by central finite differences, privatization
+clips and noises one matrix at a time with one draw per matrix, the wire
+length of an adapter set is computed from its shapes rather than by encoding
+it, and the OpenBLAS thread count is read through a ctypes lookup of its own.
 """
 from __future__ import annotations
 
@@ -15,24 +15,30 @@ from pathlib import Path
 
 import numpy as np
 
-from fedmentor.linalg import Matrix, Rng
-from fedmentor.lora import AdapterSet, LoraPair
-from fedmentor.trainer import BackboneModel, grad_adapters, mean_loss
+from fedmentor.linalg import Rng
+from fedmentor.lora import AdapterKind, AdapterSet
+from fedmentor.trainer import BackboneModel, cross_entropy, grad_adapters, model_view
 
 
-def zero_pair(layer_index: int, d: int, k: int, rank: int) -> LoraPair:
-    """Adapter pair with both factors zero: b is d x rank, a is rank x k."""
-    return LoraPair(layer_index, Matrix.zeros(rank, k), Matrix.zeros(d, rank))
+def zero_adapters(shapes) -> AdapterSet:
+    """Adapters with every entry zero, one ``(r, d, k)`` per layer."""
+    shapes = tuple(shapes)
+    return AdapterSet(shapes, np.zeros(sum(r * (d + k) for r, d, k in shapes)))
 
 
 def trainable_param_count(adapters: AdapterSet) -> int:
     """Total trainable scalars: sum over layers of r*(d+k)."""
-    return sum(p.rank * (p.d + p.k) for p in adapters.pairs)
+    return sum(r * (d + k) for r, d, k in adapters.shapes)
 
 
 def wire_length(adapters: AdapterSet) -> int:
     """Bytes in the v1 encoding: 12-byte fixed header, 16 per layer header, 8 per scalar."""
-    return 12 + 16 * len(adapters.pairs) + 8 * trainable_param_count(adapters)
+    return 12 + 16 * len(adapters.shapes) + 8 * trainable_param_count(adapters)
+
+
+def mean_loss(model: BackboneModel, adapters: AdapterSet, xs, ys) -> float:
+    """Mean cross-entropy of the adapted model over one batch."""
+    return float(np.mean(cross_entropy(model_view(model, adapters)(xs), ys)))
 
 
 def backbone_checksum(model: BackboneModel) -> str:
@@ -62,22 +68,18 @@ def openblas_threads():
 
 def randomized_adapters(model: BackboneModel, rank: int, rng: Rng, scale: float = 0.3) -> AdapterSet:
     """Adapters with both factors random (B nonzero, unlike init)."""
-    pairs = []
-    for i, w in enumerate(model.layers):
-        a = Matrix(rng.derive("a", i).standard_normal(rank, w.cols) * scale)
-        b = Matrix(rng.derive("b", i).standard_normal(w.rows, rank) * scale)
-        pairs.append(LoraPair(i, a, b))
-    return AdapterSet(tuple(pairs), model.n_layers)
-
-
-def array_pairs(adapters: AdapterSet) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``(a, b)`` array pair per layer that ``grad_adapters`` takes."""
-    return [(p.a.array, p.b.array) for p in adapters.pairs]
+    return AdapterSet.from_factors(
+        (
+            rng.derive("a", i).standard_normal(rank, w.cols) * scale,
+            rng.derive("b", i).standard_normal(w.rows, rank) * scale,
+        )
+        for i, w in enumerate(model.layers)
+    )
 
 
 def merged_forward(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray) -> np.ndarray:
     """Reference forward that first materializes every merged weight."""
-    merged = [w.array + p.b.array @ p.a.array for w, p in zip(model.layers, adapters.pairs)]
+    merged = [w.array + b @ a for w, (a, b) in zip(model.layers, adapters.factors())]
     act = np.asarray(xs, dtype=np.float64)
     for e in merged[:-1]:
         act = np.tanh(act @ e.T)
@@ -88,16 +90,41 @@ def merged_forward(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray) -
 def brute_force_weighted_mean(sets, sizes):
     """Pure-Python elementwise oracle for dataset-weighted averaging."""
     total = sum(sizes)
+    factors = [s.factors() for s in sets]
     out = []
-    for li in range(len(sets[0].pairs)):
-        a = np.zeros(sets[0].pairs[li].a.shape)
-        b = np.zeros(sets[0].pairs[li].b.shape)
+    for li, (a0, b0) in enumerate(factors[0]):
+        a = np.zeros(a0.shape)
+        b = np.zeros(b0.shape)
         for idx in np.ndindex(a.shape):
-            a[idx] = sum((n / total) * s.pairs[li].a.array[idx] for s, n in zip(sets, sizes))
+            a[idx] = sum((n / total) * f[li][0][idx] for f, n in zip(factors, sizes))
         for idx in np.ndindex(b.shape):
-            b[idx] = sum((n / total) * s.pairs[li].b.array[idx] for s, n in zip(sets, sizes))
+            b[idx] = sum((n / total) * f[li][1][idx] for f, n in zip(factors, sizes))
         out.append((a, b))
     return out
+
+
+def reference_privatize(adapters: AdapterSet, std_of, clip_norm, rng: Rng) -> AdapterSet:
+    """Privatization one matrix at a time: per layer B, then A.
+
+    Each matrix is scaled down to Frobenius norm ``clip_norm`` when that is
+    set and exceeded, then gets ``std_of(layer_index, kind)`` times its own
+    rows x cols Gaussian draw; a std of 0 draws nothing and leaves the matrix
+    as it is.
+    """
+    out = []
+    for li, (a, b) in enumerate(adapters.factors()):
+        noised = {}
+        for kind, m in ((AdapterKind.B, b), (AdapterKind.A, a)):
+            if clip_norm is not None:
+                norm = float(np.sqrt(np.sum(m * m)))
+                if norm > clip_norm:
+                    m = m * (clip_norm / norm)
+            std = std_of(li, kind)
+            if std != 0.0:
+                m = m + std * rng.standard_normal(*m.shape)
+            noised[kind] = m
+        out.append((noised[AdapterKind.A], noised[AdapterKind.B]))
+    return AdapterSet.from_factors(out)
 
 
 def fd_gradient_check(model, adapters, xs, ys, h=1e-5, rel_tol=1e-5, abs_floor=1e-8):
@@ -107,22 +134,20 @@ def fd_gradient_check(model, adapters, xs, ys, h=1e-5, rel_tol=1e-5, abs_floor=1
     from the relative test (both sides are numerically zero). Returns the
     worst relative error seen.
     """
-    analytic = grad_adapters(model, array_pairs(adapters), xs, ys)
+    factors = adapters.factors()
+    analytic = grad_adapters(model, factors, xs, ys)
     worst = 0.0
-    for li, pair in enumerate(adapters.pairs):
+    for li, pair in enumerate(factors):
         for slot, field in enumerate(("a", "b")):
-            base = getattr(pair, field).array
+            base = pair[slot]
             grad = analytic[li][slot]
             for idx in np.ndindex(base.shape):
                 def perturbed(delta):
                     arr = base.copy()
                     arr[idx] += delta
-                    pairs = list(adapters.pairs)
-                    if field == "a":
-                        pairs[li] = LoraPair(pair.layer_index, Matrix(arr), pair.b)
-                    else:
-                        pairs[li] = LoraPair(pair.layer_index, pair.a, Matrix(arr))
-                    return AdapterSet(tuple(pairs), adapters.total_layers)
+                    changed = list(factors)
+                    changed[li] = (arr, pair[1]) if field == "a" else (pair[0], arr)
+                    return AdapterSet.from_factors(changed)
 
                 fd = (
                     mean_loss(model, perturbed(h), xs, ys)

@@ -19,13 +19,13 @@ import numpy as np
 
 from fedmentor import metrics as metrics_mod
 from fedmentor.federation import ClientRoundStats, RoundRecord
-from fedmentor.linalg import Matrix, Rng
-from fedmentor.lora import AdapterSet, LoraPair, serialize
+from fedmentor.linalg import Rng
+from fedmentor.lora import AdapterSet, serialize
 from fedmentor.trainer import (
     BackboneModel,
     ClientState,
-    forward_batch,
     grad_adapters,
+    model_view,
     train_local,
 )
 
@@ -38,15 +38,16 @@ def _weighted_mean(sets: Sequence[AdapterSet], sizes: Sequence[int]) -> AdapterS
         return sets[0]
     total = float(sum(sizes))
     weights = [s / total for s in sizes]
-    pairs = []
-    for li, pair in enumerate(sets[0].pairs):
-        acc_a = weights[0] * pair.a.array
-        acc_b = weights[0] * pair.b.array
-        for u, w in zip(sets[1:], weights[1:]):
-            acc_a = acc_a + w * u.pairs[li].a.array
-            acc_b = acc_b + w * u.pairs[li].b.array
-        pairs.append(LoraPair(pair.layer_index, Matrix(acc_a), Matrix(acc_b)))
-    return AdapterSet(tuple(pairs), sets[0].total_layers)
+    factors = [s.factors() for s in sets]
+    out = []
+    for li, (a0, b0) in enumerate(factors[0]):
+        acc_a = weights[0] * a0
+        acc_b = weights[0] * b0
+        for f, w in zip(factors[1:], weights[1:]):
+            acc_a = acc_a + w * f[li][0]
+            acc_b = acc_b + w * f[li][1]
+        out.append((acc_a, acc_b))
+    return AdapterSet.from_factors(out)
 
 
 def run_plain_fedavg(
@@ -91,8 +92,9 @@ def run_plain_fedavg(
             )
 
         global_adapters = _weighted_mean(updates, sizes)
-        view = lambda xs: forward_batch(backbone, global_adapters, xs)  # noqa: E731
-        report = metrics_mod.evaluate(view, [c.data for c in ordered])
+        report = metrics_mod.evaluate(
+            model_view(backbone, global_adapters), [c.data for c in ordered]
+        )
 
         records.append(
             RoundRecord(
@@ -133,17 +135,10 @@ def run_centralized_sgd(
             order = rng.derive("epoch", epoch, "shuffle").permutation(n)
             for start in range(0, n, client.batch_size):
                 batch = order[start : start + client.batch_size]
-                params = [(p.a.array, p.b.array) for p in adapters.pairs]
+                params = adapters.factors()
                 grads = grad_adapters(client.model, params, xs[batch], ys[batch])
-                pairs = []
-                for p, (g_a, g_b) in zip(adapters.pairs, grads):
-                    pairs.append(
-                        LoraPair(
-                            p.layer_index,
-                            Matrix(p.a.array - lr * g_a),
-                            Matrix(p.b.array - lr * g_b),
-                        )
-                    )
-                adapters = AdapterSet(tuple(pairs), adapters.total_layers)
+                adapters = AdapterSet.from_factors(
+                    (a - lr * g_a, b - lr * g_b) for (a, b), (g_a, g_b) in zip(params, grads)
+                )
     return adapters
 

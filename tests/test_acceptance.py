@@ -22,14 +22,8 @@ from fedmentor.federation import (
     run_training,
     write_metrics_csv,
 )
-from fedmentor.linalg import Matrix, Rng
-from fedmentor.lora import (
-    AdapterKind,
-    AdapterSet,
-    LayerPosition,
-    LoraPair,
-    serialize,
-)
+from fedmentor.linalg import Rng
+from fedmentor.lora import AdapterKind, AdapterSet, LayerPosition, serialize
 from fedmentor.metrics import ACCURACY, spread
 from fedmentor.trainer import BackboneModel
 from oracles import (
@@ -37,7 +31,7 @@ from oracles import (
     fd_gradient_check,
     randomized_adapters,
     wire_length,
-    zero_pair,
+    zero_adapters,
 )
 from reference import run_centralized_sgd, run_plain_fedavg
 
@@ -51,16 +45,13 @@ def test_criterion_01_noise_calibration_statistics():
     started = time.perf_counter()
     cal = NoiseCalibration()
     # One layer per position; every matrix holds 1e5 entries (500x200 / 200x500).
-    zero = AdapterSet(tuple(zero_pair(i, 500, 500, 200) for i in range(3)), 3)
+    zero = zero_adapters([(200, 500, 500)] * 3)
     positions = [LayerPosition.EARLY, LayerPosition.MIDDLE, LayerPosition.LATE]
     for eps in (0.5, 1.5, 2.0):
         budgets = BudgetTable.from_initial({"d": eps})
         noised = privatize(zero, "d", budgets, cal, Rng(2026, "cal", str(eps)))
-        for li, pos in enumerate(positions):
-            for kind, arr in (
-                (AdapterKind.A, noised.pairs[li].a.array),
-                (AdapterKind.B, noised.pairs[li].b.array),
-            ):
+        for pos, (a, b) in zip(positions, noised.factors()):
+            for kind, arr in ((AdapterKind.A, a), (AdapterKind.B, b)):
                 assert arr.size == 100_000
                 expected = noise_std(pos, kind, eps, cal)
                 observed = float(arr.std())
@@ -83,24 +74,20 @@ def test_criterion_02_fedavg_brute_force_oracle():
         sets = []
         for i in range(k):
             r = rng.derive("set", case, i)
-            pairs = tuple(
-                LoraPair(
-                    li,
-                    Matrix(r.derive("a", li).standard_normal(2, 3)),
-                    Matrix(r.derive("b", li).standard_normal(4, 2)),
+            sets.append(
+                AdapterSet.from_factors(
+                    (
+                        r.derive("a", li).standard_normal(2, 3),
+                        r.derive("b", li).standard_normal(4, 2),
+                    )
+                    for li in range(2)
                 )
-                for li in range(2)
             )
-            sets.append(AdapterSet(pairs, 2))
         sizes = [1 + int(rng.derive("n", case, i).uniform(1)[0] * 5000) for i in range(k)]
         out = aggregate(sets, sizes)
         oracle = brute_force_weighted_mean(sets, sizes)
-        for li, (a, b) in enumerate(oracle):
-            worst = max(
-                worst,
-                float(np.max(np.abs(out.pairs[li].a.array - a))),
-                float(np.max(np.abs(out.pairs[li].b.array - b))),
-            )
+        for (a, b), (out_a, out_b) in zip(oracle, out.factors()):
+            worst = max(worst, float(np.max(np.abs(out_a - a))), float(np.max(np.abs(out_b - b))))
     assert worst < 1e-12, f"worst absolute deviation {worst:.2e}"
     report(2, f"100 aggregate instances, worst |dev| {worst:.1e} < 1e-12")
 
@@ -151,15 +138,13 @@ def test_criterion_05_communication_arithmetic():
         d = 2 + (case * 7) % 9
         k = 2 + (case * 3) % 8
         r = 1 + case % min(d, k)
-        pairs = tuple(
-            LoraPair(
-                i,
-                Matrix(rng.derive(case, "a", i).standard_normal(r, k)),
-                Matrix(rng.derive(case, "b", i).standard_normal(d, r)),
+        s = AdapterSet.from_factors(
+            (
+                rng.derive(case, "a", i).standard_normal(r, k),
+                rng.derive(case, "b", i).standard_normal(d, r),
             )
             for i in range(n_layers)
         )
-        s = AdapterSet(pairs, n_layers)
         assert len(serialize(s)) == wire_length(s)
     report(5, "49.68 MB/round within 0.1% of 49.69; serialize length exact on 100 shapes")
 

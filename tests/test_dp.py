@@ -17,15 +17,29 @@ from fedmentor.dp import (
     privatize,
     privatize_static,
 )
-from fedmentor.linalg import Matrix, Rng
-from fedmentor.lora import AdapterKind, AdapterSet, LayerPosition, LoraPair
-from oracles import zero_pair
+from fedmentor.linalg import Rng
+from fedmentor.lora import AdapterKind, AdapterSet, LayerPosition, classify_layer, serialize
+from oracles import reference_privatize, zero_adapters
 
 EPS = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
 
 
 def zero_set(n_layers: int, d: int, k: int, r: int) -> AdapterSet:
-    return AdapterSet(tuple(zero_pair(i, d, k, r) for i in range(n_layers)), n_layers)
+    return zero_adapters([(r, d, k)] * n_layers)
+
+
+@st.composite
+def adapter_sets(draw) -> AdapterSet:
+    """One to four layers of random shapes; entries include -0.0 and exact zeros."""
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        d, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        r = draw(st.integers(1, min(d, k)))
+        entries = st.sampled_from([-0.0, 0.0]) | st.floats(-3.0, 3.0, allow_subnormal=False)
+        a = draw(st.lists(entries, min_size=r * k, max_size=r * k))
+        b = draw(st.lists(entries, min_size=d * r, max_size=d * r))
+        factors.append((np.reshape(a, (r, k)), np.reshape(b, (d, r))))
+    return AdapterSet.from_factors(factors)
 
 
 class TestNoiseStd:
@@ -103,9 +117,9 @@ class TestPrivatize:
 
     def test_empirical_std_matches_formula(self):
         # One early layer in a 3-layer set; 500x200 = 1e5 entries per matrix.
-        s = AdapterSet(tuple(zero_pair(i, 500, 200, 200) for i in range(3)), 3)
+        s = zero_set(3, 500, 200, 200)
         out = privatize(s, "IRF", self.budgets(), NoiseCalibration(), Rng(99))
-        a_noise = out.pairs[0].a.array  # early layer, kind A
+        a_noise, _ = out.factors()[0]  # early layer, kind A
         assert abs(a_noise.std() - 0.024) / 0.024 < 0.02
 
     def test_same_seed_identical_output(self):
@@ -129,25 +143,63 @@ class TestPrivatize:
         assert s.conformable_with(out)
 
     def test_clipping_bounds_frobenius_norm(self):
-        big = AdapterSet(
-            (LoraPair(0, Matrix(np.full((2, 4), 10.0)), Matrix(np.full((4, 2), 10.0))),), 1
-        )
+        big = AdapterSet.from_factors([(np.full((2, 4), 10.0), np.full((4, 2), 10.0))] * 2)
         cal = NoiseCalibration(scale_multiplier=0.0, clip_norm=1.0)
         out = privatize(big, "IRF", self.budgets(), cal, Rng(3))
-        for pair in out.pairs:
-            assert np.sqrt((pair.a.array**2).sum()) <= 1.0 + 1e-12
-            assert np.sqrt((pair.b.array**2).sum()) <= 1.0 + 1e-12
+        for a, b in out.factors():
+            assert np.sqrt((a**2).sum()) <= 1.0 + 1e-12
+            assert np.sqrt((b**2).sum()) <= 1.0 + 1e-12
 
     def test_static_noise_ignores_position_and_kind(self):
-        s = AdapterSet(tuple(zero_pair(i, 300, 300, 100) for i in range(3)), 3)
+        s = zero_set(3, 300, 300, 100)
         out = privatize_static(s, 0.008, Rng(11))
-        for pair in out.pairs:  # early, middle, late all get the same sigma
-            assert abs(pair.a.array.std() - 0.008) / 0.008 < 0.02
-            assert abs(pair.b.array.std() - 0.008) / 0.008 < 0.02
+        for a, b in out.factors():  # early, middle, late all get the same sigma
+            assert abs(a.std() - 0.008) / 0.008 < 0.02
+            assert abs(b.std() - 0.008) / 0.008 < 0.02
 
     def test_static_noise_zero_sigma_identity(self):
         s = zero_set(2, 5, 5, 2)
         assert privatize_static(s, 0.0, Rng(1)) == s
+
+    def test_zero_std_layers_keep_their_bits(self):
+        # Early layer at base scale 0: its -0.0 entries must not become +0.0.
+        s = AdapterSet.from_factors([(np.full((2, 3), -0.0), np.full((4, 2), -0.0))] * 3)
+        base = {p: p.default_base_scale for p in LayerPosition}
+        cal = NoiseCalibration(base_scale={**base, LayerPosition.EARLY: 0.0})
+        out = privatize(s, "IRF", self.budgets(), cal, Rng(4))
+        early = slice(0, 14)
+        assert out.vec[early].tobytes() == s.vec[early].tobytes()
+        assert (out.vec[14:] != 0.0).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        s=adapter_sets(),
+        eps=st.floats(0.05, 5.0),
+        clip_norm=st.none() | st.floats(0.01, 5.0),
+        zero_position=st.none() | st.sampled_from(list(LayerPosition)),
+        static=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_matrix_reference_bitwise_property(
+        self, s, eps, clip_norm, zero_position, static, seed
+    ):
+        n_layers = len(s.shapes)
+        if static:
+            out = privatize_static(s, eps / 100, Rng(seed, "p"))
+            ref = reference_privatize(s, lambda li, kind: eps / 100, None, Rng(seed, "p"))
+        else:
+            base = {p: p.default_base_scale for p in LayerPosition}
+            if zero_position is not None:
+                base[zero_position] = 0.0
+            cal = NoiseCalibration(base_scale=base, clip_norm=clip_norm)
+            out = privatize(s, "d", BudgetTable.from_initial({"d": eps}), cal, Rng(seed, "p"))
+            ref = reference_privatize(
+                s,
+                lambda li, kind: noise_std(classify_layer(li, n_layers), kind, eps, cal),
+                clip_norm,
+                Rng(seed, "p"),
+            )
+        assert serialize(out) == serialize(ref)
 
 
 class TestUtilityGate:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmentor import federation
+from fedmentor import federation, lora
 from fedmentor.data import DomainSpec, make_domain
 from fedmentor.dp import BudgetTable, NoiseCalibration
 from fedmentor.federation import (
@@ -20,9 +20,15 @@ from fedmentor.federation import (
     run_round,
     run_training,
 )
-from fedmentor.linalg import Matrix, Rng, ShapeError
-from fedmentor.lora import AdapterSet, LoraPair, deserialize, serialize
-from fedmentor.trainer import BackboneModel, ClientState, forward_batch, init_adapters
+from fedmentor.linalg import Rng, ShapeError
+from fedmentor.lora import (
+    FIXED_HEADER_BYTES,
+    LAYER_HEADER_BYTES,
+    AdapterSet,
+    deserialize,
+    serialize,
+)
+from fedmentor.trainer import BackboneModel, ClientState, init_adapters, model_view
 from oracles import brute_force_weighted_mean, merged_forward, openblas_threads, wire_length
 from reference import run_plain_fedavg
 
@@ -31,23 +37,14 @@ DOMAINS = ("Dreaddit", "IRF", "MultiWD")
 
 
 def constant_set(value: float, n_layers: int = 2, d: int = 4, k: int = 3, r: int = 2) -> AdapterSet:
-    pairs = tuple(
-        LoraPair(i, Matrix(np.full((r, k), value)), Matrix(np.full((d, r), value)))
-        for i in range(n_layers)
-    )
-    return AdapterSet(pairs, n_layers)
+    return AdapterSet.from_factors([(np.full((r, k), value), np.full((d, r), value))] * n_layers)
 
 
 def random_set(rng: Rng, n_layers: int = 2, d: int = 4, k: int = 3, r: int = 2) -> AdapterSet:
-    pairs = tuple(
-        LoraPair(
-            i,
-            Matrix(rng.derive("a", i).standard_normal(r, k)),
-            Matrix(rng.derive("b", i).standard_normal(d, r)),
-        )
+    return AdapterSet.from_factors(
+        (rng.derive("a", i).standard_normal(r, k), rng.derive("b", i).standard_normal(d, r))
         for i in range(n_layers)
     )
-    return AdapterSet(pairs, n_layers)
 
 
 _entries = st.floats(-1e6, 1e6, allow_nan=False)
@@ -64,13 +61,10 @@ def conformable_updates(draw) -> tuple[list[AdapterSet], list[int]]:
 
     def matrix(rows, cols):
         values = draw(st.lists(_entries, min_size=rows * cols, max_size=rows * cols))
-        return Matrix(np.reshape(values, (rows, cols)))
+        return np.reshape(values, (rows, cols))
 
     sets = [
-        AdapterSet(
-            tuple(LoraPair(i, matrix(r, k), matrix(d, r)) for i, (d, k, r) in enumerate(shapes)),
-            len(shapes),
-        )
+        AdapterSet.from_factors([(matrix(r, k), matrix(d, r)) for d, k, r in shapes])
         for _ in range(n)
     ]
     return sets, draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n))
@@ -82,9 +76,9 @@ class TestAggregate:
     def test_entrywise_convex_property(self, case):
         sets, sizes = case
         out = aggregate(sets, sizes)
-        for li, pair in enumerate(out.pairs):
-            for got, field in ((pair.a.array, "a"), (pair.b.array, "b")):
-                stack = np.stack([getattr(s.pairs[li], field).array for s in sets])
+        for li, (a, b) in enumerate(out.factors()):
+            for slot, got in enumerate((a, b)):
+                stack = np.stack([s.factors()[li][slot] for s in sets])
                 tol = 1e-13 * float(np.max(np.abs(stack)))
                 assert np.all(got >= stack.min(axis=0) - tol)
                 assert np.all(got <= stack.max(axis=0) + tol)
@@ -112,7 +106,7 @@ class TestAggregate:
         for k in range(3):
             sets = [constant_set(1.0 if i == k else 0.0) for i in range(3)]
             out = aggregate(sets, sizes)
-            assert out.pairs[0].a.array[0, 0] == pytest.approx(expected[k], abs=1e-5)
+            assert out.factors()[0][0][0, 0] == pytest.approx(expected[k], abs=1e-5)
 
     def test_matches_brute_force_oracle(self):
         rng = Rng(40)
@@ -122,9 +116,9 @@ class TestAggregate:
             sizes = [int(rng.derive("n", case, i).uniform(1)[0] * 100) + 1 for i in range(k)]
             oracle = brute_force_weighted_mean(sets, sizes)
             out = aggregate(sets, sizes)
-            for li, (a, b) in enumerate(oracle):
-                assert np.max(np.abs(out.pairs[li].a.array - a)) < 1e-12
-                assert np.max(np.abs(out.pairs[li].b.array - b)) < 1e-12
+            for (a, b), (out_a, out_b) in zip(oracle, out.factors()):
+                assert np.max(np.abs(out_a - a)) < 1e-12
+                assert np.max(np.abs(out_b - b)) < 1e-12
 
     def test_idempotent_on_identical_updates(self):
         s = random_set(Rng(41))
@@ -387,23 +381,30 @@ class TestRunTraining:
         assert get() == outside
 
     def test_corrupted_upload_names_round_client_domain_and_phase(self, monkeypatch):
-        server, clients = build_federation(seed=25)
-        real_serialize = federation.serialize
-        calls = []
+        header_1 = FIXED_HEADER_BYTES + LAYER_HEADER_BYTES
+        corruptions = {
+            "trailing byte": lambda blob: blob + b"\x00",
+            # Layer 1's header claims index 0, so the payload repeats a layer index.
+            "duplicate layer index": lambda blob: blob[:header_1] + bytes(4) + blob[header_1 + 4:],
+        }
+        for name, corrupt in corruptions.items():
+            server, clients = build_federation(seed=25)
+            real_serialize = lora.serialize
+            calls = []
 
-        def corrupting(adapters):
-            calls.append(adapters)
-            blob = real_serialize(adapters)
-            # Call 1 is round 1's broadcast; calls 2 and 3 are the uploads of clients 0 and 1.
-            return blob + b"\x00" if len(calls) == 3 else blob
+            def corrupting(adapters):
+                calls.append(adapters)
+                blob = real_serialize(adapters)
+                # Call 1 is round 1's broadcast; calls 2 and 3 are the uploads of clients 0 and 1.
+                return corrupt(blob) if len(calls) == 3 else blob
 
-        monkeypatch.setattr(federation, "serialize", corrupting)
-        with pytest.raises(RoundError) as info:
-            run_training(server, clients, 2)
-        message = str(info.value)
-        for part in ("round 1", "client 1", "IRF", "upload"):
-            assert part in message
-        assert info.value.records == []
+            monkeypatch.setattr(federation, "serialize", corrupting)
+            with pytest.raises(RoundError) as info:
+                run_training(server, clients, 2)
+            message = str(info.value)
+            for part in ("round 1", "client 1", "IRF", "upload"):
+                assert part in message, (name, message)
+            assert info.value.records == []
 
     def test_divergence_names_round_client_domain_and_phase(self):
         from fedmentor.config import build_experiment, config_from_dict
@@ -472,7 +473,7 @@ class TestGlobalModel:
         new_server, _ = run_round(server, clients)
         xs = Rng(23, "probe").standard_normal(15, 6)
         via_merged = merged_forward(new_server.backbone, new_server.global_adapters, xs)
-        via_factored = forward_batch(new_server.backbone, new_server.global_adapters, xs)
+        via_factored = model_view(new_server.backbone, new_server.global_adapters)(xs)
         assert np.max(np.abs(via_merged - via_factored)) < 1e-12
 
     def test_identical_updates_fixed_point(self):

@@ -8,31 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmentor.linalg import Matrix, Rng
+from fedmentor.linalg import Rng, ShapeError
 from fedmentor.lora import (
     FIXED_HEADER_BYTES,
     LAYER_HEADER_BYTES,
+    MAGIC,
+    WIRE_VERSION,
     AdapterKind,
     AdapterSet,
     LayerPosition,
-    LoraPair,
     WireFormatError,
     classify_layer,
     deserialize,
     serialize,
 )
-from oracles import trainable_param_count, wire_length, zero_pair
-
-
-def random_pair(rng: Rng, layer_index: int, d: int, k: int, r: int) -> LoraPair:
-    a = Matrix(rng.derive("a", layer_index).standard_normal(r, k))
-    b = Matrix(rng.derive("b", layer_index).standard_normal(d, r))
-    return LoraPair(layer_index, a, b)
+from oracles import trainable_param_count, wire_length, zero_adapters
 
 
 def random_set(rng: Rng, n_layers: int, d: int = 6, k: int = 5, r: int = 2) -> AdapterSet:
-    pairs = tuple(random_pair(rng, i, d, k, r) for i in range(n_layers))
-    return AdapterSet(pairs, n_layers)
+    return AdapterSet.from_factors(
+        (rng.derive("a", i).standard_normal(r, k), rng.derive("b", i).standard_normal(d, r))
+        for i in range(n_layers)
+    )
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -40,17 +37,23 @@ _finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 @st.composite
 def adapter_sets(draw) -> AdapterSet:
-    """Complete adapter sets (one pair per layer) with per-layer shapes and ranks."""
-    n_layers = draw(st.integers(0, 4))
-    pairs = []
-    for i in range(n_layers):
+    """Adapter sets of zero to four layers with per-layer shapes and ranks."""
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
         d = draw(st.integers(1, 6))
         k = draw(st.integers(1, 6))
         r = draw(st.integers(1, min(d, k)))
         a = draw(st.lists(_finite, min_size=r * k, max_size=r * k))
         b = draw(st.lists(_finite, min_size=d * r, max_size=d * r))
-        pairs.append(LoraPair(i, Matrix(np.reshape(a, (r, k))), Matrix(np.reshape(b, (d, r)))))
-    return AdapterSet(tuple(pairs), n_layers)
+        factors.append((np.reshape(a, (r, k)), np.reshape(b, (d, r))))
+    return AdapterSet.from_factors(factors)
+
+
+def wire_blob(headers, n_scalars: int) -> bytes:
+    """A v1 payload with the given ``(layer_index, r, d, k)`` headers and zero scalars."""
+    blob = struct.pack("<4sII", MAGIC, WIRE_VERSION, len(headers))
+    blob += b"".join(struct.pack("<IIII", *h) for h in headers)
+    return blob + bytes(8 * n_scalars)
 
 
 class TestConstants:
@@ -97,29 +100,22 @@ class TestClassifyLayer:
 
 
 class TestLoraPair:
+    """The ``(a, b)`` factors of one layer, as ``AdapterSet.from_factors`` packs them."""
+
     def test_rank_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="rank mismatch"):
-            LoraPair(0, Matrix.zeros(2, 5), Matrix.zeros(6, 3))
+        with pytest.raises(ShapeError, match="layer 0"):
+            AdapterSet.from_factors([(np.zeros((2, 5)), np.zeros((6, 3)))])
 
     def test_rank_exceeding_dims_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            LoraPair(0, Matrix.zeros(4, 3), Matrix.zeros(5, 4))
+        with pytest.raises(ShapeError, match="exceeds"):
+            AdapterSet.from_factors([(np.zeros((4, 3)), np.zeros((5, 4)))])
 
     def test_dims_exposed(self):
-        p = LoraPair(1, Matrix.zeros(2, 5), Matrix.zeros(6, 2))
-        assert (p.rank, p.d, p.k) == (2, 6, 5)
+        s = AdapterSet.from_factors([(np.zeros((2, 5)), np.zeros((6, 2)))])
+        assert s.shapes == ((2, 6, 5),)
 
 
 class TestAdapterSet:
-    def test_duplicate_layer_index_rejected(self):
-        p = zero_pair(0, 4, 4, 2)
-        with pytest.raises(ValueError, match="duplicate"):
-            AdapterSet((p, p), 2)
-
-    def test_index_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            AdapterSet((zero_pair(5, 4, 4, 2),), 3)
-
     def test_conformable(self):
         s1 = random_set(Rng(1), 3)
         s2 = random_set(Rng(2), 3)
@@ -127,26 +123,72 @@ class TestAdapterSet:
         assert not s1.conformable_with(random_set(Rng(3), 2))
         assert not s1.conformable_with(random_set(Rng(3), 3, d=7))
 
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 4), (2, 4, 0), (5, 4, 6)])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ShapeError, match="layer 0"):
+            AdapterSet((shape,), np.zeros(20))
+
+    def test_vector_length_must_match_shapes(self):
+        with pytest.raises(ShapeError, match="16 entries"):
+            AdapterSet(((2, 4, 4),), np.zeros(15))
+
+    def test_non_finite_entry_named(self):
+        vec = np.zeros(16)
+        vec[9] = np.inf
+        with pytest.raises(ValueError, match="entry 9 is not finite"):
+            AdapterSet(((2, 4, 4),), vec)
+
+    def test_construction_copies_and_freezes_the_vector(self):
+        vec = np.arange(16.0)
+        s = AdapterSet(((2, 4, 4),), vec)
+        vec[0] = 99.0
+        assert s.vec[0] == 0.0
+        with pytest.raises(ValueError):
+            s.vec[0] = 1.0
+
+    def test_vector_is_b_then_a_per_layer_row_major(self):
+        a0, b0 = np.arange(10.0).reshape(2, 5), np.arange(10.0, 22.0).reshape(6, 2)
+        a1, b1 = np.arange(22.0, 25.0).reshape(1, 3), np.arange(25.0, 27.0).reshape(2, 1)
+        s = AdapterSet.from_factors([(a0, b0), (a1, b1)])
+        expected = np.concatenate([b0.ravel(), a0.ravel(), b1.ravel(), a1.ravel()])
+        assert s.vec.tobytes() == expected.tobytes()
+        assert s.segment_sizes == (12, 10, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(adapter_sets())
+    def test_factors_round_trip_as_read_only_views_property(self, s):
+        factors = s.factors()
+        back = AdapterSet.from_factors(factors)
+        assert back == s
+        assert back.vec.tobytes() == s.vec.tobytes()  # -0.0 keeps its sign
+        for a, b in factors:
+            for m in (a, b):
+                assert not m.flags.writeable
+                assert np.shares_memory(m, s.vec)
+                with pytest.raises(ValueError):
+                    m[0, 0] = 1.0
+
 
 class TestAccounting:
     def test_single_layer_count(self):
-        s = AdapterSet((zero_pair(0, 4, 4, 2),), 1)
+        s = zero_adapters([(2, 4, 4)])
         assert trainable_param_count(s) == 16
+        assert s.vec.size == 16
 
     def test_empty_set(self):
-        assert trainable_param_count(AdapterSet((), 0)) == 0
+        assert trainable_param_count(zero_adapters([])) == 0
 
     def test_three_layer_formula(self):
-        s = AdapterSet(tuple(zero_pair(i, 64, 64, 8) for i in range(3)), 3)
+        s = zero_adapters([(8, 64, 64)] * 3)
         assert trainable_param_count(s) == 3 * 8 * 128
 
     def test_payload_headerless_example(self):
-        s = AdapterSet((zero_pair(0, 4, 4, 2),), 1)
+        s = zero_adapters([(2, 4, 4)])
         assert trainable_param_count(s) * 8 == 128
 
     def test_doubling_rank_doubles_payload(self):
-        s1 = AdapterSet((zero_pair(0, 8, 8, 2),), 1)
-        s2 = AdapterSet((zero_pair(0, 8, 8, 4),), 1)
+        s1 = zero_adapters([(2, 8, 8)])
+        s2 = zero_adapters([(4, 8, 8)])
         assert trainable_param_count(s2) * 8 == 2 * trainable_param_count(s1) * 8
 
     def test_header_size_is_documented_constant(self):
@@ -201,7 +243,7 @@ class TestWireFormat:
             deserialize(blob + b"\x00")
 
     def test_empty_set_round_trips(self):
-        s = AdapterSet((), 0)
+        s = zero_adapters([])
         assert deserialize(serialize(s)) == s
 
     @settings(max_examples=60, deadline=None)
@@ -219,5 +261,25 @@ class TestWireFormat:
         blob = bytearray(serialize(random_set(Rng(28), 2)))
         offset = FIXED_HEADER_BYTES + 2 * LAYER_HEADER_BYTES + 8 * scalar
         struct.pack_into("<d", blob, offset, bad)
-        with pytest.raises(WireFormatError, match="finite"):
+        with pytest.raises(WireFormatError, match="finite") as info:
             deserialize(bytes(blob))
+        assert f"entry {scalar} " in str(info.value)
+        assert info.value.offset == FIXED_HEADER_BYTES + 2 * LAYER_HEADER_BYTES
+
+    @pytest.mark.parametrize(
+        "headers, bad",
+        [
+            pytest.param([(0, 2, 4, 4), (0, 2, 4, 4)], 1, id="duplicate"),
+            pytest.param([(0, 2, 4, 4), (5, 2, 4, 4)], 1, id="index_out_of_range"),
+            pytest.param([(1, 2, 4, 4), (0, 2, 4, 4)], 0, id="out_of_order"),
+            pytest.param([(0, 2, 4, 4), (1, 0, 4, 4)], 1, id="r0"),
+            pytest.param([(0, 1, 0, 4)], 0, id="d0"),
+            pytest.param([(0, 2, 4, 4), (1, 5, 4, 6)], 1, id="rank_exceeds_dims"),
+        ],
+    )
+    def test_bad_layer_header_rejected(self, headers, bad):
+        # The scalar count fits the headers, so the header itself is the only defect.
+        blob = wire_blob(headers, sum(r * (d + k) for _, r, d, k in headers))
+        with pytest.raises(WireFormatError) as info:
+            deserialize(blob)
+        assert info.value.offset == FIXED_HEADER_BYTES + bad * LAYER_HEADER_BYTES

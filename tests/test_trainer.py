@@ -6,24 +6,23 @@ import pytest
 
 from fedmentor.data import Dataset, DomainSpec, make_domain
 from fedmentor.linalg import Matrix, Rng, ShapeError
-from fedmentor.lora import AdapterSet, LoraPair, serialize
+from fedmentor.lora import AdapterSet, serialize
 from fedmentor.trainer import (
     BackboneModel,
     ClientState,
     cross_entropy,
-    forward_batch,
     grad_adapters,
     init_adapters,
-    mean_loss,
+    model_view,
     train_local,
 )
 from oracles import (
-    array_pairs,
     backbone_checksum,
     fd_gradient_check,
+    mean_loss,
     merged_forward,
     randomized_adapters,
-    zero_pair,
+    zero_adapters,
 )
 
 
@@ -40,11 +39,13 @@ class TestBackbone:
 
     def test_chain_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            BackboneModel((Matrix.zeros(4, 3), Matrix.zeros(4, 5)), Matrix.zeros(1, 4))
+            BackboneModel(
+                (Matrix(np.zeros((4, 3))), Matrix(np.zeros((4, 5)))), Matrix(np.zeros((1, 4)))
+            )
 
     def test_head_shape_enforced(self):
         with pytest.raises(ShapeError):
-            BackboneModel((Matrix.zeros(4, 3),), Matrix.zeros(1, 5))
+            BackboneModel((Matrix(np.zeros((4, 3))),), Matrix(np.zeros((1, 5))))
 
     def test_checksum_stable(self):
         m = BackboneModel.random(Rng(2), 4, 6, 2)
@@ -57,9 +58,10 @@ class TestInitAdapters:
     def test_b_zero_a_small(self):
         model = BackboneModel.random(Rng(4), 5, 8, 2)
         adapters = init_adapters(model, 3, Rng(4, "init"))
-        for p in adapters.pairs:
-            assert p.b == Matrix.zeros(p.d, p.rank)
-            assert np.abs(p.a.array).max() < 0.1
+        assert adapters.shapes == ((3, 8, 5), (3, 8, 8))
+        for a, b in adapters.factors():
+            assert not b.any()
+            assert np.abs(a).max() < 0.1
 
     def test_rank_too_large(self):
         model = BackboneModel.random(Rng(5), 4, 8, 1)
@@ -70,23 +72,21 @@ class TestInitAdapters:
 class TestForward:
     def test_zero_adapters_equal_backbone_only(self):
         model = BackboneModel.random(Rng(6), 5, 7, 3)
-        zeros = AdapterSet(
-            tuple(zero_pair(i, w.rows, w.cols, 2) for i, w in enumerate(model.layers)), 3
-        )
+        zeros = zero_adapters((2, w.rows, w.cols) for w in model.layers)
         xs = Rng(6, "x").standard_normal(10, 5)
         act = xs
         for w in [m.array for m in model.layers][:-1]:
             act = np.tanh(act @ w.T)
         expected = (act @ model.layers[-1].array.T) @ model.head.array[0]
-        assert np.allclose(forward_batch(model, zeros, xs), expected, atol=0)
+        assert np.allclose(model_view(model, zeros)(xs), expected, atol=0)
 
     def test_identity_effective_weight_single_layer(self):
         # Theta = 0 and B@A = I: the logit is the head applied to x directly.
         d = 3
-        model = BackboneModel((Matrix.zeros(d, d),), Matrix([[1.0, -2.0, 0.5]]))
-        adapters = AdapterSet((LoraPair(0, Matrix(np.eye(d)), Matrix(np.eye(d))),), 1)
+        model = BackboneModel((Matrix(np.zeros((d, d))),), Matrix([[1.0, -2.0, 0.5]]))
+        adapters = AdapterSet.from_factors([(np.eye(d), np.eye(d))])
         x = np.array([0.3, -1.2, 2.0])
-        assert forward_batch(model, adapters, x.reshape(1, -1))[0] == pytest.approx(
+        assert model_view(model, adapters)(x.reshape(1, -1))[0] == pytest.approx(
             float(model.head.array[0] @ x), abs=1e-15
         )
 
@@ -94,14 +94,14 @@ class TestForward:
         model = BackboneModel.random(Rng(7), 6, 8, 3)
         adapters = randomized_adapters(model, 2, Rng(7, "ad"))
         xs = Rng(7, "x").standard_normal(20, 6)
-        ours = forward_batch(model, adapters, xs)
+        ours = model_view(model, adapters)(xs)
         assert np.max(np.abs(ours - merged_forward(model, adapters, xs))) < 1e-12
 
     def test_input_dim_mismatch(self):
         model = BackboneModel.random(Rng(8), 4, 6, 2)
         adapters = init_adapters(model, 2, Rng(8))
         with pytest.raises(ShapeError):
-            forward_batch(model, adapters, np.zeros((1, 5)))
+            model_view(model, adapters)(np.zeros((1, 5)))
 
 
 class TestLoss:
@@ -149,15 +149,14 @@ class TestGradients:
 
     def test_grad_b_is_zero_when_a_is_zero(self):
         model = BackboneModel.random(Rng(11), 4, 5, 2)
-        pairs = tuple(
-            LoraPair(i, Matrix.zeros(2, w.cols), Matrix(Rng(11, "b", i).standard_normal(w.rows, 2)))
+        adapters = AdapterSet.from_factors(
+            (np.zeros((2, w.cols)), Rng(11, "b", i).standard_normal(w.rows, 2))
             for i, w in enumerate(model.layers)
         )
-        adapters = AdapterSet(pairs, 2)
         xs = Rng(11, "x").standard_normal(5, 4)
         ys = np.array([0, 1, 0, 1, 0])
-        grads = grad_adapters(model, array_pairs(adapters), xs, ys)
-        for (_, b), (_, g_b) in zip(array_pairs(adapters), grads):
+        grads = grad_adapters(model, adapters.factors(), xs, ys)
+        for (_, b), (_, g_b) in zip(adapters.factors(), grads):
             assert g_b.shape == b.shape
             assert not g_b.any()
 
@@ -165,7 +164,7 @@ class TestGradients:
         model = BackboneModel.random(Rng(12), 4, 5, 1)
         adapters = init_adapters(model, 2, Rng(12))
         with pytest.raises(ValueError):
-            grad_adapters(model, array_pairs(adapters), np.zeros((0, 4)), np.zeros(0))
+            grad_adapters(model, adapters.factors(), np.zeros((0, 4)), np.zeros(0))
 
 
 def make_client(
@@ -242,24 +241,25 @@ class TestTrainLocal:
         assert stats.steps == 6
 
     def test_matrix_constructions_do_not_grow_with_steps(self, monkeypatch):
-        # Matrix is built only at the boundary: the trained a and b per layer.
+        # No Matrix at all, and one AdapterSet: the trained factors packed once.
         clients = [make_client(9, epochs=1), make_client(9, epochs=4)]
         built = []
-        original = Matrix.__post_init__
+        for cls in (Matrix, AdapterSet):
+            original = cls.__post_init__
 
-        def counting(m):
-            built.append(m)
-            original(m)
+            def counting(obj, original=original):
+                built.append(type(obj))
+                original(obj)
 
-        monkeypatch.setattr(Matrix, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__post_init__", counting)
         counts, steps = [], []
         for client, adapters in clients:
             before = len(built)
             _, stats = train_local(client, adapters, Rng(9, "r"))
-            counts.append(len(built) - before)
+            counts.append(built[before:])
             steps.append(stats.steps)
         assert steps == [5, 20]
-        assert counts[0] == counts[1] <= 2 * clients[0][0].model.n_layers
+        assert counts == [[AdapterSet], [AdapterSet]]
 
     def test_nonconformable_global_adapters_rejected(self):
         client, _ = make_client(8)
