@@ -13,7 +13,7 @@ Submodules:
     data        synthetic domain-shifted datasets
     trainer     frozen backbone, analytic gradients on plain array pairs, local SGD
     federation  the round loop: broadcast/train/privatize/aggregate/gate/decay
-    metrics     utility proxies and fairness spread statistics
+    metrics     utility proxies and the sweep comparison table
     config      run configuration and experiment assembly
     cli         command-line entry point
 """

@@ -110,15 +110,23 @@ def run_command(
 
 
 def sweep_command(config_path, domain: str, eps_values: list[float], out: str | None = None) -> Path:
-    """One training per epsilon for the chosen domain, other budgets fixed."""
+    """One training per epsilon for the chosen domain, other budgets fixed.
+
+    Only the strategies that read per-domain budgets can sweep one, and the
+    domain must have a client.
+    """
     if not eps_values:
         raise ConfigError("sweep: --eps needs at least one value")
     cfg = load_config(config_path)
     if out is not None:
         cfg = replace(cfg, output_dir=out)
-    if domain not in cfg.budgets.entries:
+    if not cfg.strategy.per_domain:
         raise ConfigError(
-            f"sweep: domain {domain!r} has no budget; known: {sorted(cfg.budgets.entries)}"
+            f"sweep: strategy {cfg.strategy.kind!r} does not read per-domain budgets"
+        )
+    if domain not in cfg.data.domains:
+        raise ConfigError(
+            f"sweep: domain {domain!r} has no client; data.domains: {list(cfg.data.domains)}"
         )
 
     names = {}

@@ -1,10 +1,12 @@
 """Run configuration: defaults, YAML loading, validation, and assembly.
 
-Every protocol constant appears here as a default, so an empty config file
-reproduces the stock setup: three domains sized 0.1x their corpus sizes,
-budgets Dreaddit 2.0 / IRF 0.5 / MultiWD 1.5 with 0.1 multiplicative decay,
-noise base scales 0.01/0.008/0.005 by depth with kind multipliers 1.2/0.8,
-gate factor 0.8, and the domain-aware strategy.
+Every protocol constant has a default, so an empty config file reproduces
+the stock setup: three domains sized 0.1x their corpus sizes, budgets
+Dreaddit 2.0 / IRF 0.5 / MultiWD 1.5 with 0.1 multiplicative decay, the
+stock noise calibration, and the domain-aware strategy. The ``calibration``
+and ``strategy`` sections load straight into the runtime types
+``dp.NoiseCalibration`` and ``federation.PrivacyStrategy``, which hold their
+own defaults and validation.
 
 Validation errors raise :class:`ConfigError` naming the offending field.
 """
@@ -24,7 +26,6 @@ from .data import DEFAULT_ROTATIONS, DomainSpec, default_federation_specs, make_
 from .dp import DEFAULT_BUDGETS, BudgetTable, NoiseCalibration
 from .federation import PrivacyStrategy, ServerState
 from .linalg import Rng
-from .lora import AdapterKind, LayerPosition
 from .metrics import METRIC_NAMES
 from .trainer import BackboneModel, ClientState, init_adapters
 
@@ -34,7 +35,6 @@ __all__ = [
     "DomainOverride",
     "DataConfig",
     "BudgetConfig",
-    "CalibrationConfig",
     "RunConfig",
     "Experiment",
     "load_config",
@@ -80,18 +80,6 @@ class BudgetConfig:
 
 
 @dataclass(frozen=True)
-class CalibrationConfig:
-    early: float = 0.01
-    middle: float = 0.008
-    late: float = 0.005
-    multiplier_a: float = 1.2
-    multiplier_b: float = 0.8
-    gate_factor: float = 0.8
-    nominal_delta: float = 1e-5
-    clip_norm: float | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     rounds: int = 8
@@ -102,7 +90,7 @@ class RunConfig:
     data: DataConfig = DataConfig()
     strategy: PrivacyStrategy = PrivacyStrategy()
     budgets: BudgetConfig = BudgetConfig()
-    calibration: CalibrationConfig = CalibrationConfig()
+    calibration: NoiseCalibration = NoiseCalibration()
     thresholds: Mapping[str, float] = field(default_factory=lambda: {"accuracy": 0.8})
     output_dir: str = "runs"
 
@@ -206,7 +194,7 @@ def _validate(cfg: RunConfig) -> None:
     for name in cfg.thresholds:
         if name not in METRIC_NAMES:
             raise ConfigError(f"thresholds.{name}: unknown metric; expected one of {METRIC_NAMES}")
-    if cfg.strategy.kind in ("domain_aware", "utility_threshold"):
+    if cfg.strategy.per_domain:
         missing = [d for d in cfg.data.domains if d not in cfg.budgets.entries]
         if missing:
             raise ConfigError(
@@ -219,10 +207,6 @@ def _validate(cfg: RunConfig) -> None:
         )
     except ValueError as exc:
         raise ConfigError(f"budgets: {exc}") from exc
-    try:
-        _calibration_object(cfg.calibration)
-    except ValueError as exc:
-        raise ConfigError(f"calibration: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -239,20 +223,6 @@ def load_config(path) -> RunConfig:
     if raw is None:
         raw = {}
     return config_from_dict(raw)
-
-
-def _calibration_object(cal: CalibrationConfig) -> NoiseCalibration:
-    return NoiseCalibration(
-        base_scale={
-            LayerPosition.EARLY: cal.early,
-            LayerPosition.MIDDLE: cal.middle,
-            LayerPosition.LATE: cal.late,
-        },
-        kind_multiplier={AdapterKind.A: cal.multiplier_a, AdapterKind.B: cal.multiplier_b},
-        gate_factor=cal.gate_factor,
-        nominal_delta=cal.nominal_delta,
-        clip_norm=cal.clip_norm,
-    )
 
 
 @dataclass(frozen=True)
@@ -355,7 +325,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
         backbone=backbone,
         global_adapters=adapters0,
         budgets=budgets,
-        calibration=_calibration_object(cfg.calibration),
+        calibration=cfg.calibration,
         thresholds=thresholds,
         strategy=cfg.strategy,
         round_index=0,

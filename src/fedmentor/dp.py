@@ -9,10 +9,12 @@ deviation
 
 where the base scale depends on layer depth (early layers get more noise),
 the kind multiplier on whether the matrix is an A or B factor, and eps is the
-transmitting domain's privacy budget. The server can shrink all scales at
-once through the utility gate (multiplying ``scale_multiplier`` by the gate
-factor whenever any utility proxy drops below its threshold), and budgets
-decay every round so privacy tightens over time.
+transmitting domain's privacy budget. ``NoiseCalibration`` holds the fixed
+part: the base scales, kind multipliers and gate factor, whose stock values
+are written only there. The config's ``calibration`` section loads straight
+into it. ``scale_multiplier`` is round state kept by the server: the utility
+gate multiplies it by the gate factor whenever any utility proxy drops below
+its threshold, and budgets decay every round so privacy tightens over time.
 
 No clipping bound is enforced by default and no delta-dependent sigma rule
 exists, so the (eps, delta) labels are nominal: this module implements the
@@ -22,7 +24,8 @@ is available for experimentation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -56,41 +59,30 @@ class UnknownDomainError(KeyError):
 
 @dataclass(frozen=True)
 class NoiseCalibration:
-    """Noise scales by layer position and adapter kind, plus the gate state.
+    """Noise scales by layer position and adapter kind; the config's ``calibration``.
 
-    ``scale_multiplier`` starts at 1.0 and only ever shrinks: it is the
-    product of every gate factor applied so far. Setting it to 0 disables
-    noise entirely. ``nominal_delta`` is recorded for reporting but drives
-    nothing.
+    ``early``/``middle``/``late`` are the base scales by layer depth, and
+    ``multiplier_a``/``multiplier_b`` the factors for A and B matrices.
+    ``nominal_delta`` is recorded for reporting but drives nothing.
     """
 
-    base_scale: Mapping[LayerPosition, float] = field(
-        default_factory=lambda: {p: p.default_base_scale for p in LayerPosition}
-    )
-    kind_multiplier: Mapping[AdapterKind, float] = field(
-        default_factory=lambda: {k: k.noise_multiplier for k in AdapterKind}
-    )
+    early: float = 0.01
+    middle: float = 0.008
+    late: float = 0.005
+    multiplier_a: float = 1.2
+    multiplier_b: float = 0.8
     gate_factor: float = 0.8
-    scale_multiplier: float = 1.0
     nominal_delta: float = 1e-5
     clip_norm: float | None = None
 
     def __post_init__(self):
-        if set(self.base_scale) != set(LayerPosition):
-            raise ValueError("base_scale must cover all layer positions")
-        if set(self.kind_multiplier) != set(AdapterKind):
-            raise ValueError("kind_multiplier must cover both adapter kinds")
-        for pos, scale in self.base_scale.items():
-            if scale < 0:
-                raise ValueError(f"base scale for {pos.value} must be >= 0, got {scale}")
-        for kind, mult in self.kind_multiplier.items():
-            if mult < 0:
-                raise ValueError(f"multiplier for kind {kind.value} must be >= 0, got {mult}")
+        for name in ("early", "middle", "late", "multiplier_a", "multiplier_b"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 < self.gate_factor < 1.0:
             raise ValueError(f"gate_factor must be in (0, 1), got {self.gate_factor}")
-        if self.scale_multiplier < 0:
-            raise ValueError(f"scale_multiplier must be >= 0, got {self.scale_multiplier}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
+        if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be positive when set, got {self.clip_norm}")
 
 
@@ -157,16 +149,14 @@ def noise_std(
     kind: AdapterKind,
     eps: float,
     cal: NoiseCalibration,
+    scale_multiplier: float,
 ) -> float:
-    """Effective Gaussian std for one matrix: base * kind_mult * gate_mult / eps."""
+    """Effective Gaussian std for one matrix: base * kind_mult * scale_multiplier / eps."""
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    return (
-        cal.base_scale[position]
-        * cal.kind_multiplier[kind]
-        * cal.scale_multiplier
-        / eps
-    )
+    base = getattr(cal, position.value)  # the field named after the position
+    kind_mult = cal.multiplier_a if kind is AdapterKind.A else cal.multiplier_b
+    return base * kind_mult * scale_multiplier / eps
 
 
 def _noised(adapters: AdapterSet, stds, clip_norm: float | None, rng: Rng) -> AdapterSet:
@@ -200,6 +190,7 @@ def privatize(
     domain: DomainId,
     budgets: BudgetTable,
     cal: NoiseCalibration,
+    scale_multiplier: float,
     rng: Rng,
 ) -> AdapterSet:
     """Perturb every adapter matrix with its calibrated Gaussian noise.
@@ -217,7 +208,10 @@ def privatize(
     stds = []
     for i in range(n_layers):
         position = classify_layer(i, n_layers)
-        stds += [noise_std(position, kind, eps, cal) for kind in (AdapterKind.B, AdapterKind.A)]
+        stds += [
+            noise_std(position, kind, eps, cal, scale_multiplier)
+            for kind in (AdapterKind.B, AdapterKind.A)
+        ]
     return _noised(adapters, stds, cal.clip_norm, rng)
 
 
@@ -229,13 +223,14 @@ def privatize_static(adapters: AdapterSet, sigma: float, rng: Rng) -> AdapterSet
 
 
 def apply_utility_gate(
-    cal: NoiseCalibration,
+    scale_multiplier: float,
+    gate_factor: float,
     utilities: Mapping[str, float],
     thresholds: Mapping[str, float],
-) -> tuple[NoiseCalibration, bool]:
-    """Shrink all noise scales once if any utility fell below its threshold.
+) -> tuple[float, bool]:
+    """Shrink the noise scale multiplier once if any utility fell below its threshold.
 
-    The comparison is strict (utility < threshold) and the gate factor is
+    The comparison is strict (utility < threshold) and ``gate_factor`` is
     applied at most once per call no matter how many metrics fail. Raises
     ``KeyError`` if a threshold names a metric absent from ``utilities``.
     """
@@ -244,8 +239,8 @@ def apply_utility_gate(
         raise KeyError(f"thresholds reference unknown metrics: {missing}")
     triggered = any(utilities[m] < tau for m, tau in thresholds.items())
     if not triggered:
-        return cal, False
-    return replace(cal, scale_multiplier=cal.scale_multiplier * cal.gate_factor), True
+        return scale_multiplier, False
+    return scale_multiplier * gate_factor, True
 
 
 def decay_budget(budgets: BudgetTable) -> BudgetTable:

@@ -17,8 +17,6 @@ import json
 from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
 
-import numpy as np
-
 from . import metrics as metrics_mod
 from .dp import (
     BudgetTable,
@@ -89,9 +87,20 @@ class PrivacyStrategy:
         """True when the gate and budget decay are active."""
         return self.kind in ("domain_aware", "uniform", "utility_threshold")
 
+    @property
+    def per_domain(self) -> bool:
+        """True when noise follows the per-domain budget table."""
+        return self.kind in ("domain_aware", "utility_threshold")
+
 
 @dataclass(frozen=True)
 class ServerState:
+    """Everything the server carries from round to round.
+
+    ``scale_multiplier`` is the product of every gate factor applied so far:
+    it starts at 1.0 and only ever shrinks. Setting it to 0 disables noise.
+    """
+
     backbone: BackboneModel
     global_adapters: AdapterSet
     budgets: BudgetTable
@@ -100,6 +109,7 @@ class ServerState:
     strategy: PrivacyStrategy = PrivacyStrategy()
     round_index: int = 0
     rng_seed: int = 0
+    scale_multiplier: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "thresholds", dict(self.thresholds))
@@ -117,8 +127,6 @@ class ClientRoundStats:
 class RoundRecord:
     round: int  # 1-based
     per_client: tuple[ClientRoundStats, ...]
-    avg_train_loss: float
-    avg_eval_loss: float
     broadcast_bytes: int
     upload_bytes: int
     utilities: Mapping[str, float]
@@ -186,7 +194,9 @@ def _privatized(
     rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
     if strategy.kind == "static_noise":
         return privatize_static(update, strategy.sigma, rng)
-    return privatize(update, client.domain, server.budgets, server.calibration, rng)
+    return privatize(
+        update, client.domain, server.budgets, server.calibration, server.scale_multiplier, rng
+    )
 
 
 def _validate_clients(server: ServerState, clients: Sequence[ClientState]) -> list[ClientState]:
@@ -258,32 +268,33 @@ def run_round(
     report = metrics_mod.evaluate(model_view(server.backbone, new_global), pool_datasets)
 
     if server.strategy.adaptive:
-        new_cal, gate_triggered = apply_utility_gate(
-            server.calibration, report.per_metric, server.thresholds
+        scale_multiplier, gate_triggered = apply_utility_gate(
+            server.scale_multiplier,
+            server.calibration.gate_factor,
+            report.per_metric,
+            server.thresholds,
         )
         new_budgets = decay_budget(server.budgets)
     else:
-        new_cal, gate_triggered = server.calibration, False
+        scale_multiplier, gate_triggered = server.scale_multiplier, False
         new_budgets = server.budgets
 
     record = RoundRecord(
         round=round_number,
         per_client=tuple(per_client),
-        avg_train_loss=float(np.mean([c.train_loss for c in per_client])),
-        avg_eval_loss=float(np.mean([c.eval_loss for c in per_client])),
         broadcast_bytes=broadcast_bytes,
         upload_bytes=upload_bytes,
         utilities=report.per_metric,
         gate_triggered=gate_triggered,
-        scale_multiplier=new_cal.scale_multiplier,
+        scale_multiplier=scale_multiplier,
         budgets=dict(new_budgets.entries),
     )
     new_server = replace(
         server,
         global_adapters=new_global,
         budgets=new_budgets,
-        calibration=new_cal,
         round_index=round_number,
+        scale_multiplier=scale_multiplier,
     )
     return new_server, record
 

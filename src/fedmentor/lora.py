@@ -9,6 +9,8 @@ training and evaluation need them. Adapter sets are the only state that ever
 leaves a client, so this module also owns the wire format every simulated
 transmission uses: the round loop sends ``serialize`` output, works on what
 ``deserialize`` gives back, and counts bytes as the lengths of those payloads.
+``LayerPosition`` and ``AdapterKind`` only name a matrix's depth band and
+factor; the noise scales keyed by them live in ``dp.NoiseCalibration``.
 
 Wire format v1 (little-endian throughout):
 
@@ -57,11 +59,6 @@ class AdapterKind(enum.Enum):
     A = "A"
     B = "B"
 
-    @property
-    def noise_multiplier(self) -> float:
-        """Perturbation-sensitivity multiplier: A factors 1.2, B factors 0.8."""
-        return 1.2 if self is AdapterKind.A else 0.8
-
 
 class LayerPosition(enum.Enum):
     """Depth class of an adapted layer within the network."""
@@ -69,18 +66,6 @@ class LayerPosition(enum.Enum):
     EARLY = "early"
     MIDDLE = "middle"
     LATE = "late"
-
-    @property
-    def default_base_scale(self) -> float:
-        """Default noise base scale: early 0.01, middle 0.008, late 0.005."""
-        return _DEFAULT_BASE_SCALE[self]
-
-
-_DEFAULT_BASE_SCALE = {
-    LayerPosition.EARLY: 0.01,
-    LayerPosition.MIDDLE: 0.008,
-    LayerPosition.LATE: 0.005,
-}
 
 
 def classify_layer(layer_index: int, total_layers: int) -> LayerPosition:

@@ -1,4 +1,4 @@
-"""Utility proxies and summary statistics over validation data.
+"""Utility proxies over validation data, and the comparison table writer.
 
 The server's gate decisions run on these proxies: pooled validation accuracy
 and the negated mean cross-entropy (negated so that, like every utility,
@@ -18,9 +18,7 @@ from .trainer import cross_entropy
 
 __all__ = [
     "UtilityReport",
-    "SpreadSummary",
     "evaluate",
-    "spread",
     "write_comparison_csv",
     "ACCURACY",
     "NEG_EVAL_LOSS",
@@ -48,17 +46,6 @@ class UtilityReport:
         for idx, acc in self.per_client_accuracy.items():
             if not 0.0 <= acc <= 1.0:
                 raise ValueError(f"accuracy for client {idx} outside [0, 1]: {acc}")
-
-
-@dataclass(frozen=True)
-class SpreadSummary:
-    """Order statistics of a per-client metric; std is the population std."""
-
-    mean: float
-    min: float
-    max: float
-    std: float
-    spread: float
 
 
 def evaluate(model_view: ModelView, datasets: Sequence[Dataset]) -> UtilityReport:
@@ -89,20 +76,6 @@ def evaluate(model_view: ModelView, datasets: Sequence[Dataset]) -> UtilityRepor
     return UtilityReport(
         per_metric={ACCURACY: correct / total, NEG_EVAL_LOSS: -loss_sum / total},
         per_client_accuracy=per_client,
-    )
-
-
-def spread(values: Sequence[float]) -> SpreadSummary:
-    """Exact mean/min/max, population std, and max-min spread."""
-    if len(values) == 0:
-        raise ValueError("spread of an empty sequence is undefined")
-    arr = np.asarray(values, dtype=np.float64)
-    return SpreadSummary(
-        mean=float(arr.mean()),
-        min=float(arr.min()),
-        max=float(arr.max()),
-        std=float(arr.std()),  # population (ddof=0), matching 3-client reporting
-        spread=float(arr.max() - arr.min()),
     )
 
 

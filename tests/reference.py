@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from fedmentor import metrics as metrics_mod
 from fedmentor.federation import ClientRoundStats, RoundRecord
 from fedmentor.linalg import Rng
@@ -100,8 +98,6 @@ def run_plain_fedavg(
             RoundRecord(
                 round=round_number,
                 per_client=tuple(per_client),
-                avg_train_loss=float(np.mean([c.train_loss for c in per_client])),
-                avg_eval_loss=float(np.mean([c.eval_loss for c in per_client])),
                 broadcast_bytes=broadcast_bytes,
                 upload_bytes=upload_bytes,
                 utilities=report.per_metric,

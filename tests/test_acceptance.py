@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fedmentor.config import RunConfig, build_experiment, config_from_dict
+from fedmentor.data import Dataset
 from fedmentor.dp import BudgetTable, NoiseCalibration, noise_std, privatize
 from fedmentor.federation import (
     BYTES_PER_MB,
@@ -24,7 +25,7 @@ from fedmentor.federation import (
 )
 from fedmentor.linalg import Rng
 from fedmentor.lora import AdapterKind, AdapterSet, LayerPosition, serialize
-from fedmentor.metrics import ACCURACY, spread
+from fedmentor.metrics import ACCURACY, evaluate
 from fedmentor.trainer import BackboneModel
 from oracles import (
     brute_force_weighted_mean,
@@ -49,17 +50,17 @@ def test_criterion_01_noise_calibration_statistics():
     positions = [LayerPosition.EARLY, LayerPosition.MIDDLE, LayerPosition.LATE]
     for eps in (0.5, 1.5, 2.0):
         budgets = BudgetTable.from_initial({"d": eps})
-        noised = privatize(zero, "d", budgets, cal, Rng(2026, "cal", str(eps)))
+        noised = privatize(zero, "d", budgets, cal, 1.0, Rng(2026, "cal", str(eps)))
         for pos, (a, b) in zip(positions, noised.factors()):
             for kind, arr in ((AdapterKind.A, a), (AdapterKind.B, b)):
                 assert arr.size == 100_000
-                expected = noise_std(pos, kind, eps, cal)
+                expected = noise_std(pos, kind, eps, cal, 1.0)
                 observed = float(arr.std())
                 assert abs(observed - expected) / expected < 0.02, (
                     f"{pos.value}/{kind.value}/eps={eps}: {observed} vs {expected}"
                 )
     # Spot-check the flagship cell: early/A at eps 0.5 targets 0.024.
-    assert noise_std(LayerPosition.EARLY, AdapterKind.A, 0.5, cal) == pytest.approx(0.024)
+    assert noise_std(LayerPosition.EARLY, AdapterKind.A, 0.5, cal, 1.0) == pytest.approx(0.024)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s, budget is 10s"
     report(1, f"18 calibration cells within 2% (elapsed {elapsed:.2f}s < 10s)")
@@ -186,7 +187,7 @@ def test_criterion_07_budget_decay():
     cal = exp.server.calibration
     for domain in initial:
         stds = [
-            noise_std(LayerPosition.EARLY, AdapterKind.A, r.budgets[domain], cal)
+            noise_std(LayerPosition.EARLY, AdapterKind.A, r.budgets[domain], cal, 1.0)
             for r in records
         ]
         assert all(later >= earlier for earlier, later in zip(stds, stds[1:]))
@@ -265,9 +266,17 @@ def test_criterion_10_determinism(tmp_path):
 
 
 def test_criterion_11_fairness_machinery():
-    """spread({94, 98, 100}) reproduces mean 97.33, std 2.49, spread 6."""
-    summary = spread([94.0, 98.0, 100.0])
-    assert round(summary.mean, 2) == 97.33
-    assert round(summary.std, 2) == 2.49
-    assert summary.spread == 6.0
-    report(11, "spread(94, 98, 100) -> mean 97.33, std 2.49, spread 6")
+    """Per-client accuracies {94, 98, 100}% give mean 97.33, std 2.49, spread 6."""
+    # 50 validation points per client, all positive; the view misses the first 3, 1, 0.
+    def client(misses: int) -> Dataset:
+        xs = np.where(np.arange(50) < misses, -1.0, 1.0)[:, None]
+        return Dataset("d", xs, np.ones(50, dtype=np.int64), xs, np.ones(50, dtype=np.int64))
+
+    utility = evaluate(lambda xs: xs[:, 0], [client(3), client(1), client(0)])
+    per_client = utility.per_client_accuracy
+    percent = 100 * np.array([per_client[i] for i in range(3)])
+    assert percent.tolist() == [94.0, 98.0, 100.0]
+    assert round(percent.mean(), 2) == 97.33
+    assert round(percent.std(), 2) == 2.49  # population std, as 3-client tables report
+    assert percent.max() - percent.min() == 6.0
+    report(11, "per-client accuracy 94/98/100% -> mean 97.33, std 2.49, spread 6")

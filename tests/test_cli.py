@@ -20,7 +20,6 @@ from fedmentor.cli import (
 )
 from fedmentor.config import (
     BudgetConfig,
-    CalibrationConfig,
     ConfigError,
     DataConfig,
     DomainOverride,
@@ -30,6 +29,7 @@ from fedmentor.config import (
     config_from_dict,
     load_config,
 )
+from fedmentor.dp import NoiseCalibration
 from fedmentor.federation import PrivacyStrategy, metrics_csv_lines, run_training
 from fedmentor.lora import serialize
 from fedmentor.metrics import METRIC_NAMES
@@ -48,6 +48,18 @@ class TestConfigParsing:
         assert cfg == RunConfig()
         assert cfg.budgets.entries == {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
         assert cfg.strategy.kind == "domain_aware"
+
+    def test_calibration_echo_keys(self):
+        assert RunConfig().to_dict()["calibration"] == {
+            "early": 0.01,
+            "middle": 0.008,
+            "late": 0.005,
+            "multiplier_a": 1.2,
+            "multiplier_b": 0.8,
+            "gate_factor": 0.8,
+            "nominal_delta": 1e-5,
+            "clip_norm": None,
+        }
 
     def test_round_trip_through_echo(self, tmp_path):
         cfg = load_config(
@@ -141,6 +153,12 @@ class TestConfigParsing:
             ({"data": {"scale": 0.0}}, "data.scale: must be > 0"),
             ({"budgets": {"decay_rate": 1.5}}, "budgets: decay_rate must be in [0, 1)"),
             ({"budgets": {"decay_rate": -0.1}}, "budgets: decay_rate must be in [0, 1)"),
+            ({"calibration": {"scale_multiplier": 0.5}}, "calibration: unknown keys"),
+            ({"calibration": {"late": -0.5}}, "calibration: late must be finite and >= 0"),
+            ({"calibration": {"gate_factor": 1.0}}, "calibration: gate_factor must be in (0, 1)"),
+            ({"calibration": {"early": float("nan")}}, "calibration: early must be finite"),
+            ({"calibration": {"clip_norm": float("nan")}},
+             "calibration: clip_norm must be positive"),
         ],
     )
     def test_malformed_config_names_field(self, raw, message):
@@ -202,7 +220,7 @@ def _run_configs(draw) -> RunConfig:
             floor=draw(_floats(0.001, 1.0)),
             decay_mode=draw(st.sampled_from(["multiplicative", "linear"])),
         ),
-        calibration=CalibrationConfig(
+        calibration=NoiseCalibration(
             early=draw(_floats(0.0, 1.0)),
             middle=draw(_floats(0.0, 1.0)),
             late=draw(_floats(0.0, 1.0)),
@@ -344,8 +362,38 @@ class TestSweepCommand:
 
     def test_unknown_domain_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path, "")
-        with pytest.raises(ConfigError, match="no budget"):
+        with pytest.raises(ConfigError, match="no client"):
             sweep_command(cfg_path, "Nope", [0.5], out=str(tmp_path / "out"))
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ("data: {scale: 0.02, domains: [Dreaddit]}", "domain 'IRF' has no client"),
+            ("strategy: {kind: uniform, eps_glob: 1.0}", "strategy 'uniform' does not read"),
+            ("strategy: {kind: static_noise, sigma: 0.02}", "strategy 'static_noise' does not"),
+            ("strategy: {kind: 'off'}", "strategy 'off' does not read"),
+        ],
+    )
+    def test_unsweepable_config_rejected_before_any_run(self, tmp_path, capsys, settings, message):
+        cfg_path = write_config(tmp_path, f"rounds: 1\n{settings}\n")
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--config", str(cfg_path), "--domain", "IRF", "--eps", "0.1", "5.0",
+            "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_utility_threshold_sweep_reads_the_budget(self, tmp_path):
+        cfg_path = write_config(
+            tmp_path,
+            "rounds: 1\ndata: {scale: 0.02}\nstrategy: {kind: utility_threshold, tau: -1.0}\n",
+        )
+        sweep_dir = sweep_command(cfg_path, "IRF", [0.1, 5.0], out=str(tmp_path / "out"))
+        assert (sweep_dir / "eps-0.1" / "adapters.bin").read_bytes() != (
+            sweep_dir / "eps-5" / "adapters.bin"
+        ).read_bytes()
 
     @pytest.mark.parametrize(
         "eps, message",

@@ -45,37 +45,37 @@ def adapter_sets(draw) -> AdapterSet:
 class TestNoiseStd:
     def test_early_a_with_strict_budget(self):
         # 0.01 * 1.2 / 0.5
-        assert noise_std(LayerPosition.EARLY, AdapterKind.A, 0.5, NoiseCalibration()) == pytest.approx(
-            0.024, abs=1e-15
-        )
+        std = noise_std(LayerPosition.EARLY, AdapterKind.A, 0.5, NoiseCalibration(), 1.0)
+        assert std == pytest.approx(0.024, abs=1e-15)
 
     def test_late_b_with_loose_budget(self):
         # 0.005 * 0.8 / 2.0
-        assert noise_std(LayerPosition.LATE, AdapterKind.B, 2.0, NoiseCalibration()) == pytest.approx(
-            0.002, abs=1e-15
-        )
+        std = noise_std(LayerPosition.LATE, AdapterKind.B, 2.0, NoiseCalibration(), 1.0)
+        assert std == pytest.approx(0.002, abs=1e-15)
 
     def test_zero_multiplier_kills_noise(self):
-        cal = NoiseCalibration(scale_multiplier=0.0)
         for pos in LayerPosition:
             for kind in AdapterKind:
-                assert noise_std(pos, kind, 0.7, cal) == 0.0
+                assert noise_std(pos, kind, 0.7, NoiseCalibration(), 0.0) == 0.0
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
-            noise_std(LayerPosition.EARLY, AdapterKind.A, 0.0, NoiseCalibration())
+            noise_std(LayerPosition.EARLY, AdapterKind.A, 0.0, NoiseCalibration(), 1.0)
         with pytest.raises(ValueError):
-            noise_std(LayerPosition.EARLY, AdapterKind.A, -1.0, NoiseCalibration())
+            noise_std(LayerPosition.EARLY, AdapterKind.A, -1.0, NoiseCalibration(), 1.0)
 
     def test_strictly_decreasing_in_eps(self):
         cal = NoiseCalibration()
-        stds = [noise_std(LayerPosition.MIDDLE, AdapterKind.A, e, cal) for e in (0.25, 0.5, 1.0, 2.0)]
+        stds = [
+            noise_std(LayerPosition.MIDDLE, AdapterKind.A, e, cal, 1.0) for e in (0.25, 0.5, 1.0, 2.0)
+        ]
         assert all(a > b for a, b in zip(stds, stds[1:]))
 
     def test_std_times_eps_constant(self):
         cal = NoiseCalibration()
         values = {
-            e: noise_std(LayerPosition.LATE, AdapterKind.A, e, cal) * e for e in (0.3, 0.9, 2.7)
+            e: noise_std(LayerPosition.LATE, AdapterKind.A, e, cal, 1.0) * e
+            for e in (0.3, 0.9, 2.7)
         }
         ref = next(iter(values.values()))
         for v in values.values():
@@ -83,25 +83,29 @@ class TestNoiseStd:
 
     def test_depth_and_kind_ordering(self):
         cal = NoiseCalibration()
-        a = {p: noise_std(p, AdapterKind.A, 1.0, cal) for p in LayerPosition}
+        a = {p: noise_std(p, AdapterKind.A, 1.0, cal, 1.0) for p in LayerPosition}
         assert a[LayerPosition.EARLY] > a[LayerPosition.MIDDLE] > a[LayerPosition.LATE]
         for pos in LayerPosition:
-            assert noise_std(pos, AdapterKind.A, 1.0, cal) > noise_std(pos, AdapterKind.B, 1.0, cal)
+            a_std = noise_std(pos, AdapterKind.A, 1.0, cal, 1.0)
+            assert a_std > noise_std(pos, AdapterKind.B, 1.0, cal, 1.0)
 
 
 class TestCalibrationValidation:
     def test_gate_factor_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gate_factor"):
             NoiseCalibration(gate_factor=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gate_factor"):
             NoiseCalibration(gate_factor=1.0)
 
     def test_negative_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseCalibration(scale_multiplier=-0.1)
+        for name in ("early", "middle", "late", "multiplier_a", "multiplier_b"):
+            for bad in (-0.1, float("inf"), float("nan")):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+                    NoiseCalibration(**{name: bad})
+            NoiseCalibration(**{name: 0.0})
 
     def test_clip_norm_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="clip_norm"):
             NoiseCalibration(clip_norm=0.0)
 
 
@@ -110,42 +114,41 @@ class TestPrivatize:
         return BudgetTable.from_initial(EPS)
 
     def test_zero_multiplier_is_identity(self):
-        cal = NoiseCalibration(scale_multiplier=0.0)
         s = zero_set(3, 6, 5, 2)
-        out = privatize(s, "IRF", self.budgets(), cal, Rng(1))
+        out = privatize(s, "IRF", self.budgets(), NoiseCalibration(), 0.0, Rng(1))
         assert out == s
 
     def test_empirical_std_matches_formula(self):
         # One early layer in a 3-layer set; 500x200 = 1e5 entries per matrix.
         s = zero_set(3, 500, 200, 200)
-        out = privatize(s, "IRF", self.budgets(), NoiseCalibration(), Rng(99))
+        out = privatize(s, "IRF", self.budgets(), NoiseCalibration(), 1.0, Rng(99))
         a_noise, _ = out.factors()[0]  # early layer, kind A
         assert abs(a_noise.std() - 0.024) / 0.024 < 0.02
 
     def test_same_seed_identical_output(self):
         s = zero_set(2, 8, 8, 2)
-        one = privatize(s, "Dreaddit", self.budgets(), NoiseCalibration(), Rng(5, "p"))
-        two = privatize(s, "Dreaddit", self.budgets(), NoiseCalibration(), Rng(5, "p"))
+        one = privatize(s, "Dreaddit", self.budgets(), NoiseCalibration(), 1.0, Rng(5, "p"))
+        two = privatize(s, "Dreaddit", self.budgets(), NoiseCalibration(), 1.0, Rng(5, "p"))
         assert one == two
 
     def test_input_set_unmodified(self):
         s = zero_set(2, 8, 8, 2)
-        privatize(s, "MultiWD", self.budgets(), NoiseCalibration(), Rng(6))
+        privatize(s, "MultiWD", self.budgets(), NoiseCalibration(), 1.0, Rng(6))
         assert s == zero_set(2, 8, 8, 2)
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(UnknownDomainError):
-            privatize(zero_set(1, 4, 4, 2), "nope", self.budgets(), NoiseCalibration(), Rng(1))
+            privatize(zero_set(1, 4, 4, 2), "nope", self.budgets(), NoiseCalibration(), 1.0, Rng(1))
 
     def test_shapes_preserved(self):
         s = zero_set(3, 7, 4, 2)
-        out = privatize(s, "IRF", self.budgets(), NoiseCalibration(), Rng(2))
+        out = privatize(s, "IRF", self.budgets(), NoiseCalibration(), 1.0, Rng(2))
         assert s.conformable_with(out)
 
     def test_clipping_bounds_frobenius_norm(self):
         big = AdapterSet.from_factors([(np.full((2, 4), 10.0), np.full((4, 2), 10.0))] * 2)
-        cal = NoiseCalibration(scale_multiplier=0.0, clip_norm=1.0)
-        out = privatize(big, "IRF", self.budgets(), cal, Rng(3))
+        cal = NoiseCalibration(clip_norm=1.0)
+        out = privatize(big, "IRF", self.budgets(), cal, 0.0, Rng(3))
         for a, b in out.factors():
             assert np.sqrt((a**2).sum()) <= 1.0 + 1e-12
             assert np.sqrt((b**2).sum()) <= 1.0 + 1e-12
@@ -164,9 +167,8 @@ class TestPrivatize:
     def test_zero_std_layers_keep_their_bits(self):
         # Early layer at base scale 0: its -0.0 entries must not become +0.0.
         s = AdapterSet.from_factors([(np.full((2, 3), -0.0), np.full((4, 2), -0.0))] * 3)
-        base = {p: p.default_base_scale for p in LayerPosition}
-        cal = NoiseCalibration(base_scale={**base, LayerPosition.EARLY: 0.0})
-        out = privatize(s, "IRF", self.budgets(), cal, Rng(4))
+        cal = NoiseCalibration(early=0.0)
+        out = privatize(s, "IRF", self.budgets(), cal, 1.0, Rng(4))
         early = slice(0, 14)
         assert out.vec[early].tobytes() == s.vec[early].tobytes()
         assert (out.vec[14:] != 0.0).all()
@@ -177,25 +179,27 @@ class TestPrivatize:
         eps=st.floats(0.05, 5.0),
         clip_norm=st.none() | st.floats(0.01, 5.0),
         zero_position=st.none() | st.sampled_from(list(LayerPosition)),
+        scale_multiplier=st.sampled_from([1.0, 0.8, 0.0]),
         static=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_per_matrix_reference_bitwise_property(
-        self, s, eps, clip_norm, zero_position, static, seed
+        self, s, eps, clip_norm, zero_position, scale_multiplier, static, seed
     ):
         n_layers = len(s.shapes)
         if static:
             out = privatize_static(s, eps / 100, Rng(seed, "p"))
             ref = reference_privatize(s, lambda li, kind: eps / 100, None, Rng(seed, "p"))
         else:
-            base = {p: p.default_base_scale for p in LayerPosition}
-            if zero_position is not None:
-                base[zero_position] = 0.0
-            cal = NoiseCalibration(base_scale=base, clip_norm=clip_norm)
-            out = privatize(s, "d", BudgetTable.from_initial({"d": eps}), cal, Rng(seed, "p"))
+            zeroed = {} if zero_position is None else {zero_position.value: 0.0}
+            cal = NoiseCalibration(**zeroed, clip_norm=clip_norm)
+            budgets = BudgetTable.from_initial({"d": eps})
+            out = privatize(s, "d", budgets, cal, scale_multiplier, Rng(seed, "p"))
             ref = reference_privatize(
                 s,
-                lambda li, kind: noise_std(classify_layer(li, n_layers), kind, eps, cal),
+                lambda li, kind: noise_std(
+                    classify_layer(li, n_layers), kind, eps, cal, scale_multiplier
+                ),
                 clip_norm,
                 Rng(seed, "p"),
             )
@@ -204,42 +208,38 @@ class TestPrivatize:
 
 class TestUtilityGate:
     def test_below_threshold_triggers(self):
-        cal, triggered = apply_utility_gate(
-            NoiseCalibration(), {"acc": 0.70}, {"acc": 0.75}
-        )
+        mult, triggered = apply_utility_gate(1.0, 0.8, {"acc": 0.70}, {"acc": 0.75})
         assert triggered
-        assert cal.scale_multiplier == pytest.approx(0.8, abs=0)
+        assert mult == pytest.approx(0.8, abs=0)
 
     def test_boundary_is_strict(self):
-        cal, triggered = apply_utility_gate(NoiseCalibration(), {"acc": 0.75}, {"acc": 0.75})
+        mult, triggered = apply_utility_gate(1.0, 0.8, {"acc": 0.75}, {"acc": 0.75})
         assert not triggered
-        assert cal.scale_multiplier == 1.0
+        assert mult == 1.0
 
     def test_two_triggers_compose(self):
-        cal = NoiseCalibration()
-        cal, _ = apply_utility_gate(cal, {"acc": 0.1}, {"acc": 0.5})
-        cal, _ = apply_utility_gate(cal, {"acc": 0.1}, {"acc": 0.5})
-        assert cal.scale_multiplier == pytest.approx(0.64, abs=1e-15)
+        mult = 1.0
+        mult, _ = apply_utility_gate(mult, 0.8, {"acc": 0.1}, {"acc": 0.5})
+        mult, _ = apply_utility_gate(mult, 0.8, {"acc": 0.1}, {"acc": 0.5})
+        assert mult == pytest.approx(0.64, abs=1e-15)
 
     def test_missing_metric_rejected(self):
         with pytest.raises(KeyError):
-            apply_utility_gate(NoiseCalibration(), {"acc": 0.9}, {"other": 0.5})
+            apply_utility_gate(1.0, 0.8, {"acc": 0.9}, {"other": 0.5})
 
     def test_single_application_even_if_all_fail(self):
-        cal, triggered = apply_utility_gate(
-            NoiseCalibration(), {"a": 0.0, "b": 0.0}, {"a": 1.0, "b": 1.0}
-        )
+        mult, triggered = apply_utility_gate(1.0, 0.8, {"a": 0.0, "b": 0.0}, {"a": 1.0, "b": 1.0})
         assert triggered
-        assert cal.scale_multiplier == 0.8
+        assert mult == 0.8
 
     def test_multiplier_is_power_of_gate_factor(self):
-        cal = NoiseCalibration()
+        mult = 1.0
         fires = 0
         for i in range(10):
             utilities = {"acc": 0.4 if i % 3 == 0 else 0.9}
-            cal, triggered = apply_utility_gate(cal, utilities, {"acc": 0.5})
+            mult, triggered = apply_utility_gate(mult, 0.8, utilities, {"acc": 0.5})
             fires += int(triggered)
-        assert cal.scale_multiplier == pytest.approx(0.8**fires, rel=1e-12)
+        assert mult == pytest.approx(0.8**fires, rel=1e-12)
 
 
 class TestBudgets:

@@ -215,7 +215,7 @@ class TestRunRound:
         new_server, record = run_round(server, clients)
         assert record.gate_triggered
         assert record.scale_multiplier == pytest.approx(0.8, abs=0)
-        assert new_server.calibration.scale_multiplier == pytest.approx(0.8, abs=0)
+        assert new_server.scale_multiplier == pytest.approx(0.8, abs=0)
 
     def test_gate_silent_with_zero_threshold(self):
         server, clients = build_federation(seed=4, thresholds={"accuracy": 0.0})
@@ -433,7 +433,7 @@ class TestRunTraining:
         for domain in EPS:
             stds = [
                 noise_std(LayerPosition.EARLY, AdapterKind.A, r.budgets[domain],
-                          server.calibration)
+                          server.calibration, 1.0)
                 for r in records
             ]
             assert all(b >= a for a, b in zip(stds, stds[1:]))

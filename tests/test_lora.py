@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmentor.dp import NoiseCalibration
 from fedmentor.linalg import Rng, ShapeError
 from fedmentor.lora import (
     FIXED_HEADER_BYTES,
     LAYER_HEADER_BYTES,
     MAGIC,
     WIRE_VERSION,
-    AdapterKind,
     AdapterSet,
     LayerPosition,
     WireFormatError,
@@ -57,14 +57,15 @@ def wire_blob(headers, n_scalars: int) -> bytes:
 
 
 class TestConstants:
+    """The stock noise scales per kind and position, held by ``NoiseCalibration``."""
+
     def test_kind_multipliers_exact(self):
-        assert AdapterKind.A.noise_multiplier == 1.2
-        assert AdapterKind.B.noise_multiplier == 0.8
+        cal = NoiseCalibration()
+        assert (cal.multiplier_a, cal.multiplier_b) == (1.2, 0.8)
 
     def test_position_base_scales_exact(self):
-        assert LayerPosition.EARLY.default_base_scale == 0.01
-        assert LayerPosition.MIDDLE.default_base_scale == 0.008
-        assert LayerPosition.LATE.default_base_scale == 0.005
+        cal = NoiseCalibration()
+        assert [getattr(cal, p.value) for p in LayerPosition] == [0.01, 0.008, 0.005]
 
 
 class TestClassifyLayer:

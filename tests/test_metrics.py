@@ -1,4 +1,4 @@
-"""Utility proxies and spread statistics."""
+"""Utility proxies and the comparison table."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,7 +11,6 @@ from fedmentor.metrics import (
     NEG_EVAL_LOSS,
     UtilityReport,
     evaluate,
-    spread,
     write_comparison_csv,
 )
 
@@ -109,37 +108,6 @@ class TestEvaluate:
     def test_accuracy_range_enforced(self):
         with pytest.raises(ValueError):
             UtilityReport({}, {0: 1.5})
-
-
-class TestSpread:
-    def test_fairness_table_baseline_row(self):
-        summary = spread([94.0, 98.0, 100.0])
-        assert round(summary.mean, 2) == 97.33
-        assert round(summary.std, 2) == 2.49
-        assert summary.spread == 6.0
-        assert summary.min == 94.0 and summary.max == 100.0
-
-    def test_population_std_not_sample(self):
-        # population std of {94, 98, 100} is sqrt(56/9) ~ 2.494; sample ~ 3.06
-        summary = spread([94.0, 98.0, 100.0])
-        assert summary.std == pytest.approx(np.sqrt(56.0 / 9.0), rel=1e-12)
-
-    def test_single_value(self):
-        summary = spread([42.0])
-        assert summary.spread == 0.0 and summary.std == 0.0
-        assert summary.mean == summary.min == summary.max == 42.0
-
-    def test_two_values(self):
-        assert spread([80.0, 98.0]).spread == 18.0
-
-    def test_permutation_invariant(self):
-        a = spread([3.0, 1.0, 2.0])
-        b = spread([1.0, 2.0, 3.0])
-        assert a == b
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            spread([])
 
 
 class TestComparisonCsv:
