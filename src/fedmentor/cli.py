@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -131,8 +132,8 @@ def sweep_command(config_path, domain: str, eps_values: list[float], out: str | 
 
     names = {}
     for eps in eps_values:
-        if not eps > 0:
-            raise ConfigError(f"sweep: eps values must be > 0, got {eps}")
+        if not 0 < eps < math.inf:
+            raise ConfigError(f"sweep: eps values must be > 0 and finite, got {eps}")
         name = f"eps-{eps:g}"
         if name in names:
             raise ConfigError(f"sweep: eps values {names[name]} and {eps} both name the run {name}")

@@ -3,17 +3,20 @@
 Every protocol constant has a default, so an empty config file reproduces
 the stock setup: three domains sized 0.1x their corpus sizes, budgets
 Dreaddit 2.0 / IRF 0.5 / MultiWD 1.5 with 0.1 multiplicative decay, the
-stock noise calibration, and the domain-aware strategy. The ``calibration``
-and ``strategy`` sections load straight into the runtime types
-``dp.NoiseCalibration`` and ``federation.PrivacyStrategy``, which hold their
-own defaults and validation.
+stock noise calibration, and the domain-aware strategy. The ``budgets``,
+``calibration`` and ``strategy`` sections load straight into the runtime types
+``dp.BudgetConfig``, ``dp.NoiseCalibration`` and ``federation.PrivacyStrategy``,
+which hold their own defaults and validation. The server starts each domain's
+current budget at its ``budgets`` entry and decays it round by round.
 
-Validation errors raise :class:`ConfigError` naming the offending field.
+Validation errors raise :class:`ConfigError` naming the offending field. No
+float may be NaN or infinite, wherever it sits in the config.
 """
 from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, replace
@@ -23,7 +26,7 @@ from typing import Mapping
 import yaml
 
 from .data import DEFAULT_ROTATIONS, DomainSpec, default_federation_specs, make_domain
-from .dp import DEFAULT_BUDGETS, BudgetTable, NoiseCalibration
+from .dp import DEFAULT_BUDGETS, BudgetConfig, NoiseCalibration
 from .federation import PrivacyStrategy, ServerState
 from .linalg import Rng
 from .metrics import METRIC_NAMES
@@ -72,14 +75,6 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
-class BudgetConfig:
-    entries: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
-    decay_rate: float = 0.1
-    floor: float = 0.05
-    decay_mode: str = "multiplicative"
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     rounds: int = 8
@@ -114,7 +109,8 @@ def _load(kind, value, path: str):
 
     Handles dataclasses (missing keys keep their defaults), ``X | None``
     (``None`` means unset), ``tuple[X, ...]``, ``Mapping[K, V]``, and the
-    scalars int/float/str. Booleans are never numbers. Errors name ``path``.
+    scalars int/float/str. Booleans are never numbers, and a float must be
+    finite. Errors name ``path``.
     """
     where = path or "config"
     if dataclasses.is_dataclass(kind):
@@ -147,6 +143,8 @@ def _load(kind, value, path: str):
             for k, v in value.items()
         }
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: must be finite, got {value!r}")
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -201,12 +199,6 @@ def _validate(cfg: RunConfig) -> None:
                 f"budgets.entries: missing budgets for domains {missing} "
                 f"required by strategy {cfg.strategy.kind!r}"
             )
-    try:
-        BudgetTable.from_initial(
-            cfg.budgets.entries, cfg.budgets.decay_rate, cfg.budgets.floor, cfg.budgets.decay_mode
-        )
-    except ValueError as exc:
-        raise ConfigError(f"budgets: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -240,15 +232,16 @@ def _domain_specs(cfg: RunConfig, rng: Rng) -> list[DomainSpec]:
         rng, scale=cfg.data.scale, input_dim=cfg.model.input_dim, label_noise=cfg.data.label_noise
     )
     by_name = {s.domain: s for s in specs}
+    # Custom domains: the stock trio's recipe, sized like the mean, around one shared base.
+    base = rng.derive("base-weights").standard_normal(1, cfg.model.input_dim)[0]
+    base = base / (base**2).sum() ** 0.5
     chosen = []
     for name in cfg.data.domains:
         if name in by_name:
             spec = by_name[name]
         else:
-            # Custom domain: same recipe as the stock trio, sized like the mean.
             jitter = rng.derive("weights", name).standard_normal(1, cfg.model.input_dim)[0]
-            base = rng.derive("base-weights").standard_normal(1, cfg.model.input_dim)[0]
-            w = base / (base**2).sum() ** 0.5 + 0.05 * jitter
+            w = base + 0.05 * jitter
             w /= (w**2).sum() ** 0.5
             spec = DomainSpec(
                 domain=name,
@@ -303,18 +296,9 @@ def build_experiment(cfg: RunConfig) -> Experiment:
         for i, spec in enumerate(specs)
     )
 
+    schedule = cfg.budgets
     if cfg.strategy.kind == "uniform":
-        budgets = BudgetTable.uniform(
-            cfg.data.domains,
-            cfg.strategy.eps_glob,
-            decay_rate=cfg.budgets.decay_rate,
-            floor=cfg.budgets.floor,
-            decay_mode=cfg.budgets.decay_mode,
-        )
-    else:
-        budgets = BudgetTable.from_initial(
-            cfg.budgets.entries, cfg.budgets.decay_rate, cfg.budgets.floor, cfg.budgets.decay_mode
-        )
+        schedule = replace(schedule, entries={d: cfg.strategy.eps_glob for d in cfg.data.domains})
 
     if cfg.strategy.kind == "utility_threshold":
         thresholds = {m: cfg.strategy.tau for m in METRIC_NAMES}
@@ -324,7 +308,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
     server = ServerState(
         backbone=backbone,
         global_adapters=adapters0,
-        budgets=budgets,
+        schedule=schedule,
         calibration=cfg.calibration,
         thresholds=thresholds,
         strategy=cfg.strategy,

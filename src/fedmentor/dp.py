@@ -9,12 +9,15 @@ deviation
 
 where the base scale depends on layer depth (early layers get more noise),
 the kind multiplier on whether the matrix is an A or B factor, and eps is the
-transmitting domain's privacy budget. ``NoiseCalibration`` holds the fixed
-part: the base scales, kind multipliers and gate factor, whose stock values
-are written only there. The config's ``calibration`` section loads straight
-into it. ``scale_multiplier`` is round state kept by the server: the utility
-gate multiplies it by the gate factor whenever any utility proxy drops below
-its threshold, and budgets decay every round so privacy tightens over time.
+transmitting domain's current privacy budget. ``NoiseCalibration`` holds the
+fixed part: the base scales, kind multipliers and gate factor, whose stock
+values are written only there. ``BudgetConfig`` holds each domain's starting
+eps and the decay schedule. The config's ``calibration`` and ``budgets``
+sections load straight into these two types. The server keeps the round
+state: ``scale_multiplier``, which the utility gate multiplies by the gate
+factor whenever any utility proxy drops below its threshold, and each
+domain's current eps, which ``decay_budgets`` shrinks every round so privacy
+tightens over time.
 
 No clipping bound is enforced by default and no delta-dependent sigma rule
 exists, so the (eps, delta) labels are nominal: this module implements the
@@ -25,7 +28,7 @@ is available for experimentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -37,16 +40,16 @@ __all__ = [
     "DomainId",
     "UnknownDomainError",
     "NoiseCalibration",
-    "BudgetTable",
+    "BudgetConfig",
     "DEFAULT_BUDGETS",
     "noise_std",
     "privatize",
     "privatize_static",
     "apply_utility_gate",
-    "decay_budget",
+    "decay_budgets",
 ]
 
-# Domains are plain string identifiers (e.g. "IRF"); budget tables key on them.
+# Domains are plain string identifiers (e.g. "IRF"); budgets key on them.
 DomainId = str
 
 # Default per-domain budgets; smaller eps = more noise = stronger nominal privacy.
@@ -54,7 +57,7 @@ DEFAULT_BUDGETS: dict[DomainId, float] = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD"
 
 
 class UnknownDomainError(KeyError):
-    """A client's domain has no entry in the budget table."""
+    """A client's domain has no privacy budget."""
 
 
 @dataclass(frozen=True)
@@ -87,61 +90,35 @@ class NoiseCalibration:
 
 
 @dataclass(frozen=True)
-class BudgetTable:
-    """Per-domain privacy budgets with a decay schedule and a positive floor.
+class BudgetConfig:
+    """Per-domain starting budgets and their decay; the config's ``budgets``.
 
     ``decay_mode`` selects how the per-round decrement is read:
       * "multiplicative" (default): eps <- eps - decay_rate * eps, i.e. the
         current budget shrinks geometrically and stays positive forever.
-      * "linear": eps <- eps - decay_rate * initial_eps, subtracting a fixed
-        slice of the starting budget each round.
+      * "linear": eps <- eps - decay_rate * entries[domain], subtracting a
+        fixed slice of the starting budget each round.
     Either way budgets never drop below ``floor``.
     """
 
-    entries: Mapping[DomainId, float]
-    initial: Mapping[DomainId, float]
+    entries: Mapping[DomainId, float] = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
     decay_rate: float = 0.1
     floor: float = 0.05
     decay_mode: str = "multiplicative"
 
     def __post_init__(self):
         object.__setattr__(self, "entries", dict(self.entries))
-        object.__setattr__(self, "initial", dict(self.initial))
-        if set(self.entries) != set(self.initial):
-            raise ValueError("entries and initial must cover the same domains")
         for domain, eps in self.entries.items():
-            if eps <= 0:
-                raise ValueError(f"budget for {domain!r} must be > 0, got {eps}")
+            if not 0.0 < eps < math.inf:  # also rejects NaN
+                raise ValueError(f"entries[{domain!r}] must be finite and > 0, got {eps}")
         if not 0.0 <= self.decay_rate < 1.0:
             raise ValueError(f"decay_rate must be in [0, 1), got {self.decay_rate}")
-        if self.floor <= 0:
-            raise ValueError(f"floor must be > 0, got {self.floor}")
+        if not 0.0 < self.floor < math.inf:
+            raise ValueError(f"floor must be finite and > 0, got {self.floor}")
         if self.decay_mode not in ("multiplicative", "linear"):
-            raise ValueError(f"unknown decay_mode {self.decay_mode!r}")
-
-    @classmethod
-    def from_initial(
-        cls,
-        budgets: Mapping[DomainId, float] | None = None,
-        decay_rate: float = 0.1,
-        floor: float = 0.05,
-        decay_mode: str = "multiplicative",
-    ) -> "BudgetTable":
-        budgets = dict(DEFAULT_BUDGETS if budgets is None else budgets)
-        return cls(budgets, dict(budgets), decay_rate, floor, decay_mode)
-
-    @classmethod
-    def uniform(cls, domains, eps: float, **kwargs) -> "BudgetTable":
-        """One global budget applied to every domain."""
-        return cls.from_initial({d: eps for d in domains}, **kwargs)
-
-    def epsilon(self, domain: DomainId) -> float:
-        try:
-            return self.entries[domain]
-        except KeyError:
-            raise UnknownDomainError(
-                f"domain {domain!r} has no budget; known: {sorted(self.entries)}"
-            ) from None
+            raise ValueError(
+                f"decay_mode must be 'multiplicative' or 'linear', got {self.decay_mode!r}"
+            )
 
 
 def noise_std(
@@ -152,8 +129,8 @@ def noise_std(
     scale_multiplier: float,
 ) -> float:
     """Effective Gaussian std for one matrix: base * kind_mult * scale_multiplier / eps."""
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if not 0.0 < eps < math.inf:  # an infinite eps would silently drop the noise
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     base = getattr(cal, position.value)  # the field named after the position
     kind_mult = cal.multiplier_a if kind is AdapterKind.A else cal.multiplier_b
     return base * kind_mult * scale_multiplier / eps
@@ -187,8 +164,7 @@ def _noised(adapters: AdapterSet, stds, clip_norm: float | None, rng: Rng) -> Ad
 
 def privatize(
     adapters: AdapterSet,
-    domain: DomainId,
-    budgets: BudgetTable,
+    eps: float,
     cal: NoiseCalibration,
     scale_multiplier: float,
     rng: Rng,
@@ -196,14 +172,13 @@ def privatize(
     """Perturb every adapter matrix with its calibrated Gaussian noise.
 
     Noise std per matrix follows :func:`noise_std` with the layer position
-    from :func:`classify_layer` and the domain's current budget. With
+    from :func:`classify_layer` and the budget ``eps``. With
     ``cal.clip_norm`` set, each matrix is first scaled down to that Frobenius
     norm if it exceeds it. The input is never modified; with
     ``scale_multiplier == 0`` (and no clipping) the output equals the input
     exactly. Noise is drawn in vector order, B before A per layer, so a fixed
     rng stream gives a fixed result.
     """
-    eps = budgets.epsilon(domain)
     n_layers = len(adapters.shapes)
     stds = []
     for i in range(n_layers):
@@ -243,14 +218,16 @@ def apply_utility_gate(
     return scale_multiplier * gate_factor, True
 
 
-def decay_budget(budgets: BudgetTable) -> BudgetTable:
-    """One round of budget decay; monotone nonincreasing, floored."""
-    new_entries = {}
-    for domain, eps in budgets.entries.items():
-        if budgets.decay_mode == "multiplicative":
-            decayed = eps - budgets.decay_rate * eps
+def decay_budgets(
+    schedule: BudgetConfig, budgets: Mapping[DomainId, float]
+) -> dict[DomainId, float]:
+    """One round of decay of the current ``budgets``; monotone nonincreasing, floored."""
+    decayed = {}
+    for domain, eps in budgets.items():
+        if schedule.decay_mode == "multiplicative":
+            new_eps = eps - schedule.decay_rate * eps
         else:
-            decayed = eps - budgets.decay_rate * budgets.initial[domain]
+            new_eps = eps - schedule.decay_rate * schedule.entries[domain]
         # At (or below) the floor the budget freezes; it never increases.
-        new_entries[domain] = max(budgets.floor, decayed) if eps > budgets.floor else eps
-    return replace(budgets, entries=new_entries)
+        decayed[domain] = max(schedule.floor, new_eps) if eps > schedule.floor else eps
+    return decayed

@@ -2,7 +2,7 @@
 
 One round executes, in order: encode the global adapters and decode that
 broadcast, train each responding client from the decoded adapters in
-client-id order, privatize each update under the client's domain budget,
+client-id order, privatize each update under its domain's current budget,
 encode it as the client's upload, decode every upload on the server and
 aggregate the decoded sets with dataset-size weights, evaluate utility
 proxies on the server-held validation pool, apply the utility gate, and
@@ -10,19 +10,25 @@ decay the budgets. Adapters travel only through the wire format, and the
 round's byte counts are the lengths of those payloads (the broadcast once
 per recipient). Aggregation always consumes results sorted by client id, so
 client declaration order cannot change a single bit of the outcome.
+
+The gate's multiplier and each domain's current budget are round state in
+``ServerState``; the decay schedule is the config's ``budgets`` section,
+``dp.BudgetConfig``, which does not change during a run.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
 
 from . import metrics as metrics_mod
 from .dp import (
-    BudgetTable,
+    BudgetConfig,
     NoiseCalibration,
+    UnknownDomainError,
     apply_utility_gate,
-    decay_budget,
+    decay_budgets,
     privatize,
     privatize_static,
 )
@@ -75,10 +81,13 @@ class PrivacyStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; expected one of {STRATEGY_KINDS}")
-        if self.kind == "uniform" and (self.eps_glob is None or self.eps_glob <= 0):
-            raise ValueError("uniform strategy requires eps_glob > 0")
-        if self.kind == "static_noise" and (self.sigma is None or self.sigma < 0):
-            raise ValueError("static_noise strategy requires sigma >= 0")
+        # An unset value reads as NaN, which fails the comparisons as a NaN value does.
+        eps_glob = math.nan if self.eps_glob is None else self.eps_glob
+        if self.kind == "uniform" and not 0 < eps_glob < math.inf:
+            raise ValueError(f"uniform strategy requires eps_glob > 0, finite; got {self.eps_glob}")
+        sigma = math.nan if self.sigma is None else self.sigma
+        if self.kind == "static_noise" and not 0 <= sigma < math.inf:
+            raise ValueError(f"static_noise strategy requires sigma >= 0, finite; got {self.sigma}")
         if self.kind == "utility_threshold" and self.tau is None:
             raise ValueError("utility_threshold strategy requires tau")
 
@@ -89,7 +98,7 @@ class PrivacyStrategy:
 
     @property
     def per_domain(self) -> bool:
-        """True when noise follows the per-domain budget table."""
+        """True when noise follows the per-domain budgets of the config."""
         return self.kind in ("domain_aware", "utility_threshold")
 
 
@@ -99,20 +108,25 @@ class ServerState:
 
     ``scale_multiplier`` is the product of every gate factor applied so far:
     it starts at 1.0 and only ever shrinks. Setting it to 0 disables noise.
+    ``budgets`` holds each domain's current eps under the decay ``schedule``;
+    left unset, it starts at ``schedule.entries``.
     """
 
     backbone: BackboneModel
     global_adapters: AdapterSet
-    budgets: BudgetTable
+    schedule: BudgetConfig
     calibration: NoiseCalibration
     thresholds: Mapping[str, float]
     strategy: PrivacyStrategy = PrivacyStrategy()
     round_index: int = 0
     rng_seed: int = 0
     scale_multiplier: float = 1.0
+    budgets: Mapping[str, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "thresholds", dict(self.thresholds))
+        start = self.schedule.entries if self.budgets is None else self.budgets
+        object.__setattr__(self, "budgets", dict(start))
 
 
 @dataclass(frozen=True)
@@ -194,9 +208,8 @@ def _privatized(
     rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
     if strategy.kind == "static_noise":
         return privatize_static(update, strategy.sigma, rng)
-    return privatize(
-        update, client.domain, server.budgets, server.calibration, server.scale_multiplier, rng
-    )
+    eps = server.budgets[client.domain]
+    return privatize(update, eps, server.calibration, server.scale_multiplier, rng)
 
 
 def _validate_clients(server: ServerState, clients: Sequence[ClientState]) -> list[ClientState]:
@@ -206,7 +219,10 @@ def _validate_clients(server: ServerState, clients: Sequence[ClientState]) -> li
         raise ValueError(f"duplicate client ids: {ids}")
     if server.strategy.kind not in ("off", "static_noise"):
         for c in ordered:
-            server.budgets.epsilon(c.domain)  # raises UnknownDomainError
+            if c.domain not in server.budgets:
+                raise UnknownDomainError(
+                    f"domain {c.domain!r} has no budget; known: {sorted(server.budgets)}"
+                )
     return ordered
 
 
@@ -274,10 +290,10 @@ def run_round(
             report.per_metric,
             server.thresholds,
         )
-        new_budgets = decay_budget(server.budgets)
+        budgets = decay_budgets(server.schedule, server.budgets)
     else:
         scale_multiplier, gate_triggered = server.scale_multiplier, False
-        new_budgets = server.budgets
+        budgets = server.budgets
 
     record = RoundRecord(
         round=round_number,
@@ -287,12 +303,12 @@ def run_round(
         utilities=report.per_metric,
         gate_triggered=gate_triggered,
         scale_multiplier=scale_multiplier,
-        budgets=dict(new_budgets.entries),
+        budgets=budgets,
     )
     new_server = replace(
         server,
         global_adapters=new_global,
-        budgets=new_budgets,
+        budgets=budgets,
         round_index=round_number,
         scale_multiplier=scale_multiplier,
     )

@@ -14,7 +14,7 @@ import pytest
 
 from fedmentor.config import RunConfig, build_experiment, config_from_dict
 from fedmentor.data import Dataset
-from fedmentor.dp import BudgetTable, NoiseCalibration, noise_std, privatize
+from fedmentor.dp import NoiseCalibration, noise_std, privatize
 from fedmentor.federation import (
     BYTES_PER_MB,
     PrivacyStrategy,
@@ -49,8 +49,7 @@ def test_criterion_01_noise_calibration_statistics():
     zero = zero_adapters([(200, 500, 500)] * 3)
     positions = [LayerPosition.EARLY, LayerPosition.MIDDLE, LayerPosition.LATE]
     for eps in (0.5, 1.5, 2.0):
-        budgets = BudgetTable.from_initial({"d": eps})
-        noised = privatize(zero, "d", budgets, cal, 1.0, Rng(2026, "cal", str(eps)))
+        noised = privatize(zero, eps, cal, 1.0, Rng(2026, "cal", str(eps)))
         for pos, (a, b) in zip(positions, noised.factors()):
             for kind, arr in ((AdapterKind.A, a), (AdapterKind.B, b)):
                 assert arr.size == 100_000
@@ -103,7 +102,7 @@ def test_criterion_03_dp_off_byte_equivalence(tmp_path):
 
     ref_adapters, ref_records = run_plain_fedavg(
         exp.backbone, list(exp.clients), exp.server.global_adapters,
-        cfg.seed, cfg.rounds, budgets_echo=dict(exp.server.budgets.entries),
+        cfg.seed, cfg.rounds, budgets_echo=exp.server.budgets,
     )
     write_metrics_csv(ref_records, tmp_path / "reference.csv")
     (tmp_path / "reference.bin").write_bytes(serialize(ref_adapters))
@@ -179,7 +178,7 @@ def test_criterion_07_budget_decay():
     exp = build_experiment(cfg)
     _, records = run_training(exp.server, exp.clients, cfg.rounds)
     initial = {"Dreaddit": 2.0, "IRF": 0.5, "MultiWD": 1.5}
-    floor = exp.server.budgets.floor
+    floor = exp.server.schedule.floor
     for domain, eps0 in initial.items():
         expected = max(floor, eps0 * 0.9**8)
         assert records[-1].budgets[domain] == pytest.approx(expected, abs=1e-12)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmentor import config as config_mod
+from fedmentor import dp
 from fedmentor.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -156,9 +158,19 @@ class TestConfigParsing:
             ({"calibration": {"scale_multiplier": 0.5}}, "calibration: unknown keys"),
             ({"calibration": {"late": -0.5}}, "calibration: late must be finite and >= 0"),
             ({"calibration": {"gate_factor": 1.0}}, "calibration: gate_factor must be in (0, 1)"),
-            ({"calibration": {"early": float("nan")}}, "calibration: early must be finite"),
-            ({"calibration": {"clip_norm": float("nan")}},
-             "calibration: clip_norm must be positive"),
+            ({"calibration": {"early": float("nan")}}, "calibration.early: must be finite"),
+            ({"calibration": {"clip_norm": float("nan")}}, "calibration.clip_norm: must be finite"),
+            ({"budgets": {"entries": {"IRF": float("inf")}}},
+             "budgets.entries.IRF: must be finite"),
+            ({"budgets": {"floor": float("nan")}}, "budgets.floor: must be finite"),
+            ({"thresholds": {"accuracy": float("nan")}}, "thresholds.accuracy: must be finite"),
+            ({"learning_rate": float("inf")}, "learning_rate: must be finite"),
+            ({"strategy": {"kind": "uniform", "eps_glob": float("nan")}},
+             "strategy.eps_glob: must be finite"),
+            ({"strategy": {"kind": "static_noise", "sigma": float("inf")}},
+             "strategy.sigma: must be finite"),
+            ({"data": {"scale": float("nan")}}, "data.scale: must be finite"),
+            ({"data": {"label_noise": float("nan")}}, "data.label_noise: must be finite"),
         ],
     )
     def test_malformed_config_names_field(self, raw, message):
@@ -252,7 +264,27 @@ class TestBuildExperiment:
     def test_uniform_strategy_budgets(self):
         cfg = config_from_dict({"strategy": {"kind": "uniform", "eps_glob": 1.0}})
         exp = build_experiment(cfg)
-        assert all(exp.server.budgets.epsilon(d) == 1.0 for d in cfg.data.domains)
+        assert all(exp.server.budgets[d] == 1.0 for d in cfg.data.domains)
+
+    def test_uniform_schedule_keeps_the_config_decay_fields(self):
+        cfg = config_from_dict({
+            "data": {"domains": ["IRF", "Dreaddit"]},
+            "strategy": {"kind": "uniform", "eps_glob": 0.7},
+            "budgets": {"entries": {"MultiWD": 3.0}, "decay_rate": 0.3, "floor": 0.2,
+                        "decay_mode": "linear"},
+        })
+        server = build_experiment(cfg).server
+        assert server.schedule == BudgetConfig(
+            entries={"IRF": 0.7, "Dreaddit": 0.7}, decay_rate=0.3, floor=0.2, decay_mode="linear"
+        )
+        assert server.budgets == {"IRF": 0.7, "Dreaddit": 0.7}
+
+    def test_config_budgets_are_the_server_schedule(self):
+        assert config_mod.BudgetConfig is dp.BudgetConfig
+        cfg = config_from_dict({"budgets": {"floor": 0.3, "decay_mode": "linear"}})
+        server = build_experiment(cfg).server
+        assert server.schedule == cfg.budgets
+        assert server.budgets == cfg.budgets.entries
 
     def test_utility_threshold_strategy_sets_all_thresholds(self):
         cfg = config_from_dict({"strategy": {"kind": "utility_threshold", "tau": 0.0}})
@@ -307,7 +339,7 @@ class TestRunCommand:
         server, records = run_training(exp.server, exp.clients, cfg.rounds)
         ref_adapters, ref_records = run_plain_fedavg(
             exp.backbone, list(exp.clients), exp.server.global_adapters, cfg.seed,
-            cfg.rounds, budgets_echo=dict(exp.server.budgets.entries),
+            cfg.rounds, budgets_echo=exp.server.budgets,
         )
         assert serialize(server.global_adapters) == serialize(ref_adapters)
         assert metrics_csv_lines(records) == metrics_csv_lines(ref_records)
@@ -397,7 +429,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "eps, message",
-        [(["1.0", "-2"], "must be > 0"), (["1", "1.0"], "eps-1")],
+        [(["1.0", "-2"], "must be > 0"), (["1", "1.0"], "eps-1"), (["0.5", "inf"], "finite")],
     )
     def test_bad_eps_list_rejected_before_any_run(self, tmp_path, capsys, eps, message):
         cfg_path = write_config(tmp_path, "rounds: 1\ndata: {scale: 0.02}\n")

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from fedmentor.dp import (
     DEFAULT_BUDGETS,
-    BudgetTable,
+    BudgetConfig,
     NoiseCalibration,
-    UnknownDomainError,
     apply_utility_gate,
-    decay_budget,
+    decay_budgets,
     noise_std,
     privatize,
     privatize_static,
@@ -22,6 +21,7 @@ from fedmentor.lora import AdapterKind, AdapterSet, LayerPosition, classify_laye
 from oracles import reference_privatize, zero_adapters
 
 EPS = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
+NAN, INF = float("nan"), float("inf")
 
 
 def zero_set(n_layers: int, d: int, k: int, r: int) -> AdapterSet:
@@ -59,10 +59,9 @@ class TestNoiseStd:
                 assert noise_std(pos, kind, 0.7, NoiseCalibration(), 0.0) == 0.0
 
     def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ValueError):
-            noise_std(LayerPosition.EARLY, AdapterKind.A, 0.0, NoiseCalibration(), 1.0)
-        with pytest.raises(ValueError):
-            noise_std(LayerPosition.EARLY, AdapterKind.A, -1.0, NoiseCalibration(), 1.0)
+        for bad in (0.0, -1.0, NAN, INF):
+            with pytest.raises(ValueError, match="eps must be finite and > 0"):
+                noise_std(LayerPosition.EARLY, AdapterKind.A, bad, NoiseCalibration(), 1.0)
 
     def test_strictly_decreasing_in_eps(self):
         cal = NoiseCalibration()
@@ -110,45 +109,38 @@ class TestCalibrationValidation:
 
 
 class TestPrivatize:
-    def budgets(self):
-        return BudgetTable.from_initial(EPS)
-
     def test_zero_multiplier_is_identity(self):
         s = zero_set(3, 6, 5, 2)
-        out = privatize(s, "IRF", self.budgets(), NoiseCalibration(), 0.0, Rng(1))
+        out = privatize(s, EPS["IRF"], NoiseCalibration(), 0.0, Rng(1))
         assert out == s
 
     def test_empirical_std_matches_formula(self):
         # One early layer in a 3-layer set; 500x200 = 1e5 entries per matrix.
         s = zero_set(3, 500, 200, 200)
-        out = privatize(s, "IRF", self.budgets(), NoiseCalibration(), 1.0, Rng(99))
+        out = privatize(s, EPS["IRF"], NoiseCalibration(), 1.0, Rng(99))
         a_noise, _ = out.factors()[0]  # early layer, kind A
         assert abs(a_noise.std() - 0.024) / 0.024 < 0.02
 
     def test_same_seed_identical_output(self):
         s = zero_set(2, 8, 8, 2)
-        one = privatize(s, "Dreaddit", self.budgets(), NoiseCalibration(), 1.0, Rng(5, "p"))
-        two = privatize(s, "Dreaddit", self.budgets(), NoiseCalibration(), 1.0, Rng(5, "p"))
+        one = privatize(s, EPS["Dreaddit"], NoiseCalibration(), 1.0, Rng(5, "p"))
+        two = privatize(s, EPS["Dreaddit"], NoiseCalibration(), 1.0, Rng(5, "p"))
         assert one == two
 
     def test_input_set_unmodified(self):
         s = zero_set(2, 8, 8, 2)
-        privatize(s, "MultiWD", self.budgets(), NoiseCalibration(), 1.0, Rng(6))
+        privatize(s, EPS["MultiWD"], NoiseCalibration(), 1.0, Rng(6))
         assert s == zero_set(2, 8, 8, 2)
-
-    def test_unknown_domain_rejected(self):
-        with pytest.raises(UnknownDomainError):
-            privatize(zero_set(1, 4, 4, 2), "nope", self.budgets(), NoiseCalibration(), 1.0, Rng(1))
 
     def test_shapes_preserved(self):
         s = zero_set(3, 7, 4, 2)
-        out = privatize(s, "IRF", self.budgets(), NoiseCalibration(), 1.0, Rng(2))
+        out = privatize(s, EPS["IRF"], NoiseCalibration(), 1.0, Rng(2))
         assert s.conformable_with(out)
 
     def test_clipping_bounds_frobenius_norm(self):
         big = AdapterSet.from_factors([(np.full((2, 4), 10.0), np.full((4, 2), 10.0))] * 2)
         cal = NoiseCalibration(clip_norm=1.0)
-        out = privatize(big, "IRF", self.budgets(), cal, 0.0, Rng(3))
+        out = privatize(big, EPS["IRF"], cal, 0.0, Rng(3))
         for a, b in out.factors():
             assert np.sqrt((a**2).sum()) <= 1.0 + 1e-12
             assert np.sqrt((b**2).sum()) <= 1.0 + 1e-12
@@ -168,7 +160,7 @@ class TestPrivatize:
         # Early layer at base scale 0: its -0.0 entries must not become +0.0.
         s = AdapterSet.from_factors([(np.full((2, 3), -0.0), np.full((4, 2), -0.0))] * 3)
         cal = NoiseCalibration(early=0.0)
-        out = privatize(s, "IRF", self.budgets(), cal, 1.0, Rng(4))
+        out = privatize(s, EPS["IRF"], cal, 1.0, Rng(4))
         early = slice(0, 14)
         assert out.vec[early].tobytes() == s.vec[early].tobytes()
         assert (out.vec[14:] != 0.0).all()
@@ -193,8 +185,7 @@ class TestPrivatize:
         else:
             zeroed = {} if zero_position is None else {zero_position.value: 0.0}
             cal = NoiseCalibration(**zeroed, clip_norm=clip_norm)
-            budgets = BudgetTable.from_initial({"d": eps})
-            out = privatize(s, "d", budgets, cal, scale_multiplier, Rng(seed, "p"))
+            out = privatize(s, eps, cal, scale_multiplier, Rng(seed, "p"))
             ref = reference_privatize(
                 s,
                 lambda li, kind: noise_std(
@@ -245,47 +236,61 @@ class TestUtilityGate:
 class TestBudgets:
     def test_defaults_match_protocol(self):
         assert DEFAULT_BUDGETS == {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
-        table = BudgetTable.from_initial()
-        assert table.epsilon("IRF") == 0.5
-        assert table.epsilon("Dreaddit") == 2.0
-        assert table.epsilon("MultiWD") == 1.5
+        schedule = BudgetConfig()
+        assert schedule.entries == DEFAULT_BUDGETS
+        assert schedule.entries is not DEFAULT_BUDGETS
+        assert (schedule.decay_rate, schedule.floor, schedule.decay_mode) == (
+            0.1, 0.05, "multiplicative",
+        )
 
     def test_single_decay_step(self):
-        table = decay_budget(BudgetTable.from_initial(EPS))
-        assert table.epsilon("Dreaddit") == pytest.approx(1.8, abs=1e-15)
+        budgets = decay_budgets(BudgetConfig(EPS), EPS)
+        assert budgets["Dreaddit"] == pytest.approx(1.8, abs=1e-15)
 
     def test_eight_rounds_iterated_oracle(self):
-        table = BudgetTable.from_initial(EPS)
+        schedule = BudgetConfig(EPS)
+        budgets = dict(EPS)
         expected = 2.0
         for _ in range(8):
-            table = decay_budget(table)
+            budgets = decay_budgets(schedule, budgets)
             expected = expected - 0.1 * expected
-        assert table.epsilon("Dreaddit") == pytest.approx(expected, abs=0)
-        assert table.epsilon("Dreaddit") == pytest.approx(2.0 * 0.9**8, rel=1e-12)
+        assert budgets["Dreaddit"] == pytest.approx(expected, abs=0)
+        assert budgets["Dreaddit"] == pytest.approx(2.0 * 0.9**8, rel=1e-12)
 
     def test_floor_clamps_and_freezes(self):
-        table = BudgetTable.from_initial({"d": 0.051}, floor=0.05)
-        table = decay_budget(table)
-        assert table.epsilon("d") == 0.05
-        table = decay_budget(table)
-        assert table.epsilon("d") == 0.05
+        schedule = BudgetConfig({"d": 0.051}, floor=0.05)
+        budgets = decay_budgets(schedule, schedule.entries)
+        assert budgets["d"] == 0.05
+        budgets = decay_budgets(schedule, budgets)
+        assert budgets["d"] == 0.05
 
     def test_linear_mode_subtracts_initial_slice(self):
-        table = BudgetTable.from_initial({"d": 2.0}, decay_mode="linear")
-        table = decay_budget(table)
-        assert table.epsilon("d") == pytest.approx(1.8, abs=1e-15)
-        table = decay_budget(table)
+        schedule = BudgetConfig({"d": 2.0}, decay_mode="linear")
+        budgets = decay_budgets(schedule, schedule.entries)
+        assert budgets["d"] == pytest.approx(1.8, abs=1e-15)
+        budgets = decay_budgets(schedule, budgets)
         # 2.0 - 2*0.2, not 1.8*0.9
-        assert table.epsilon("d") == pytest.approx(1.6, abs=1e-15)
+        assert budgets["d"] == pytest.approx(1.6, abs=1e-15)
+
+    def test_linear_slice_is_read_from_the_schedule_entries(self):
+        # The current budget is 1.0, but the slice is 0.1 of the starting 4.0.
+        schedule = BudgetConfig({"d": 4.0}, decay_mode="linear")
+        assert decay_budgets(schedule, {"d": 1.0}) == {"d": pytest.approx(0.6, abs=1e-15)}
+
+    def test_decay_leaves_its_inputs_alone(self):
+        schedule = BudgetConfig(EPS)
+        budgets = dict(EPS)
+        decay_budgets(schedule, budgets)
+        assert budgets == EPS == schedule.entries
 
     def test_monotone_and_positive_forever(self):
-        table = BudgetTable.from_initial(EPS)
-        prev = dict(table.entries)
+        schedule = BudgetConfig(EPS)
+        budgets = dict(schedule.entries)
         for _ in range(200):
-            table = decay_budget(table)
-            for domain, eps in table.entries.items():
-                assert 0.0 < eps <= prev[domain]
-            prev = dict(table.entries)
+            decayed = decay_budgets(schedule, budgets)
+            for domain, eps in decayed.items():
+                assert 0.0 < eps <= budgets[domain]
+            budgets = decayed
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -296,25 +301,48 @@ class TestBudgets:
     )
     def test_decay_never_increases_nor_crosses_floor_property(self, eps, decay_rate, floor, mode):
         # A budget that starts below the floor freezes there; any other never drops below it.
-        table = BudgetTable.from_initial(
-            {f"d{i}": e for i, e in enumerate(eps)}, decay_rate, floor, mode
-        )
+        schedule = BudgetConfig({f"d{i}": e for i, e in enumerate(eps)}, decay_rate, floor, mode)
+        budgets = dict(schedule.entries)
         for _ in range(30):
-            decayed = decay_budget(table)
-            for domain, before in table.entries.items():
-                assert min(before, floor) <= decayed.entries[domain] <= before
-            table = decayed
+            decayed = decay_budgets(schedule, budgets)
+            for domain, before in budgets.items():
+                assert min(before, floor) <= decayed[domain] <= before
+                start = schedule.entries[domain]
+                assert min(start, floor) <= decayed[domain] <= start
+            budgets = decayed
 
     def test_uniform_table(self):
-        table = BudgetTable.uniform(("a", "b"), 1.0)
-        assert table.epsilon("a") == table.epsilon("b") == 1.0
+        # A uniform schedule (one eps for every domain) keeps the domains equal in both modes.
+        for mode in ("multiplicative", "linear"):
+            schedule = BudgetConfig({"a": 1.0, "b": 1.0}, decay_mode=mode)
+            budgets = dict(schedule.entries)
+            for _ in range(12):
+                budgets = decay_budgets(schedule, budgets)
+                assert budgets["a"] == budgets["b"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BudgetTable.from_initial({"d": 0.0})
+            BudgetConfig({"d": 0.0})
         with pytest.raises(ValueError):
-            BudgetTable.from_initial({"d": 1.0}, decay_rate=1.0)
+            BudgetConfig({"d": 1.0}, decay_rate=1.0)
         with pytest.raises(ValueError):
-            BudgetTable.from_initial({"d": 1.0}, floor=0.0)
+            BudgetConfig({"d": 1.0}, floor=0.0)
         with pytest.raises(ValueError):
-            BudgetTable.from_initial({"d": 1.0}, decay_mode="bogus")
+            BudgetConfig({"d": 1.0}, decay_mode="bogus")
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [("entries", {"entries": {"d": bad}}) for bad in (NAN, INF, -INF, 0.0, -0.5)]
+        + [("floor", {"floor": bad}) for bad in (NAN, INF, -INF, 0.0, -0.5)]
+        + [("decay_rate", {"decay_rate": bad}) for bad in (NAN, INF, -0.1, 1.0)]
+        + [("decay_mode", {"decay_mode": "exponential"})],
+    )
+    def test_rejects_bad_value_by_field_name(self, field, kwargs):
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            BudgetConfig(**kwargs)
+
+    def test_entries_are_copied(self):
+        entries = {"d": 1.0}
+        schedule = BudgetConfig(entries)
+        entries["d"] = 2.0
+        assert schedule.entries == {"d": 1.0}

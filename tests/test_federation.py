@@ -1,6 +1,9 @@
 """Aggregation, the round loop, accounting, and determinism."""
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from fedmentor import federation, lora
 from fedmentor.data import DomainSpec, make_domain
-from fedmentor.dp import BudgetTable, NoiseCalibration
+from fedmentor.dp import BudgetConfig, NoiseCalibration, UnknownDomainError, decay_budgets
 from fedmentor.federation import (
     PrivacyStrategy,
     RoundError,
@@ -174,7 +177,7 @@ def build_federation(seed: int = 0, n_clients: int = 3, strategy: PrivacyStrateg
     server = ServerState(
         backbone=model,
         global_adapters=adapters0,
-        budgets=BudgetTable.from_initial(EPS),
+        schedule=BudgetConfig(EPS),
         calibration=NoiseCalibration(),
         thresholds=thresholds if thresholds is not None else {"accuracy": 0.0},
         strategy=strategy if strategy is not None else PrivacyStrategy(),
@@ -203,7 +206,7 @@ class TestRunRound:
 
         ref_adapters, ref_records = run_plain_fedavg(
             server.backbone, clients, server.global_adapters, server.rng_seed, 4,
-            budgets_echo=dict(server.budgets.entries),
+            budgets_echo=server.budgets,
         )
         assert serialize(final_server.global_adapters) == serialize(ref_adapters)
         assert metrics_csv_lines(records) == metrics_csv_lines(ref_records)
@@ -265,19 +268,9 @@ class TestRunRound:
 
     def test_unknown_domain_rejected_upfront(self):
         server, clients = build_federation(seed=11)
-        bad_budgets = BudgetTable.from_initial({"Dreaddit": 1.0})
-        server = ServerState(
-            backbone=server.backbone,
-            global_adapters=server.global_adapters,
-            budgets=bad_budgets,
-            calibration=server.calibration,
-            thresholds=server.thresholds,
-            strategy=server.strategy,
-            rng_seed=server.rng_seed,
-        )
-        from fedmentor.dp import UnknownDomainError
-
-        with pytest.raises(UnknownDomainError):
+        server = replace(server, budgets={"Dreaddit": 1.0})
+        message = "domain 'IRF' has no budget; known: ['Dreaddit']"
+        with pytest.raises(UnknownDomainError, match=re.escape(message)):
             run_round(server, clients)
 
     def test_duplicate_client_ids_rejected(self):
@@ -285,6 +278,30 @@ class TestRunRound:
         twins = [clients[0], clients[0]]
         with pytest.raises(ValueError, match="duplicate"):
             run_round(server, twins)
+
+
+class TestBudgetState:
+    def test_current_budgets_start_at_the_schedule_entries(self):
+        server, _ = build_federation(seed=14)
+        assert server.budgets == EPS
+        assert server.budgets is not server.schedule.entries
+
+    def test_a_round_decays_the_budgets_and_keeps_the_schedule(self):
+        server, clients = build_federation(seed=15)
+        new_server, record = run_round(server, clients)
+        assert new_server.schedule is server.schedule
+        assert new_server.budgets == record.budgets == decay_budgets(server.schedule, EPS)
+        assert server.budgets == EPS
+
+    def test_noise_follows_the_current_budget(self):
+        # A server whose current IRF budget differs from its schedule noises with the current one.
+        server, clients = build_federation(seed=16, n_clients=2, thresholds={"accuracy": 0.0})
+        moved = replace(server, budgets={**server.budgets, "IRF": 4.0})
+        round_1 = run_round(moved, clients)[0].global_adapters
+        # budgets=None restarts the current budgets from the new schedule's entries.
+        reference = replace(server, schedule=BudgetConfig({**EPS, "IRF": 4.0}), budgets=None)
+        assert serialize(round_1) == serialize(run_round(reference, clients)[0].global_adapters)
+        assert serialize(round_1) != serialize(run_round(server, clients)[0].global_adapters)
 
 
 class TestRunTraining:
@@ -461,6 +478,17 @@ class TestStrategies:
     def test_uniform_requires_eps(self):
         with pytest.raises(ValueError):
             PrivacyStrategy(kind="uniform")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_uniform_eps_glob_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="eps_glob"):
+            PrivacyStrategy(kind="uniform", eps_glob=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, None])
+    def test_static_sigma_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="sigma"):
+            PrivacyStrategy(kind="static_noise", sigma=bad)
+        PrivacyStrategy(kind="static_noise", sigma=0.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
