@@ -65,6 +65,14 @@ class DomainOverride:
     rotation_angle: float | None = None
     label_noise: float | None = None
 
+    def __post_init__(self):
+        for name in ("n_train", "n_val"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.label_noise is not None and not 0.0 <= self.label_noise < 0.5:
+            raise ValueError(f"label_noise must be in [0, 0.5), got {self.label_noise}")
+
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -110,7 +118,8 @@ def _load(kind, value, path: str):
     Handles dataclasses (missing keys keep their defaults), ``X | None``
     (``None`` means unset), ``tuple[X, ...]``, ``Mapping[K, V]``, and the
     scalars int/float/str. Booleans are never numbers, and a float must be
-    finite. Errors name ``path``.
+    finite (an integer too large for a float counts as not). Errors name
+    ``path``.
     """
     where = path or "config"
     if dataclasses.is_dataclass(kind):
@@ -143,9 +152,15 @@ def _load(kind, value, path: str):
             for k, v in value.items()
         }
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{where}: must be finite, got an integer too large for a float"
+            ) from None
         if not math.isfinite(value):
             raise ConfigError(f"{where}: must be finite, got {value!r}")
-        return float(value)
+        return value
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is str and isinstance(value, str):
@@ -182,6 +197,8 @@ def _validate(cfg: RunConfig) -> None:
         )
     if cfg.data.scale <= 0:
         raise ConfigError(f"data.scale: must be > 0, got {cfg.data.scale}")
+    if not 0.0 <= cfg.data.label_noise < 0.5:
+        raise ConfigError(f"data.label_noise: must be in [0, 0.5), got {cfg.data.label_noise}")
     if not cfg.data.domains:
         raise ConfigError("data.domains: expected a nonempty list of domain names")
     if len(set(cfg.data.domains)) != len(cfg.data.domains):

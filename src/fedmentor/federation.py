@@ -134,7 +134,6 @@ class ClientRoundStats:
     client_id: int
     train_loss: float
     eval_loss: float
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -274,7 +273,6 @@ def run_round(
                 client_id=client.id,
                 train_loss=stats.final_train_loss,
                 eval_loss=stats.final_eval_loss,
-                wall_time=stats.wall_time,
             )
         )
 

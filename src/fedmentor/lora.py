@@ -4,11 +4,12 @@ An adapted layer carries two trainable factors: B (d x r) and A (r x k) whose
 product B@A is the layer's delta weight. An ``AdapterSet`` holds every
 layer's factors as one flat float64 vector in wire order, so serializing,
 decoding, privatizing and averaging a client's update are each one step over
-one vector; ``factors()`` gives the per-layer matrices as views where local
-training and evaluation need them. Adapter sets are the only state that ever
-leaves a client, so this module also owns the wire format every simulated
-transmission uses: the round loop sends ``serialize`` output, works on what
-``deserialize`` gives back, and counts bytes as the lengths of those payloads.
+one vector; ``factors()``, or ``factor_views`` on any vector of that layout,
+gives the per-layer matrices as views where local training and evaluation
+need them. Adapter sets are the only state that ever leaves a client, so
+this module also owns the wire format every simulated transmission uses: the
+round loop sends ``serialize`` output, works on what ``deserialize`` gives
+back, and counts bytes as the lengths of those payloads.
 ``LayerPosition`` and ``AdapterKind`` only name a matrix's depth band and
 factor; the noise scales keyed by them live in ``dp.NoiseCalibration``.
 
@@ -39,6 +40,7 @@ __all__ = [
     "AdapterSet",
     "WireFormatError",
     "classify_layer",
+    "factor_views",
     "serialize",
     "deserialize",
     "MAGIC",
@@ -144,15 +146,7 @@ class AdapterSet:
 
     def factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Read-only ``(a, b)`` views into the vector, one pair per layer."""
-        out = []
-        start = 0
-        for r, d, k in self.shapes:
-            b = self.vec[start : start + d * r].reshape(d, r)
-            start += d * r
-            a = self.vec[start : start + r * k].reshape(r, k)
-            start += r * k
-            out.append((a, b))
-        return out
+        return factor_views(self.vec, self.shapes)
 
     def conformable_with(self, other: "AdapterSet") -> bool:
         """True when per-layer shapes match pairwise."""
@@ -162,6 +156,23 @@ class AdapterSet:
         if not isinstance(other, AdapterSet):
             return NotImplemented
         return self.shapes == other.shapes and np.array_equal(self.vec, other.vec)
+
+
+def factor_views(vec: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(a, b)`` views into a flat vector laid out like ``AdapterSet.vec``, one pair per layer.
+
+    The views share ``vec``'s memory and writability: writing through them, or
+    updating ``vec`` in place, changes both.
+    """
+    out = []
+    start = 0
+    for r, d, k in shapes:
+        b = vec[start : start + d * r].reshape(d, r)
+        start += d * r
+        a = vec[start : start + r * k].reshape(r, k)
+        start += r * k
+        out.append((a, b))
+    return out
 
 
 class WireFormatError(ValueError):

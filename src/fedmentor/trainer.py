@@ -5,14 +5,17 @@ immutable weight matrix plus a low-rank adapter pair, tanh between layers,
 and a frozen linear head producing one logit. Only adapter entries ever
 receive gradient; the backbone and head never change.
 
-Local training runs on plain arrays: ``train_local`` starts from the
-``factors()`` of the global ``AdapterSet``, read-only ``(a, b)`` views into
-its flat vector, one pair per layer; ``grad_adapters`` takes and returns such
-pairs, and each SGD step is ``a - lr * ga`` and ``b - lr * gb``. The trained
-pairs are packed into one ``AdapterSet`` vector, and checked for finiteness,
-once per client-round. Both post-training losses (train and validation
-split) then go through one ``model_view`` of the trained adapters, which
-builds the effective weights W + B@A once; the server evaluates the same way.
+Local training runs on one plain vector: ``train_local`` copies the global
+``AdapterSet``'s flat vector once, takes ``(a, b)`` views of the copy once,
+one pair per layer, and updates it in place. ``grad_adapters`` reads those
+views and returns one flat gradient in the same B-then-A-per-layer order, so
+each SGD step is ``vec -= lr * grad``: elementwise the same arithmetic as
+``a - lr * ga`` per matrix. Each epoch gathers its shuffled copy of the
+training split once, and every minibatch is a slice of it. The trained vector
+becomes one ``AdapterSet``, checked for finiteness, once per client-round.
+Both post-training losses (train and validation split) then go through one
+``model_view`` of the trained adapters, which builds the effective weights
+W + B@A once; the server evaluates the same way.
 
 tanh is used between layers (rather than ReLU) so the analytic gradients can
 be validated against central finite differences without subgradient
@@ -22,7 +25,6 @@ gradient with respect to E.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .data import Dataset
 from .linalg import Matrix, Rng, ShapeError
-from .lora import AdapterSet
+from .lora import AdapterSet, factor_views
 
 __all__ = [
     "BackboneModel",
@@ -110,7 +112,7 @@ def _check_conformable(model: BackboneModel, adapters: AdapterSet) -> None:
 
 
 def _effective_weights(model: BackboneModel, params) -> list[np.ndarray]:
-    return [w.array + b @ a for w, (a, b) in zip(model.layers, params)]
+    return [w.array + b.dot(a) for w, (a, b) in zip(model.layers, params)]
 
 
 def model_view(model: BackboneModel, adapters: AdapterSet) -> Callable[[np.ndarray], np.ndarray]:
@@ -143,12 +145,11 @@ def cross_entropy(logits: np.ndarray, labels) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without a mask:
+    # both branches share ez = e^-|z|, so neither exponent can overflow.
+    # min(z, -z) rather than -abs(z) keeps a NaN's sign bit, as exp(z) does.
+    ez = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def grad_adapters(
@@ -156,41 +157,46 @@ def grad_adapters(
     params: list[tuple[np.ndarray, np.ndarray]],
     xs: np.ndarray,
     ys: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Mean batch gradient of the loss w.r.t. every A and B entry.
+) -> np.ndarray:
+    """Mean batch gradient of the loss w.r.t. every A and B entry, as one flat vector.
 
     ``params`` holds one ``(a, b)`` array pair per backbone layer, in layer
-    order, already known to conform to the model; the result has the same
-    layout, ``(dL/dA, dL/dB)`` per layer. The backbone gradient is never
-    formed into updates.
+    order, already known to conform to the model (``train_local`` passes
+    views into its working vector). The result is laid out like
+    ``AdapterSet.vec``: per layer dL/dB then dL/dA, row-major, so a step is
+    one in-place ``vec -= lr * grad``. The backbone gradient is never formed
+    into updates.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise ValueError("grad_adapters needs a nonempty 2-D batch")
 
+    # ndarray.dot reaches the same BLAS calls as @, so the bits are the same,
+    # at less overhead per call on small matrices; the tests hold it to an
+    # @-based oracle bit for bit.
     eff = _effective_weights(model, params)
+    head = model.head.array[0]
     last = model.n_layers - 1
     acts = [xs]
     for l, e in enumerate(eff):
-        pre = acts[-1] @ e.T
+        pre = acts[-1].dot(e.T)
         acts.append(np.tanh(pre) if l < last else pre)
-    logits = acts[-1] @ model.head.array[0]
+    logits = acts[-1].dot(head)
 
-    n = xs.shape[0]
-    dlogit = (_sigmoid(logits) - ys) / n  # (n,)
-    g_act = np.outer(dlogit, model.head.array[0])  # (n, d_last)
+    dlogit = (_sigmoid(logits) - ys) / xs.shape[0]  # (n,)
+    g_act = dlogit[:, None] * head  # (n, d_last)
 
-    grads = [None] * model.n_layers
+    parts = []  # dL/dA, dL/dB per layer, last layer first
     for l in range(last, -1, -1):
         # The final layer is linear into the head; earlier ones pass tanh.
         g_z = g_act if l == last else g_act * (1.0 - acts[l + 1] ** 2)
-        g_eff = g_z.T @ acts[l]  # (d_l, d_{l-1})
+        g_eff = g_z.T.dot(acts[l])  # (d_l, d_{l-1})
         a, b = params[l]
-        grads[l] = (b.T @ g_eff, g_eff @ a.T)
+        parts += (b.T.dot(g_eff), g_eff.dot(a.T))
         if l > 0:
-            g_act = g_z @ eff[l]
-    return grads
+            g_act = g_z.dot(eff[l])
+    return np.concatenate(parts[::-1], axis=None)
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,6 @@ class TrainStats:
     final_train_loss: float
     final_eval_loss: float
     steps: int
-    wall_time: float
 
 
 def train_local(
@@ -242,29 +247,32 @@ def train_local(
     epoch derives its own shuffle stream from it, so results depend only on
     (client state, global adapters, rng identity) and never on scheduling.
     Minibatches follow the shuffled order with the last partial batch kept.
-    Only adapter weights change; the returned stats carry post-training mean
-    losses on the full train and validation splits.
+    Each epoch gathers the shuffled training split once and takes its
+    minibatches as slices. Only adapter weights change; the returned stats
+    carry post-training mean losses on the full train and validation splits.
 
     The steps never check finiteness: a client that diverges runs its
     remaining steps on NaN/Inf, and the ``ValueError`` raised when the result
     becomes an ``AdapterSet`` names the client, its domain and the phase.
     """
-    started = time.perf_counter()
     _check_conformable(client.model, global_adapters)
-    params = global_adapters.factors()
-    lr = client.learning_rate
+    vec = np.array(global_adapters.vec)  # writable; params are views into it
+    params = factor_views(vec, global_adapters.shapes)
+    lr, size = client.learning_rate, client.batch_size
     xs, ys = client.data.train_x, client.data.train_y
     n = xs.shape[0]
     steps = 0
     for epoch in range(client.local_epochs):
         order = rng.derive("epoch", epoch, "shuffle").permutation(n)
-        for start in range(0, n, client.batch_size):
-            batch = order[start : start + client.batch_size]
-            grads = grad_adapters(client.model, params, xs[batch], ys[batch])
-            params = [(a - lr * ga, b - lr * gb) for (a, b), (ga, gb) in zip(params, grads)]
+        shuffled_x, shuffled_y = xs[order], ys[order].astype(np.float64)
+        for start in range(0, n, size):
+            stop = start + size
+            vec -= lr * grad_adapters(
+                client.model, params, shuffled_x[start:stop], shuffled_y[start:stop]
+            )
             steps += 1
     try:
-        adapters = AdapterSet.from_factors(params)
+        adapters = AdapterSet(global_adapters.shapes, vec)
     except ValueError as exc:
         raise ValueError(f"client {client.id} ({client.domain}): local training: {exc}") from exc
     view = model_view(client.model, adapters)
@@ -273,6 +281,5 @@ def train_local(
         final_train_loss=float(np.mean(cross_entropy(view(xs), ys))),
         final_eval_loss=float(np.mean(cross_entropy(view(val_x), val_y))),
         steps=steps,
-        wall_time=time.perf_counter() - started,
     )
     return adapters, stats

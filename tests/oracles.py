@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: the weighted mean is
 an elementwise pure-Python sum, the forward pass materializes merged weights
-first, gradients are checked by central finite differences, privatization
+first, gradients are checked by central finite differences and bit for bit
+against a per-layer pairwise kernel with a masked sigmoid, privatization
 clips and noises one matrix at a time with one draw per matrix, the wire
 length of an adapter set is computed from its shapes rather than by encoding
 it, and the OpenBLAS thread count is read through a ctypes lookup of its own.
@@ -18,6 +19,55 @@ import numpy as np
 from fedmentor.linalg import Rng
 from fedmentor.lora import AdapterKind, AdapterSet
 from fedmentor.trainer import BackboneModel, cross_entropy, grad_adapters, model_view
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function by boolean-mask scatter.
+
+    1/(1+e^-z) where z >= 0, e^z/(1+e^z) elsewhere.
+    """
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def pairwise_grad_adapters(model: BackboneModel, params, xs, ys) -> list:
+    """Mean batch gradient as one ``(dL/dA, dL/dB)`` pair per layer.
+
+    The per-layer formulation the flat kernel must match bit for bit: each
+    layer's effective weight is W + B@A, the head gradient is an
+    ``np.outer``, and the gradients are kept as separate matrices.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    eff = [w.array + b @ a for w, (a, b) in zip(model.layers, params)]
+    last = model.n_layers - 1
+    acts = [xs]
+    for l, e in enumerate(eff):
+        pre = acts[-1] @ e.T
+        acts.append(np.tanh(pre) if l < last else pre)
+    logits = acts[-1] @ model.head.array[0]
+
+    dlogit = (masked_sigmoid(logits) - ys) / xs.shape[0]
+    g_act = np.outer(dlogit, model.head.array[0])
+
+    grads = [None] * model.n_layers
+    for l in range(last, -1, -1):
+        g_z = g_act if l == last else g_act * (1.0 - acts[l + 1] ** 2)
+        g_eff = g_z.T @ acts[l]
+        a, b = params[l]
+        grads[l] = (b.T @ g_eff, g_eff @ a.T)
+        if l > 0:
+            g_act = g_z @ eff[l]
+    return grads
+
+
+def unflatten_gradient(adapters: AdapterSet, grad: np.ndarray) -> list:
+    """A flat gradient in ``AdapterSet.vec`` order as one ``(dL/dA, dL/dB)`` pair per layer."""
+    return AdapterSet(adapters.shapes, grad).factors()
 
 
 def zero_adapters(shapes) -> AdapterSet:
@@ -135,7 +185,7 @@ def fd_gradient_check(model, adapters, xs, ys, h=1e-5, rel_tol=1e-5, abs_floor=1
     worst relative error seen.
     """
     factors = adapters.factors()
-    analytic = grad_adapters(model, factors, xs, ys)
+    analytic = unflatten_gradient(adapters, grad_adapters(model, factors, xs, ys))
     worst = 0.0
     for li, pair in enumerate(factors):
         for slot, field in enumerate(("a", "b")):

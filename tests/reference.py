@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from fedmentor import metrics as metrics_mod
 from fedmentor.federation import ClientRoundStats, RoundRecord
 from fedmentor.linalg import Rng
-from fedmentor.lora import AdapterSet, serialize
+from fedmentor.lora import AdapterSet, factor_views, serialize
 from fedmentor.trainer import (
     BackboneModel,
     ClientState,
@@ -85,7 +85,6 @@ def run_plain_fedavg(
                     client_id=client.id,
                     train_loss=stats.final_train_loss,
                     eval_loss=stats.final_eval_loss,
-                    wall_time=stats.wall_time,
                 )
             )
 
@@ -132,7 +131,8 @@ def run_centralized_sgd(
             for start in range(0, n, client.batch_size):
                 batch = order[start : start + client.batch_size]
                 params = adapters.factors()
-                grads = grad_adapters(client.model, params, xs[batch], ys[batch])
+                grad = grad_adapters(client.model, params, xs[batch], ys[batch])
+                grads = factor_views(grad, adapters.shapes)
                 adapters = AdapterSet.from_factors(
                     (a - lr * g_a, b - lr * g_b) for (a, b), (g_a, g_b) in zip(params, grads)
                 )

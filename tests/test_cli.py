@@ -171,6 +171,15 @@ class TestConfigParsing:
              "strategy.sigma: must be finite"),
             ({"data": {"scale": float("nan")}}, "data.scale: must be finite"),
             ({"data": {"label_noise": float("nan")}}, "data.label_noise: must be finite"),
+            ({"data": {"label_noise": 0.7}}, "data.label_noise: must be in [0, 0.5), got 0.7"),
+            ({"data": {"overrides": {"IRF": {"n_train": 0}}}},
+             "data.overrides.IRF: n_train must be >= 1, got 0"),
+            ({"data": {"overrides": {"IRF": {"n_val": 0}}}},
+             "data.overrides.IRF: n_val must be >= 1, got 0"),
+            ({"data": {"overrides": {"IRF": {"label_noise": 0.7}}}},
+             "data.overrides.IRF: label_noise must be in [0, 0.5), got 0.7"),
+            ({"learning_rate": int("9" * 400)},
+             "learning_rate: must be finite, got an integer too large for a float"),
         ],
     )
     def test_malformed_config_names_field(self, raw, message):
@@ -199,7 +208,7 @@ def _run_configs(draw) -> RunConfig:
         n_train=optional(st.integers(1, 100)),
         n_val=optional(st.integers(1, 20)),
         rotation_angle=optional(_floats(-3.0, 3.0)),
-        label_noise=optional(_floats(0.0, 0.5)),
+        label_noise=optional(st.floats(0.0, 0.5, exclude_max=True)),
     )))
     strategy = draw(st.one_of(
         st.builds(PrivacyStrategy, kind=st.sampled_from(["domain_aware", "off"])),
@@ -221,7 +230,7 @@ def _run_configs(draw) -> RunConfig:
         ),
         data=DataConfig(
             scale=draw(_floats(0.001, 2.0)),
-            label_noise=draw(_floats(0.0, 0.5)),
+            label_noise=draw(st.floats(0.0, 0.5, exclude_max=True)),
             domains=tuple(domains),
             overrides=overrides,
         ),

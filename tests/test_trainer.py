@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmentor.data import Dataset, DomainSpec, make_domain
 from fedmentor.linalg import Matrix, Rng, ShapeError
@@ -10,6 +12,7 @@ from fedmentor.lora import AdapterSet, serialize
 from fedmentor.trainer import (
     BackboneModel,
     ClientState,
+    _sigmoid,
     cross_entropy,
     grad_adapters,
     init_adapters,
@@ -19,9 +22,12 @@ from fedmentor.trainer import (
 from oracles import (
     backbone_checksum,
     fd_gradient_check,
+    masked_sigmoid,
     mean_loss,
     merged_forward,
+    pairwise_grad_adapters,
     randomized_adapters,
+    unflatten_gradient,
     zero_adapters,
 )
 
@@ -143,8 +149,8 @@ class TestGradients:
         params = [(np.full((1, 1), 0.5), np.full((1, 1), 0.5))]
         xs = np.ones((4, 1))
         ys = np.ones(4, dtype=np.int64)
-        grads = grad_adapters(model, params, xs, ys)
-        total = sum(float(np.abs(g_a).sum() + np.abs(g_b).sum()) for g_a, g_b in grads)
+        grad = grad_adapters(model, params, xs, ys)
+        total = float(np.abs(grad).sum())
         assert total < 1e-6
 
     def test_grad_b_is_zero_when_a_is_zero(self):
@@ -155,7 +161,7 @@ class TestGradients:
         )
         xs = Rng(11, "x").standard_normal(5, 4)
         ys = np.array([0, 1, 0, 1, 0])
-        grads = grad_adapters(model, adapters.factors(), xs, ys)
+        grads = unflatten_gradient(adapters, grad_adapters(model, adapters.factors(), xs, ys))
         for (_, b), (_, g_b) in zip(adapters.factors(), grads):
             assert g_b.shape == b.shape
             assert not g_b.any()
@@ -165,6 +171,50 @@ class TestGradients:
         adapters = init_adapters(model, 2, Rng(12))
         with pytest.raises(ValueError):
             grad_adapters(model, adapters.factors(), np.zeros((0, 4)), np.zeros(0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 7), min_size=2, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 9),
+    )
+    def test_flat_gradient_is_the_pairwise_oracle_bit_for_bit(self, dims, seed, m):
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, min(dims) + 1))
+        model = BackboneModel(
+            tuple(Matrix(rng.standard_normal((d, k))) for k, d in zip(dims, dims[1:])),
+            Matrix(rng.standard_normal((1, dims[-1]))),
+        )
+        adapters = AdapterSet.from_factors(
+            (rng.standard_normal((rank, w.cols)), rng.standard_normal((w.rows, rank)))
+            for w in model.layers
+        )
+        xs = rng.standard_normal((m, dims[0]))
+        ys = rng.integers(0, 2, m)
+        for batch_x, batch_y in ((xs, ys), (xs[:1], ys[:1])):
+            flat = grad_adapters(model, adapters.factors(), batch_x, batch_y)
+            pairs = pairwise_grad_adapters(model, adapters.factors(), batch_x, batch_y)
+            expected = np.concatenate([part.ravel() for g_a, g_b in pairs for part in (g_b, g_a)])
+            assert flat.dtype == np.float64 and flat.shape == adapters.vec.shape
+            assert flat.tobytes() == expected.tobytes()
+
+
+_SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 745.5, -745.5, 1e300, -1e300, np.nan, -np.nan]
+
+
+class TestSigmoid:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.floats(width=64)
+            | st.floats(745.0, 1e308).flatmap(lambda v: st.sampled_from([v, -v]))
+            | st.sampled_from(_SIGMOID_SPECIALS),
+            max_size=40,
+        )
+    )
+    def test_mask_free_sigmoid_is_the_masked_oracle_bit_for_bit(self, values):
+        z = np.array(_SIGMOID_SPECIALS + values, dtype=np.float64)
+        assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
 
 
 def make_client(
