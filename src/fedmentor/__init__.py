@@ -9,12 +9,12 @@ vector. ``linalg.Matrix`` types only the frozen backbone's weights.
 Submodules:
     linalg      the validated Matrix weight type and reproducible random streams
     lora        flat adapter vectors, layer classification, wire format
-    dp          Gaussian privatization, utility gate, budget decay
+    dp          the one Gaussian noise path, utility gate, budget decay
     data        synthetic domain-shifted datasets
     trainer     frozen backbone, analytic gradients on plain array pairs, local SGD
-    federation  the round loop: broadcast/train/privatize/aggregate/gate/decay
+    federation  the strategy-free round loop: broadcast/train/privatize/aggregate/gate/decay
     metrics     utility proxies and the sweep comparison table
-    config      run configuration and experiment assembly
+    config      run configuration, strategies, and experiment assembly
     cli         command-line entry point
 """
 from .linalg import Matrix, Rng

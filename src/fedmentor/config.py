@@ -5,9 +5,18 @@ the stock setup: three domains sized 0.1x their corpus sizes, budgets
 Dreaddit 2.0 / IRF 0.5 / MultiWD 1.5 with 0.1 multiplicative decay, the
 stock noise calibration, and the domain-aware strategy. The ``budgets``,
 ``calibration`` and ``strategy`` sections load straight into the runtime types
-``dp.BudgetConfig``, ``dp.NoiseCalibration`` and ``federation.PrivacyStrategy``,
-which hold their own defaults and validation. The server starts each domain's
-current budget at its ``budgets`` entry and decays it round by round.
+``dp.BudgetConfig``, ``dp.NoiseCalibration`` and ``PrivacyStrategy`` (defined
+here), which hold their own defaults and validation.
+
+``build_experiment`` resolves the strategy into the server's decay schedule,
+noise calibration and gate thresholds, so the round loop never sees it:
+
+    domain_aware       the config's budgets, calibration and thresholds
+    uniform            every domain's eps starts at eps_glob
+    utility_threshold  every metric's threshold is tau
+    static_noise       sigma at every position, both kind multipliers 1.0, every
+                       eps 1.0 at decay rate 0, no thresholds, no clip_norm
+    off                static_noise with sigma 0: plain FedAvg
 
 Validation errors raise :class:`ConfigError` naming the offending field. No
 float may be NaN or infinite, wherever it sits in the config.
@@ -27,7 +36,7 @@ import yaml
 
 from .data import DEFAULT_ROTATIONS, DomainSpec, default_federation_specs, make_domain
 from .dp import DEFAULT_BUDGETS, BudgetConfig, NoiseCalibration
-from .federation import PrivacyStrategy, ServerState
+from .federation import ServerState
 from .linalg import Rng
 from .metrics import METRIC_NAMES
 from .trainer import BackboneModel, ClientState, init_adapters
@@ -37,6 +46,8 @@ __all__ = [
     "ModelConfig",
     "DomainOverride",
     "DataConfig",
+    "STRATEGY_KINDS",
+    "PrivacyStrategy",
     "BudgetConfig",
     "RunConfig",
     "Experiment",
@@ -80,6 +91,37 @@ class DataConfig:
     label_noise: float = 0.0
     domains: tuple[str, ...] = tuple(sorted(DEFAULT_BUDGETS))
     overrides: Mapping[str, DomainOverride] = field(default_factory=dict)
+
+
+STRATEGY_KINDS = ("domain_aware", "uniform", "static_noise", "utility_threshold", "off")
+
+
+@dataclass(frozen=True)
+class PrivacyStrategy:
+    """Which privatization variant a run uses; ``build_experiment`` maps it."""
+
+    kind: str = "domain_aware"
+    eps_glob: float | None = None
+    sigma: float | None = None
+    tau: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in STRATEGY_KINDS:
+            raise ValueError(f"unknown strategy {self.kind!r}; expected one of {STRATEGY_KINDS}")
+        # An unset value reads as NaN, which fails the comparisons as a NaN value does.
+        eps_glob = math.nan if self.eps_glob is None else self.eps_glob
+        if self.kind == "uniform" and not 0 < eps_glob < math.inf:
+            raise ValueError(f"uniform strategy requires eps_glob > 0, finite; got {self.eps_glob}")
+        sigma = math.nan if self.sigma is None else self.sigma
+        if self.kind == "static_noise" and not 0 <= sigma < math.inf:
+            raise ValueError(f"static_noise strategy requires sigma >= 0, finite; got {self.sigma}")
+        if self.kind == "utility_threshold" and self.tau is None:
+            raise ValueError("utility_threshold strategy requires tau")
+
+    @property
+    def per_domain(self) -> bool:
+        """True when noise follows the per-domain budgets of the config."""
+        return self.kind in ("domain_aware", "utility_threshold")
 
 
 @dataclass(frozen=True)
@@ -216,6 +258,10 @@ def _validate(cfg: RunConfig) -> None:
                 f"budgets.entries: missing budgets for domains {missing} "
                 f"required by strategy {cfg.strategy.kind!r}"
             )
+    if cfg.strategy.kind in ("static_noise", "off") and cfg.calibration.clip_norm is not None:
+        raise ConfigError(
+            f"calibration.clip_norm: strategy {cfg.strategy.kind!r} clips nothing"
+        )
 
 
 def load_config(path) -> RunConfig:
@@ -313,22 +359,24 @@ def build_experiment(cfg: RunConfig) -> Experiment:
         for i, spec in enumerate(specs)
     )
 
-    schedule = cfg.budgets
-    if cfg.strategy.kind == "uniform":
-        schedule = replace(schedule, entries={d: cfg.strategy.eps_glob for d in cfg.data.domains})
-
-    if cfg.strategy.kind == "utility_threshold":
-        thresholds = {m: cfg.strategy.tau for m in METRIC_NAMES}
-    else:
-        thresholds = dict(cfg.thresholds)
+    strategy = cfg.strategy
+    schedule, calibration, thresholds = cfg.budgets, cfg.calibration, cfg.thresholds
+    if strategy.kind == "uniform":
+        schedule = replace(schedule, entries={d: strategy.eps_glob for d in cfg.data.domains})
+    elif strategy.kind == "utility_threshold":
+        thresholds = {m: strategy.tau for m in METRIC_NAMES}
+    elif strategy.kind in ("static_noise", "off"):
+        sigma = strategy.sigma if strategy.kind == "static_noise" else 0.0
+        calibration = NoiseCalibration(sigma, sigma, sigma, multiplier_a=1.0, multiplier_b=1.0)
+        schedule = BudgetConfig({d: 1.0 for d in cfg.data.domains}, decay_rate=0.0)
+        thresholds = {}
 
     server = ServerState(
         backbone=backbone,
         global_adapters=adapters0,
         schedule=schedule,
-        calibration=cfg.calibration,
+        calibration=calibration,
         thresholds=thresholds,
-        strategy=cfg.strategy,
         round_index=0,
         rng_seed=cfg.seed,
     )

@@ -19,6 +19,9 @@ factor whenever any utility proxy drops below its threshold, and each
 domain's current eps, which ``decay_budgets`` shrinks every round so privacy
 tightens over time.
 
+This is the only noise path and it never sees a strategy: ``config`` turns
+each strategy into a calibration and budgets (no noise is sigma 0).
+
 No clipping bound is enforced by default and no delta-dependent sigma rule
 exists, so the (eps, delta) labels are nominal: this module implements the
 stated mechanism literally rather than a formally accounted one. An optional
@@ -44,7 +47,6 @@ __all__ = [
     "DEFAULT_BUDGETS",
     "noise_std",
     "privatize",
-    "privatize_static",
     "apply_utility_gate",
     "decay_budgets",
 ]
@@ -136,32 +138,6 @@ def noise_std(
     return base * kind_mult * scale_multiplier / eps
 
 
-def _noised(adapters: AdapterSet, stds, clip_norm: float | None, rng: Rng) -> AdapterSet:
-    """Clip each matrix to ``clip_norm``, then add noise of its std from ``stds``.
-
-    ``stds`` holds one std per matrix in vector order (B then A per layer).
-    One draw covers the entries whose std is nonzero, in vector order, which
-    equals drawing matrix by matrix; an entry with std 0 keeps its bits, as
-    adding 0.0 would turn -0.0 into +0.0.
-    """
-    vec = np.array(adapters.vec)
-    sizes = adapters.segment_sizes
-    if clip_norm is not None:
-        start = 0
-        for size in sizes:
-            segment = vec[start : start + size]
-            norm = float(np.sqrt(np.sum(segment * segment)))
-            if norm > clip_norm:
-                segment *= clip_norm / norm
-            start += size
-    std = np.repeat(stds, sizes)
-    noisy = std != 0.0
-    count = int(np.count_nonzero(noisy))
-    if count:
-        vec[noisy] += std[noisy] * rng.standard_normal(count)
-    return AdapterSet(adapters.shapes, vec)
-
-
 def privatize(
     adapters: AdapterSet,
     eps: float,
@@ -174,10 +150,10 @@ def privatize(
     Noise std per matrix follows :func:`noise_std` with the layer position
     from :func:`classify_layer` and the budget ``eps``. With
     ``cal.clip_norm`` set, each matrix is first scaled down to that Frobenius
-    norm if it exceeds it. The input is never modified; with
-    ``scale_multiplier == 0`` (and no clipping) the output equals the input
-    exactly. Noise is drawn in vector order, B before A per layer, so a fixed
-    rng stream gives a fixed result.
+    norm if it exceeds it. The input is never modified; a matrix whose std is
+    0 (with no clipping) comes out exactly as it went in. Noise is drawn in
+    vector order, B before A per layer, so a fixed rng stream gives a fixed
+    result.
     """
     n_layers = len(adapters.shapes)
     stds = []
@@ -187,14 +163,25 @@ def privatize(
             noise_std(position, kind, eps, cal, scale_multiplier)
             for kind in (AdapterKind.B, AdapterKind.A)
         ]
-    return _noised(adapters, stds, cal.clip_norm, rng)
-
-
-def privatize_static(adapters: AdapterSet, sigma: float, rng: Rng) -> AdapterSet:
-    """Fixed-std variant: the same sigma for every parameter, no eps division."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return _noised(adapters, [sigma] * len(adapters.segment_sizes), None, rng)
+    vec = np.array(adapters.vec)
+    sizes = adapters.segment_sizes
+    if cal.clip_norm is not None:
+        start = 0
+        for size in sizes:
+            segment = vec[start : start + size]
+            norm = float(np.sqrt(np.sum(segment * segment)))
+            if norm > cal.clip_norm:
+                segment *= cal.clip_norm / norm
+            start += size
+    # One draw covers the entries whose std is nonzero, in vector order, which
+    # equals drawing matrix by matrix; an entry with std 0 keeps its bits, as
+    # adding 0.0 would turn -0.0 into +0.0.
+    std = np.repeat(stds, sizes)
+    noisy = std != 0.0
+    count = int(np.count_nonzero(noisy))
+    if count:
+        vec[noisy] += std[noisy] * rng.standard_normal(count)
+    return AdapterSet(adapters.shapes, vec)
 
 
 def apply_utility_gate(

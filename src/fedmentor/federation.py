@@ -12,13 +12,15 @@ per recipient). Aggregation always consumes results sorted by client id, so
 client declaration order cannot change a single bit of the outcome.
 
 The gate's multiplier and each domain's current budget are round state in
-``ServerState``; the decay schedule is the config's ``budgets`` section,
-``dp.BudgetConfig``, which does not change during a run.
+``ServerState``; the decay schedule, a ``dp.BudgetConfig``, does not change
+during a run. The round loop has no strategy branch:
+``config.build_experiment`` turns the run's privacy strategy into the
+starting state's calibration, schedule and thresholds, so every round
+privatizes every upload with ``dp.privatize`` and runs the gate and the decay.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
 
@@ -30,15 +32,12 @@ from .dp import (
     apply_utility_gate,
     decay_budgets,
     privatize,
-    privatize_static,
 )
 from .linalg import Rng, ShapeError, single_blas_thread
 from .lora import AdapterSet, WireFormatError, deserialize, serialize
 from .trainer import BackboneModel, ClientState, model_view, train_local
 
 __all__ = [
-    "PrivacyStrategy",
-    "STRATEGY_KINDS",
     "ServerState",
     "ClientRoundStats",
     "RoundRecord",
@@ -55,51 +54,9 @@ __all__ = [
 
 BYTES_PER_MB = 1024 * 1024
 
-STRATEGY_KINDS = ("domain_aware", "uniform", "static_noise", "utility_threshold", "off")
-
 
 def bytes_to_mb(n_bytes: int) -> float:
     return n_bytes / BYTES_PER_MB
-
-
-@dataclass(frozen=True)
-class PrivacyStrategy:
-    """Which privatization variant a run uses.
-
-    domain_aware      per-domain budgets, utility gate, budget decay
-    uniform           same mechanics over a single global budget (eps_glob)
-    static_noise      fixed std ``sigma`` for every parameter; no adaptation
-    utility_threshold domain_aware with every threshold forced to ``tau``
-    off               no noise, no gate, no decay (plain FedAvg)
-    """
-
-    kind: str = "domain_aware"
-    eps_glob: float | None = None
-    sigma: float | None = None
-    tau: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy {self.kind!r}; expected one of {STRATEGY_KINDS}")
-        # An unset value reads as NaN, which fails the comparisons as a NaN value does.
-        eps_glob = math.nan if self.eps_glob is None else self.eps_glob
-        if self.kind == "uniform" and not 0 < eps_glob < math.inf:
-            raise ValueError(f"uniform strategy requires eps_glob > 0, finite; got {self.eps_glob}")
-        sigma = math.nan if self.sigma is None else self.sigma
-        if self.kind == "static_noise" and not 0 <= sigma < math.inf:
-            raise ValueError(f"static_noise strategy requires sigma >= 0, finite; got {self.sigma}")
-        if self.kind == "utility_threshold" and self.tau is None:
-            raise ValueError("utility_threshold strategy requires tau")
-
-    @property
-    def adaptive(self) -> bool:
-        """True when the gate and budget decay are active."""
-        return self.kind in ("domain_aware", "uniform", "utility_threshold")
-
-    @property
-    def per_domain(self) -> bool:
-        """True when noise follows the per-domain budgets of the config."""
-        return self.kind in ("domain_aware", "utility_threshold")
 
 
 @dataclass(frozen=True)
@@ -117,7 +74,6 @@ class ServerState:
     schedule: BudgetConfig
     calibration: NoiseCalibration
     thresholds: Mapping[str, float]
-    strategy: PrivacyStrategy = PrivacyStrategy()
     round_index: int = 0
     rng_seed: int = 0
     scale_multiplier: float = 1.0
@@ -198,30 +154,16 @@ def aggregate(updates: Sequence[AdapterSet], train_sizes: Sequence[int]) -> Adap
     return AdapterSet(first.shapes, acc)
 
 
-def _privatized(
-    server: ServerState, client: ClientState, update: AdapterSet, round_number: int
-) -> AdapterSet:
-    strategy = server.strategy
-    if strategy.kind == "off":
-        return update
-    rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
-    if strategy.kind == "static_noise":
-        return privatize_static(update, strategy.sigma, rng)
-    eps = server.budgets[client.domain]
-    return privatize(update, eps, server.calibration, server.scale_multiplier, rng)
-
-
 def _validate_clients(server: ServerState, clients: Sequence[ClientState]) -> list[ClientState]:
     ordered = sorted(clients, key=lambda c: c.id)
     ids = [c.id for c in ordered]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate client ids: {ids}")
-    if server.strategy.kind not in ("off", "static_noise"):
-        for c in ordered:
-            if c.domain not in server.budgets:
-                raise UnknownDomainError(
-                    f"domain {c.domain!r} has no budget; known: {sorted(server.budgets)}"
-                )
+    for c in ordered:
+        if c.domain not in server.budgets:
+            raise UnknownDomainError(
+                f"domain {c.domain!r} has no budget; known: {sorted(server.budgets)}"
+            )
     return ordered
 
 
@@ -261,7 +203,11 @@ def run_round(
     sizes = []
     upload_bytes = 0
     for client, (update, stats) in zip(responders, trained):
-        payload = serialize(_privatized(server, client, update, round_number))
+        rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
+        eps = server.budgets[client.domain]
+        payload = serialize(
+            privatize(update, eps, server.calibration, server.scale_multiplier, rng)
+        )
         upload_bytes += len(payload)
         try:
             updates.append(deserialize(payload))
@@ -281,17 +227,13 @@ def run_round(
     pool_datasets = [c.data for c in ordered]
     report = metrics_mod.evaluate(model_view(server.backbone, new_global), pool_datasets)
 
-    if server.strategy.adaptive:
-        scale_multiplier, gate_triggered = apply_utility_gate(
-            server.scale_multiplier,
-            server.calibration.gate_factor,
-            report.per_metric,
-            server.thresholds,
-        )
-        budgets = decay_budgets(server.schedule, server.budgets)
-    else:
-        scale_multiplier, gate_triggered = server.scale_multiplier, False
-        budgets = server.budgets
+    scale_multiplier, gate_triggered = apply_utility_gate(
+        server.scale_multiplier,
+        server.calibration.gate_factor,
+        report.per_metric,
+        server.thresholds,
+    )
+    budgets = decay_budgets(server.schedule, server.budgets)
 
     record = RoundRecord(
         round=round_number,

@@ -12,12 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedmentor.config import RunConfig, build_experiment, config_from_dict
+from fedmentor.config import PrivacyStrategy, RunConfig, build_experiment, config_from_dict
 from fedmentor.data import Dataset
 from fedmentor.dp import NoiseCalibration, noise_std, privatize
 from fedmentor.federation import (
     BYTES_PER_MB,
-    PrivacyStrategy,
     aggregate,
     bytes_to_mb,
     run_training,

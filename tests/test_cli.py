@@ -26,13 +26,14 @@ from fedmentor.config import (
     DataConfig,
     DomainOverride,
     ModelConfig,
+    PrivacyStrategy,
     RunConfig,
     build_experiment,
     config_from_dict,
     load_config,
 )
 from fedmentor.dp import NoiseCalibration
-from fedmentor.federation import PrivacyStrategy, metrics_csv_lines, run_training
+from fedmentor.federation import metrics_csv_lines, run_training
 from fedmentor.lora import serialize
 from fedmentor.metrics import METRIC_NAMES
 from reference import run_plain_fedavg
@@ -180,6 +181,11 @@ class TestConfigParsing:
              "data.overrides.IRF: label_noise must be in [0, 0.5), got 0.7"),
             ({"learning_rate": int("9" * 400)},
              "learning_rate: must be finite, got an integer too large for a float"),
+            ({"strategy": {"kind": "off"}, "calibration": {"clip_norm": 0.05}},
+             "calibration.clip_norm: strategy 'off' clips nothing"),
+            ({"strategy": {"kind": "static_noise", "sigma": 0.008},
+              "calibration": {"clip_norm": 0.05}},
+             "calibration.clip_norm: strategy 'static_noise' clips nothing"),
         ],
     )
     def test_malformed_config_names_field(self, raw, message):
@@ -249,7 +255,9 @@ def _run_configs(draw) -> RunConfig:
             multiplier_b=draw(_floats(0.0, 2.0)),
             gate_factor=draw(_floats(0.01, 0.99)),
             nominal_delta=draw(_floats(0.0, 1e-3)),
-            clip_norm=draw(optional(_floats(0.01, 10.0))),
+            # static_noise and off clip nothing, so they reject a clip norm.
+            clip_norm=None if strategy.kind in ("static_noise", "off")
+            else draw(optional(_floats(0.01, 10.0))),
         ),
         thresholds=draw(st.dictionaries(st.sampled_from(METRIC_NAMES), _floats(-2.0, 2.0))),
         output_dir=draw(st.text(max_size=10)),
@@ -299,6 +307,41 @@ class TestBuildExperiment:
         cfg = config_from_dict({"strategy": {"kind": "utility_threshold", "tau": 0.0}})
         exp = build_experiment(cfg)
         assert exp.server.thresholds == {"accuracy": 0.0, "neg_eval_loss": 0.0}
+
+    @pytest.mark.parametrize(
+        "strategy, schedule, calibration, thresholds",
+        [
+            ({"kind": "domain_aware"}, None, None, None),
+            ({"kind": "uniform", "eps_glob": 0.9},
+             BudgetConfig({"a": 0.9, "b": 0.9}, decay_rate=0.2), None, None),
+            ({"kind": "utility_threshold", "tau": 0.3},
+             None, None, {"accuracy": 0.3, "neg_eval_loss": 0.3}),
+            ({"kind": "static_noise", "sigma": 0.01},
+             BudgetConfig({"a": 1.0, "b": 1.0}, decay_rate=0.0),
+             NoiseCalibration(0.01, 0.01, 0.01, multiplier_a=1.0, multiplier_b=1.0), {}),
+            ({"kind": "off"},
+             BudgetConfig({"a": 1.0, "b": 1.0}, decay_rate=0.0),
+             NoiseCalibration(0.0, 0.0, 0.0, multiplier_a=1.0, multiplier_b=1.0), {}),
+        ],
+        ids=["domain_aware", "uniform", "utility_threshold", "static_noise", "off"],
+    )
+    def test_strategy_becomes_the_server_noise_state(
+        self, strategy, schedule, calibration, thresholds
+    ):
+        """Each strategy's schedule, calibration and thresholds; None keeps the config's."""
+        cfg = config_from_dict({
+            "data": {"domains": ["a", "b"], "scale": 0.02},
+            "strategy": strategy,
+            "budgets": {"entries": {"a": 0.7, "b": 1.3}, "decay_rate": 0.2},
+            "calibration": {"early": 0.02, "gate_factor": 0.5},
+            "thresholds": {"accuracy": 0.6},
+        })
+        server = build_experiment(cfg).server
+        assert server.schedule == (cfg.budgets if schedule is None else schedule)
+        assert server.calibration == (cfg.calibration if calibration is None else calibration)
+        assert server.thresholds == (cfg.thresholds if thresholds is None else thresholds)
+        assert server.budgets == server.schedule.entries
+        assert server.scale_multiplier == 1.0
 
     def test_single_client_config(self):
         cfg = config_from_dict({"data": {"domains": ["Dreaddit"]}})
@@ -377,6 +420,24 @@ class TestRunCommand:
         run_dir = run_command(cfg_path, out=str(tmp_path / "out"))
         lines = (run_dir / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+
+
+    @pytest.mark.parametrize(
+        "strategy", ["{kind: 'off'}", "{kind: static_noise, sigma: 0.008}"], ids=["off", "static"]
+    )
+    def test_unadapted_strategies_write_the_eps_their_noise_divides_by(self, tmp_path, strategy):
+        cfg_path = write_config(
+            tmp_path,
+            f"rounds: 2\ndata: {{domains: [a, b], scale: 0.02}}\nstrategy: {strategy}\n",
+        )
+        run_dir = run_command(cfg_path, out=str(tmp_path / "out"))
+        header, *rows = (run_dir / "metrics.csv").read_text().strip().splitlines()
+        columns = header.split(",")
+        budget_columns = [c for c in columns if c.startswith("budget_")]
+        assert budget_columns == ["budget_a", "budget_b"]
+        for row in rows:
+            values = dict(zip(columns, row.split(",")))
+            assert [values[c] for c in budget_columns] == ["1.0", "1.0"]
 
 
 class TestSweepCommand:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmentor.config import build_experiment, config_from_dict
 from fedmentor.dp import (
     DEFAULT_BUDGETS,
     BudgetConfig,
@@ -14,7 +15,6 @@ from fedmentor.dp import (
     decay_budgets,
     noise_std,
     privatize,
-    privatize_static,
 )
 from fedmentor.linalg import Rng
 from fedmentor.lora import AdapterKind, AdapterSet, LayerPosition, classify_layer, serialize
@@ -26,6 +26,15 @@ NAN, INF = float("nan"), float("inf")
 
 def zero_set(n_layers: int, d: int, k: int, r: int) -> AdapterSet:
     return zero_adapters([(r, d, k)] * n_layers)
+
+
+def static_noise(sigma: float) -> tuple[float, NoiseCalibration, float]:
+    """The eps, calibration and gate multiplier a static_noise run starts with."""
+    cfg = config_from_dict(
+        {"data": {"scale": 0.01}, "strategy": {"kind": "static_noise", "sigma": sigma}}
+    )
+    server = build_experiment(cfg).server
+    return server.budgets["IRF"], server.calibration, server.scale_multiplier
 
 
 @st.composite
@@ -147,14 +156,14 @@ class TestPrivatize:
 
     def test_static_noise_ignores_position_and_kind(self):
         s = zero_set(3, 300, 300, 100)
-        out = privatize_static(s, 0.008, Rng(11))
+        out = privatize(s, *static_noise(0.008), Rng(11))
         for a, b in out.factors():  # early, middle, late all get the same sigma
             assert abs(a.std() - 0.008) / 0.008 < 0.02
             assert abs(b.std() - 0.008) / 0.008 < 0.02
 
     def test_static_noise_zero_sigma_identity(self):
         s = zero_set(2, 5, 5, 2)
-        assert privatize_static(s, 0.0, Rng(1)) == s
+        assert privatize(s, *static_noise(0.0), Rng(1)) == s
 
     def test_zero_std_layers_keep_their_bits(self):
         # Early layer at base scale 0: its -0.0 entries must not become +0.0.
@@ -180,7 +189,7 @@ class TestPrivatize:
     ):
         n_layers = len(s.shapes)
         if static:
-            out = privatize_static(s, eps / 100, Rng(seed, "p"))
+            out = privatize(s, *static_noise(eps / 100), Rng(seed, "p"))
             ref = reference_privatize(s, lambda li, kind: eps / 100, None, Rng(seed, "p"))
         else:
             zeroed = {} if zero_position is None else {zero_position.value: 0.0}

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmentor import federation, lora
+from fedmentor.config import PrivacyStrategy, build_experiment, config_from_dict
 from fedmentor.data import DomainSpec, make_domain
 from fedmentor.dp import BudgetConfig, NoiseCalibration, UnknownDomainError, decay_budgets
 from fedmentor.federation import (
-    PrivacyStrategy,
     RoundError,
     ServerState,
     adapters_sha256,
@@ -146,9 +146,14 @@ class TestAggregate:
             aggregate([constant_set(1.0, d=4), constant_set(1.0, d=5)], [1, 1])
 
 
-def build_federation(seed: int = 0, n_clients: int = 3, strategy: PrivacyStrategy | None = None,
+def build_federation(seed: int = 0, n_clients: int = 3, dp_off: bool = False,
                      thresholds: dict | None = None, epochs: int = 1, scale: float = 0.02):
-    """Small 3-domain federation for round-loop tests."""
+    """Small 3-domain federation for round-loop tests.
+
+    ``dp_off`` gives the server the noise state ``build_experiment`` makes for
+    strategy ``off``: sigma 0 everywhere, eps 1.0 with decay rate 0, and no
+    thresholds.
+    """
     rng = Rng(seed)
     model = BackboneModel.random(rng.derive("model"), 6, 8, 3)
     adapters0 = init_adapters(model, 2, rng.derive("adapters"))
@@ -180,17 +185,23 @@ def build_federation(seed: int = 0, n_clients: int = 3, strategy: PrivacyStrateg
         schedule=BudgetConfig(EPS),
         calibration=NoiseCalibration(),
         thresholds=thresholds if thresholds is not None else {"accuracy": 0.0},
-        strategy=strategy if strategy is not None else PrivacyStrategy(),
         round_index=0,
         rng_seed=seed,
     )
+    if dp_off:
+        server = replace(
+            server,
+            schedule=BudgetConfig({d: 1.0 for d in DOMAINS}, decay_rate=0.0),
+            calibration=NoiseCalibration(0.0, 0.0, 0.0, multiplier_a=1.0, multiplier_b=1.0),
+            thresholds={},
+            budgets=None,
+        )
     return server, clients
 
 
 class TestRunRound:
     def test_single_client_dp_off_equals_client_update(self):
-        server, clients = build_federation(seed=1, n_clients=1,
-                                           strategy=PrivacyStrategy(kind="off"))
+        server, clients = build_federation(seed=1, n_clients=1, dp_off=True)
         from fedmentor.trainer import train_local
 
         new_server, record = run_round(server, clients)
@@ -200,8 +211,7 @@ class TestRunRound:
         assert record.round == 1
 
     def test_three_clients_dp_off_matches_plain_fedavg_bitwise(self):
-        strategy = PrivacyStrategy(kind="off")
-        server, clients = build_federation(seed=2, strategy=strategy)
+        server, clients = build_federation(seed=2, dp_off=True)
         final_server, records = run_training(server, clients, 4)
 
         ref_adapters, ref_records = run_plain_fedavg(
@@ -245,8 +255,7 @@ class TestRunRound:
         assert metrics_csv_lines([rec_a]) == metrics_csv_lines([rec_b])
 
     def test_failed_client_excluded_and_weights_renormalized(self):
-        strategy = PrivacyStrategy(kind="off")
-        server, clients = build_federation(seed=9, strategy=strategy)
+        server, clients = build_federation(seed=9, dp_off=True)
         new_server, record = run_round(server, clients, {(1, clients[1].id)})
         assert {s.client_id for s in record.per_client} == {0, 2}
 
@@ -457,21 +466,24 @@ class TestRunTraining:
 
 
 class TestStrategies:
+    @staticmethod
+    def _run(seed: int, rounds: int, strategy: dict):
+        cfg = config_from_dict({
+            "seed": seed, "data": {"scale": 0.02}, "strategy": strategy,
+            "thresholds": {"accuracy": 1.1},
+        })
+        exp = build_experiment(cfg)
+        return run_training(exp.server, exp.clients, rounds)
+
     def test_static_noise_leaves_budgets_and_multiplier_alone(self):
-        strategy = PrivacyStrategy(kind="static_noise", sigma=0.008)
-        server, clients = build_federation(seed=20, strategy=strategy,
-                                           thresholds={"accuracy": 1.1})
-        _, records = run_training(server, clients, 3)
+        _, records = self._run(20, 3, {"kind": "static_noise", "sigma": 0.008})
         for record in records:
-            assert record.budgets == EPS
+            assert record.budgets == {d: 1.0 for d in DOMAINS}
             assert record.scale_multiplier == 1.0
             assert not record.gate_triggered
 
     def test_off_strategy_adds_no_noise_and_never_gates(self):
-        strategy = PrivacyStrategy(kind="off")
-        server, clients = build_federation(seed=21, strategy=strategy,
-                                           thresholds={"accuracy": 1.1})
-        _, records = run_training(server, clients, 2)
+        _, records = self._run(21, 2, {"kind": "off"})
         assert all(not r.gate_triggered for r in records)
         assert all(r.scale_multiplier == 1.0 for r in records)
 
