@@ -18,6 +18,11 @@ noise calibration and gate thresholds, so the round loop never sees it:
                        eps 1.0 at decay rate 0, no thresholds, no clip_norm
     off                static_noise with sigma 0: plain FedAvg
 
+A section the strategy replaces (``budgets.entries`` under uniform,
+``thresholds`` under utility_threshold, all three sections under static_noise
+and off) would be ignored, so setting it to anything but its default is an
+error.
+
 Validation errors raise :class:`ConfigError` naming the offending field. No
 float may be NaN or infinite, wherever it sits in the config.
 """
@@ -29,6 +34,7 @@ import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -217,6 +223,18 @@ def config_from_dict(raw: Mapping) -> RunConfig:
     return cfg
 
 
+_DEFAULTS = RunConfig()
+
+# The sections build_experiment replaces for each strategy; a value set there
+# would be silently ignored, so it is rejected instead.
+_REPLACED_SECTIONS = {
+    "uniform": ("budgets.entries",),
+    "utility_threshold": ("thresholds",),
+    "static_noise": ("budgets", "calibration", "thresholds"),
+    "off": ("budgets", "calibration", "thresholds"),
+}
+
+
 def _validate(cfg: RunConfig) -> None:
     if not 0 <= cfg.seed < 2**64:
         raise ConfigError(f"seed: must be a 64-bit unsigned integer, got {cfg.seed}")
@@ -258,10 +276,14 @@ def _validate(cfg: RunConfig) -> None:
                 f"budgets.entries: missing budgets for domains {missing} "
                 f"required by strategy {cfg.strategy.kind!r}"
             )
-    if cfg.strategy.kind in ("static_noise", "off") and cfg.calibration.clip_norm is not None:
-        raise ConfigError(
-            f"calibration.clip_norm: strategy {cfg.strategy.kind!r} clips nothing"
-        )
+    kind = cfg.strategy.kind
+    if kind in ("static_noise", "off") and cfg.calibration.clip_norm is not None:
+        raise ConfigError(f"calibration.clip_norm: strategy {kind!r} clips nothing")
+    for section in _REPLACED_SECTIONS.get(kind, ()):
+        if attrgetter(section)(cfg) != attrgetter(section)(_DEFAULTS):
+            raise ConfigError(
+                f"{section}: strategy {kind!r} replaces this section, so it must be left unset"
+            )
 
 
 def load_config(path) -> RunConfig:
@@ -291,40 +313,39 @@ class Experiment:
 
 
 def _domain_specs(cfg: RunConfig, rng: Rng) -> list[DomainSpec]:
-    specs = default_federation_specs(
-        rng, scale=cfg.data.scale, input_dim=cfg.model.input_dim, label_noise=cfg.data.label_noise
-    )
-    by_name = {s.domain: s for s in specs}
+    stock = {
+        s.domain: s
+        for s in default_federation_specs(
+            rng, scale=cfg.data.scale, input_dim=cfg.model.input_dim,
+            label_noise=cfg.data.label_noise,
+        )
+    }
     # Custom domains: the stock trio's recipe, sized like the mean, around one shared base.
     base = rng.derive("base-weights").standard_normal(1, cfg.model.input_dim)[0]
     base = base / (base**2).sum() ** 0.5
     chosen = []
     for name in cfg.data.domains:
-        if name in by_name:
-            spec = by_name[name]
-        else:
+        spec = stock.get(name)
+        if spec is None:
             jitter = rng.derive("weights", name).standard_normal(1, cfg.model.input_dim)[0]
             w = base + 0.05 * jitter
             w /= (w**2).sum() ** 0.5
-            spec = DomainSpec(
-                domain=name,
-                n_train=max(1, round(cfg.data.scale * 3452)),
-                n_val=max(1, round(0.1 * cfg.data.scale * 3452)),
-                input_dim=cfg.model.input_dim,
-                true_weights=tuple(w),
-                rotation_angle=DEFAULT_ROTATIONS.get(name, 0.0),
-                label_noise=cfg.data.label_noise,
-            )
-        ov = cfg.data.overrides.get(name)
-        if ov is not None:
-            spec = replace(
-                spec,
-                n_train=spec.n_train if ov.n_train is None else ov.n_train,
-                n_val=spec.n_val if ov.n_val is None else ov.n_val,
-                rotation_angle=spec.rotation_angle if ov.rotation_angle is None else ov.rotation_angle,
-                label_noise=spec.label_noise if ov.label_noise is None else ov.label_noise,
-            )
-        chosen.append(spec)
+            n_train = max(1, round(cfg.data.scale * 3452))
+            n_val = max(1, round(0.1 * cfg.data.scale * 3452))
+            weights, angle = w.tolist(), DEFAULT_ROTATIONS.get(name, 0.0)
+        else:
+            n_train, n_val = spec.n_train, spec.n_val
+            weights, angle = spec.true_weights, spec.rotation_angle
+        ov = cfg.data.overrides.get(name) or DomainOverride()
+        chosen.append(DomainSpec(
+            domain=name,
+            n_train=n_train if ov.n_train is None else ov.n_train,
+            n_val=n_val if ov.n_val is None else ov.n_val,
+            input_dim=cfg.model.input_dim,
+            true_weights=weights,
+            rotation_angle=angle if ov.rotation_angle is None else ov.rotation_angle,
+            label_noise=cfg.data.label_noise if ov.label_noise is None else ov.label_noise,
+        ))
     return chosen
 
 

@@ -52,7 +52,7 @@ class DomainSpec:
     label_noise: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "true_weights", tuple(float(w) for w in self.true_weights))
+        object.__setattr__(self, "true_weights", tuple(map(float, self.true_weights)))
         if self.n_train < 1 or self.n_val < 1:
             raise ValueError(
                 f"n_train and n_val must be >= 1, got {self.n_train}/{self.n_val}"
@@ -113,10 +113,11 @@ def _rotation(input_dim: int, angle: float) -> np.ndarray:
     return rot
 
 
-def _sample_split(spec: DomainSpec, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    w = np.array(spec.true_weights)
+def _sample_split(
+    spec: DomainSpec, w: np.ndarray, rotation: np.ndarray, n: int, rng: Rng
+) -> tuple[np.ndarray, np.ndarray]:
     z = rng.standard_normal(n, spec.input_dim)
-    x = z @ _rotation(spec.input_dim, spec.rotation_angle).T
+    x = z @ rotation.T
     # Labels follow the boundary in pre-rotation coordinates, i.e. the
     # effective boundary normal in feature space is the rotated w — rotating
     # the angle shifts P(y|x) while P(x) stays standard Gaussian.
@@ -129,8 +130,10 @@ def _sample_split(spec: DomainSpec, n: int, rng: Rng) -> tuple[np.ndarray, np.nd
 
 def make_domain(spec: DomainSpec, rng: Rng) -> Dataset:
     """Generate the domain's dataset; deterministic in (spec, rng stream)."""
-    train_x, train_y = _sample_split(spec, spec.n_train, rng.derive("train"))
-    val_x, val_y = _sample_split(spec, spec.n_val, rng.derive("val"))
+    w = np.array(spec.true_weights)
+    rotation = _rotation(spec.input_dim, spec.rotation_angle)
+    train_x, train_y = _sample_split(spec, w, rotation, spec.n_train, rng.derive("train"))
+    val_x, val_y = _sample_split(spec, w, rotation, spec.n_val, rng.derive("val"))
     return Dataset(spec.domain, train_x, train_y, val_x, val_y)
 
 

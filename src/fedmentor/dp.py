@@ -165,22 +165,22 @@ def privatize(
         ]
     vec = np.array(adapters.vec)
     sizes = adapters.segment_sizes
-    if cal.clip_norm is not None:
-        start = 0
-        for size in sizes:
-            segment = vec[start : start + size]
+    # One draw covers the segments whose std is nonzero, in vector order, which
+    # equals drawing matrix by matrix; a segment with std 0 keeps its bits, as
+    # adding 0.0 would turn -0.0 into +0.0.
+    count = sum(size for std, size in zip(stds, sizes) if std != 0.0)
+    noise = rng.standard_normal(count) if count else None
+    start = drawn = 0
+    for std, size in zip(stds, sizes):
+        segment = vec[start : start + size]
+        start += size
+        if cal.clip_norm is not None:
             norm = float(np.sqrt(np.sum(segment * segment)))
             if norm > cal.clip_norm:
                 segment *= cal.clip_norm / norm
-            start += size
-    # One draw covers the entries whose std is nonzero, in vector order, which
-    # equals drawing matrix by matrix; an entry with std 0 keeps its bits, as
-    # adding 0.0 would turn -0.0 into +0.0.
-    std = np.repeat(stds, sizes)
-    noisy = std != 0.0
-    count = int(np.count_nonzero(noisy))
-    if count:
-        vec[noisy] += std[noisy] * rng.standard_normal(count)
+        if std != 0.0:
+            segment += std * noise[drawn : drawn + size]
+            drawn += size
     return AdapterSet(adapters.shapes, vec)
 
 

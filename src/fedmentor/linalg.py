@@ -11,6 +11,15 @@ numpy's PCG64 keyed through ``SeedSequence``; Gaussian samples come from
 numpy's ziggurat (``standard_normal``). Both are fixed by name here so that
 streams are bit-reproducible across platforms and runs.
 
+A stream's entropy is a tuple of 32-bit words: the seed's words, then each
+tag's, in order. An int tag is taken modulo 2**64 and a string tag is the
+little-endian int of its 8-byte BLAKE2b digest; each int is split into words
+low word first, with 0 one word. That is how ``SeedSequence`` reads a list of
+ints, so the words key the same generator as ``[seed, *tag ints]`` would, and
+passing them as a uint32 array only skips numpy's per-int conversion. A
+string's words are computed once per process; ``derive`` splits only its new
+tags.
+
 ``single_blas_thread`` runs a block with numpy's bundled OpenBLAS on one
 thread. Every matmul here has at most a few hundred columns, too small to
 gain from a second thread, while an idle OpenBLAS worker spin-waits after
@@ -81,20 +90,44 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _tag_to_entropy(tag: int | str) -> int:
-    """Map a stream tag to a stable non-negative integer.
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Words of each string tag seen so far; the tags in use are a few fixed names
+# and the domain names.
+_STRING_TAG_WORDS: dict[str, tuple[int, ...]] = {}
+
+
+def _words(n: int) -> tuple[int, ...]:
+    """The 32-bit words of a non-negative int, low word first; 0 is one word."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return tuple(words)
+
+
+def _tag_words(tags: tuple) -> tuple[int, ...]:
+    """Entropy words of stream tags, in order.
 
     Strings go through BLAKE2b so the mapping never depends on Python's
     salted ``hash()``.
     """
-    if isinstance(tag, bool):
-        raise TypeError("bool is not a valid stream tag")
-    if isinstance(tag, int):
-        return tag & 0xFFFFFFFFFFFFFFFF
-    if isinstance(tag, str):
-        digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
-    raise TypeError(f"stream tags must be int or str, got {type(tag).__name__}")
+    out: tuple[int, ...] = ()
+    for tag in tags:
+        if isinstance(tag, str):
+            words = _STRING_TAG_WORDS.get(tag)
+            if words is None:
+                digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
+                words = _STRING_TAG_WORDS[tag] = _words(int.from_bytes(digest, "little"))
+        elif isinstance(tag, bool):
+            raise TypeError("bool is not a valid stream tag")
+        elif isinstance(tag, int):
+            words = _words(tag & _MASK64)
+        else:
+            raise TypeError(f"stream tags must be int or str, got {type(tag).__name__}")
+        out += words
+    return out
 
 
 class Rng:
@@ -116,13 +149,14 @@ class Rng:
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self._seed = seed
-        self._stream = tuple(stream)
-        self._entropy = [seed] + [_tag_to_entropy(t) for t in stream]
+        self._stream = stream
+        self._entropy = _words(seed) + _tag_words(stream)
         self._gen: np.random.Generator | None = None
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self._entropy)))
+            seq = np.random.SeedSequence(np.array(self._entropy, dtype=np.uint32))
+            self._gen = np.random.Generator(np.random.PCG64(seq))
         return self._gen
 
     @property
@@ -131,7 +165,12 @@ class Rng:
 
     def derive(self, *tags: int | str) -> "Rng":
         """Fresh independent stream for (seed, *this stream's tags, *tags)."""
-        return Rng(self._seed, *self._stream, *tags)
+        child = Rng.__new__(Rng)
+        child._seed = self._seed
+        child._stream = self._stream + tags
+        child._entropy = self._entropy + _tag_words(tags)
+        child._gen = None
+        return child
 
     def standard_normal(self, *shape: int) -> np.ndarray:
         return self._generator().standard_normal(shape)

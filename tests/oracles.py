@@ -6,7 +6,9 @@ first, gradients are checked by central finite differences and bit for bit
 against a per-layer pairwise kernel with a masked sigmoid, privatization
 clips and noises one matrix at a time with one draw per matrix, the wire
 length of an adapter set is computed from its shapes rather than by encoding
-it, and the OpenBLAS thread count is read through a ctypes lookup of its own.
+it, the OpenBLAS thread count is read through a ctypes lookup of its own, and
+a random stream is keyed by handing numpy's ``SeedSequence`` the plain list
+of ints rather than 32-bit words.
 """
 from __future__ import annotations
 
@@ -114,6 +116,23 @@ def openblas_threads():
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 return get, set_
     return None
+
+
+def stream_oracle(seed: int, *tags: int | str) -> np.random.Generator:
+    """The generator of the stream (seed, *tags), keyed from a list of Python ints.
+
+    ``Generator(PCG64(SeedSequence([seed, *ints])))``, where an int tag is
+    taken modulo 2**64 and a string tag is its 8-byte BLAKE2b digest read
+    little-endian.
+    """
+    ints = [seed]
+    for tag in tags:
+        if isinstance(tag, str):
+            digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
+            ints.append(int.from_bytes(digest, "little"))
+        else:
+            ints.append(tag & (2**64 - 1))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(ints)))
 
 
 def randomized_adapters(model: BackboneModel, rank: int, rng: Rng, scale: float = 0.3) -> AdapterSet:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,27 @@ class TestConfigParsing:
             ({"strategy": {"kind": "static_noise", "sigma": 0.008},
               "calibration": {"clip_norm": 0.05}},
              "calibration.clip_norm: strategy 'static_noise' clips nothing"),
+            ({"strategy": {"kind": "static_noise", "sigma": 0.008},
+              "budgets": {"decay_rate": 0.2}},
+             "budgets: strategy 'static_noise' replaces this section"),
+            ({"strategy": {"kind": "static_noise", "sigma": 0.008},
+              "calibration": {"early": 0.5}},
+             "calibration: strategy 'static_noise' replaces this section"),
+            ({"strategy": {"kind": "static_noise", "sigma": 0.008},
+              "thresholds": {"accuracy": 1.1}},
+             "thresholds: strategy 'static_noise' replaces this section"),
+            ({"strategy": {"kind": "off"}, "budgets": {"entries": {"IRF": 0.1}}},
+             "budgets: strategy 'off' replaces this section"),
+            ({"strategy": {"kind": "off"}, "calibration": {"nominal_delta": 1e-6}},
+             "calibration: strategy 'off' replaces this section"),
+            ({"strategy": {"kind": "off"}, "thresholds": {"neg_eval_loss": -1.0}},
+             "thresholds: strategy 'off' replaces this section"),
+            ({"strategy": {"kind": "utility_threshold", "tau": -1.0},
+              "thresholds": {"accuracy": 1.1}},
+             "thresholds: strategy 'utility_threshold' replaces this section"),
+            ({"strategy": {"kind": "uniform", "eps_glob": 1.0},
+              "budgets": {"entries": {"IRF": 0.5}}},
+             "budgets.entries: strategy 'uniform' replaces this section"),
         ],
     )
     def test_malformed_config_names_field(self, raw, message):
@@ -222,6 +244,30 @@ def _run_configs(draw) -> RunConfig:
         st.builds(PrivacyStrategy, kind=st.just("static_noise"), sigma=_floats(0.0, 1.0)),
         st.builds(PrivacyStrategy, kind=st.just("utility_threshold"), tau=_floats(-1.0, 1.0)),
     ))
+    budgets = BudgetConfig(
+        entries={d: draw(_floats(0.01, 5.0)) for d in domains},
+        decay_rate=draw(_floats(0.0, 0.99)),
+        floor=draw(_floats(0.001, 1.0)),
+        decay_mode=draw(st.sampled_from(["multiplicative", "linear"])),
+    )
+    calibration = NoiseCalibration(
+        early=draw(_floats(0.0, 1.0)),
+        middle=draw(_floats(0.0, 1.0)),
+        late=draw(_floats(0.0, 1.0)),
+        multiplier_a=draw(_floats(0.0, 2.0)),
+        multiplier_b=draw(_floats(0.0, 2.0)),
+        gate_factor=draw(_floats(0.01, 0.99)),
+        nominal_delta=draw(_floats(0.0, 1e-3)),
+        clip_norm=draw(optional(_floats(0.01, 10.0))),
+    )
+    thresholds = draw(st.dictionaries(st.sampled_from(METRIC_NAMES), _floats(-2.0, 2.0)))
+    # A section the strategy replaces keeps its default, as setting it is an error.
+    if strategy.kind == "uniform":
+        budgets = replace(budgets, entries=BudgetConfig().entries)
+    if strategy.kind in ("utility_threshold", "static_noise", "off"):
+        thresholds = RunConfig().thresholds
+    if strategy.kind in ("static_noise", "off"):
+        budgets, calibration = BudgetConfig(), NoiseCalibration()
     return RunConfig(
         seed=draw(st.integers(0, 2**64 - 1)),
         rounds=draw(st.integers(1, 50)),
@@ -241,27 +287,19 @@ def _run_configs(draw) -> RunConfig:
             overrides=overrides,
         ),
         strategy=strategy,
-        budgets=BudgetConfig(
-            entries={d: draw(_floats(0.01, 5.0)) for d in domains},
-            decay_rate=draw(_floats(0.0, 0.99)),
-            floor=draw(_floats(0.001, 1.0)),
-            decay_mode=draw(st.sampled_from(["multiplicative", "linear"])),
-        ),
-        calibration=NoiseCalibration(
-            early=draw(_floats(0.0, 1.0)),
-            middle=draw(_floats(0.0, 1.0)),
-            late=draw(_floats(0.0, 1.0)),
-            multiplier_a=draw(_floats(0.0, 2.0)),
-            multiplier_b=draw(_floats(0.0, 2.0)),
-            gate_factor=draw(_floats(0.01, 0.99)),
-            nominal_delta=draw(_floats(0.0, 1e-3)),
-            # static_noise and off clip nothing, so they reject a clip norm.
-            clip_norm=None if strategy.kind in ("static_noise", "off")
-            else draw(optional(_floats(0.01, 10.0))),
-        ),
-        thresholds=draw(st.dictionaries(st.sampled_from(METRIC_NAMES), _floats(-2.0, 2.0))),
+        budgets=budgets,
+        calibration=calibration,
+        thresholds=thresholds,
         output_dir=draw(st.text(max_size=10)),
     )
+
+
+# Non-default budgets, calibration and thresholds sections.
+_SECTIONS = {
+    "budgets": {"entries": {"a": 0.7, "b": 1.3}, "decay_rate": 0.2},
+    "calibration": {"early": 0.02, "gate_factor": 0.5},
+    "thresholds": {"accuracy": 0.6},
+}
 
 
 class TestBuildExperiment:
@@ -287,8 +325,7 @@ class TestBuildExperiment:
         cfg = config_from_dict({
             "data": {"domains": ["IRF", "Dreaddit"]},
             "strategy": {"kind": "uniform", "eps_glob": 0.7},
-            "budgets": {"entries": {"MultiWD": 3.0}, "decay_rate": 0.3, "floor": 0.2,
-                        "decay_mode": "linear"},
+            "budgets": {"decay_rate": 0.3, "floor": 0.2, "decay_mode": "linear"},
         })
         server = build_experiment(cfg).server
         assert server.schedule == BudgetConfig(
@@ -309,32 +346,33 @@ class TestBuildExperiment:
         assert exp.server.thresholds == {"accuracy": 0.0, "neg_eval_loss": 0.0}
 
     @pytest.mark.parametrize(
-        "strategy, schedule, calibration, thresholds",
+        "strategy, sections, schedule, calibration, thresholds",
         [
-            ({"kind": "domain_aware"}, None, None, None),
+            ({"kind": "domain_aware"}, _SECTIONS, None, None, None),
             ({"kind": "uniform", "eps_glob": 0.9},
+             {**_SECTIONS, "budgets": {"decay_rate": 0.2}},
              BudgetConfig({"a": 0.9, "b": 0.9}, decay_rate=0.2), None, None),
             ({"kind": "utility_threshold", "tau": 0.3},
+             {k: v for k, v in _SECTIONS.items() if k != "thresholds"},
              None, None, {"accuracy": 0.3, "neg_eval_loss": 0.3}),
-            ({"kind": "static_noise", "sigma": 0.01},
+            ({"kind": "static_noise", "sigma": 0.01}, {},
              BudgetConfig({"a": 1.0, "b": 1.0}, decay_rate=0.0),
              NoiseCalibration(0.01, 0.01, 0.01, multiplier_a=1.0, multiplier_b=1.0), {}),
-            ({"kind": "off"},
+            ({"kind": "off"}, {},
              BudgetConfig({"a": 1.0, "b": 1.0}, decay_rate=0.0),
              NoiseCalibration(0.0, 0.0, 0.0, multiplier_a=1.0, multiplier_b=1.0), {}),
         ],
         ids=["domain_aware", "uniform", "utility_threshold", "static_noise", "off"],
     )
     def test_strategy_becomes_the_server_noise_state(
-        self, strategy, schedule, calibration, thresholds
+        self, strategy, sections, schedule, calibration, thresholds
     ):
-        """Each strategy's schedule, calibration and thresholds; None keeps the config's."""
+        """Each strategy's schedule, calibration and thresholds; None keeps the config's.
+
+        ``sections`` sets only what the strategy reads: the rest is an error.
+        """
         cfg = config_from_dict({
-            "data": {"domains": ["a", "b"], "scale": 0.02},
-            "strategy": strategy,
-            "budgets": {"entries": {"a": 0.7, "b": 1.3}, "decay_rate": 0.2},
-            "calibration": {"early": 0.02, "gate_factor": 0.5},
-            "thresholds": {"accuracy": 0.6},
+            "data": {"domains": ["a", "b"], "scale": 0.02}, "strategy": strategy, **sections,
         })
         server = build_experiment(cfg).server
         assert server.schedule == (cfg.budgets if schedule is None else schedule)

@@ -468,10 +468,9 @@ class TestRunTraining:
 class TestStrategies:
     @staticmethod
     def _run(seed: int, rounds: int, strategy: dict):
-        cfg = config_from_dict({
-            "seed": seed, "data": {"scale": 0.02}, "strategy": strategy,
-            "thresholds": {"accuracy": 1.1},
-        })
+        # With the default accuracy threshold 0.8 the domain_aware gate fires
+        # in every round of these runs (accuracy 0.38 and 0.52).
+        cfg = config_from_dict({"seed": seed, "data": {"scale": 0.02}, "strategy": strategy})
         exp = build_experiment(cfg)
         return run_training(exp.server, exp.clients, rounds)
 

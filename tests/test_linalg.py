@@ -5,8 +5,18 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedmentor.linalg import Matrix, Rng, ShapeError
+from oracles import stream_oracle
+
+_TAGS = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([-1, -(2**64), 2**64, 2**64 + 7, 2**96 - 1]),
+    st.text(max_size=6),
+    st.sampled_from(["", "é", "日本語", "client", "round"]),
+)
 
 
 class TestMatrix:
@@ -119,3 +129,29 @@ class TestRng:
     def test_permutation_covers_range(self):
         perm = Rng(3).permutation(100)
         assert sorted(perm.tolist()) == list(range(100))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        first=st.lists(_TAGS, max_size=3),
+        chain=st.lists(st.lists(_TAGS, max_size=3), min_size=1, max_size=3),
+    )
+    @example(first=[-5, 2**64 + 3], chain=[[""], ["日本語", 2**70], ["client", -(2**63)]])
+    @example(first=[], chain=[["round", 0]])
+    def test_derived_stream_matches_the_seed_sequence_oracle(self, seed, first, chain):
+        def derived():
+            rng = Rng(seed, *first)
+            for level in chain:
+                rng = rng.derive(*level)
+            return rng
+
+        def oracle():
+            return stream_oracle(seed, *first, *(t for level in chain for t in level))
+
+        for ours, expected in (
+            (derived().standard_normal(3, 4), oracle().standard_normal((3, 4))),
+            (derived().permutation(17), oracle().permutation(17)),
+            (derived().uniform(5), oracle().random(5)),
+        ):
+            assert ours.dtype == expected.dtype
+            assert ours.tobytes() == expected.tobytes()
