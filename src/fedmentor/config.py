@@ -40,10 +40,12 @@ from typing import Mapping
 
 import yaml
 
-from .data import DEFAULT_ROTATIONS, DomainSpec, default_federation_specs, make_domain
+from .data import (
+    DEFAULT_DOMAIN_SIZES, DEFAULT_ROTATIONS, DomainSpec, default_federation_specs, make_domain,
+)
 from .dp import DEFAULT_BUDGETS, BudgetConfig, NoiseCalibration
 from .federation import ServerState
-from .linalg import Rng
+from .linalg import Rng, single_blas_thread
 from .metrics import METRIC_NAMES
 from .trainer import BackboneModel, ClientState, init_adapters
 
@@ -266,6 +268,21 @@ def _validate(cfg: RunConfig) -> None:
     for name in cfg.data.overrides:
         if name not in cfg.data.domains:
             raise ConfigError(f"data.overrides.{name}: domain not in data.domains")
+    if cfg.model.input_dim < 2:
+        # A boundary rotation acts on the plane of the first two input coordinates.
+        for name in cfg.data.domains:
+            angle = (cfg.data.overrides.get(name) or DomainOverride()).rotation_angle
+            if angle not in (None, 0.0):
+                raise ConfigError(
+                    f"data.overrides.{name}.rotation_angle: {angle} needs "
+                    f"model.input_dim >= 2, got {cfg.model.input_dim}"
+                )
+            if name in DEFAULT_DOMAIN_SIZES:
+                raise ConfigError(
+                    f"model.input_dim: stock domain {name!r} needs input_dim >= 2, got "
+                    f"{cfg.model.input_dim}; the stock domains are built together, and "
+                    f"some are rotated"
+                )
     for name in cfg.thresholds:
         if name not in METRIC_NAMES:
             raise ConfigError(f"thresholds.{name}: unknown metric; expected one of {METRIC_NAMES}")
@@ -313,13 +330,16 @@ class Experiment:
 
 
 def _domain_specs(cfg: RunConfig, rng: Rng) -> list[DomainSpec]:
-    stock = {
-        s.domain: s
-        for s in default_federation_specs(
-            rng, scale=cfg.data.scale, input_dim=cfg.model.input_dim,
-            label_noise=cfg.data.label_noise,
-        )
-    }
+    stock = {}
+    # Deriving never advances ``rng``, so skipping an unused stock trio keeps every bit.
+    if not DEFAULT_DOMAIN_SIZES.keys().isdisjoint(cfg.data.domains):
+        stock = {
+            s.domain: s
+            for s in default_federation_specs(
+                rng, scale=cfg.data.scale, input_dim=cfg.model.input_dim,
+                label_noise=cfg.data.label_noise,
+            )
+        }
     # Custom domains: the stock trio's recipe, sized like the mean, around one shared base.
     base = rng.derive("base-weights").standard_normal(1, cfg.model.input_dim)[0]
     base = base / (base**2).sum() ** 0.5
@@ -354,51 +374,57 @@ def build_experiment(cfg: RunConfig) -> Experiment:
 
     Client ids are assigned by sorted domain name, so declaration order in
     the config can never influence results.
+
+    Set-up runs with numpy's OpenBLAS on one thread, as the rounds do in
+    ``federation.run_training`` (see ``linalg.single_blas_thread``): on two
+    threads a train split's rotation gemm took about 50x longer on a 2-vCPU
+    host. The previous thread count is back when this returns or raises.
     """
-    master = Rng(cfg.seed)
-    specs = _domain_specs(cfg, master.derive("specs"))
-    specs = sorted(specs, key=lambda s: s.domain)
+    with single_blas_thread():
+        master = Rng(cfg.seed)
+        specs = _domain_specs(cfg, master.derive("specs"))
+        specs = sorted(specs, key=lambda s: s.domain)
 
-    datasets = {
-        spec.domain: make_domain(spec, master.derive("dataset", spec.domain)) for spec in specs
-    }
-    backbone = BackboneModel.random(
-        master.derive("model"), cfg.model.input_dim, cfg.model.hidden_dim, cfg.model.n_layers
-    )
-    adapters0 = init_adapters(backbone, cfg.model.rank, master.derive("adapters"))
-
-    clients = tuple(
-        ClientState(
-            id=i,
-            domain=spec.domain,
-            data=datasets[spec.domain],
-            model=backbone,
-            learning_rate=cfg.learning_rate,
-            local_epochs=cfg.local_epochs,
-            batch_size=cfg.batch_size,
+        datasets = {
+            spec.domain: make_domain(spec, master.derive("dataset", spec.domain)) for spec in specs
+        }
+        backbone = BackboneModel.random(
+            master.derive("model"), cfg.model.input_dim, cfg.model.hidden_dim, cfg.model.n_layers
         )
-        for i, spec in enumerate(specs)
-    )
+        adapters0 = init_adapters(backbone, cfg.model.rank, master.derive("adapters"))
 
-    strategy = cfg.strategy
-    schedule, calibration, thresholds = cfg.budgets, cfg.calibration, cfg.thresholds
-    if strategy.kind == "uniform":
-        schedule = replace(schedule, entries={d: strategy.eps_glob for d in cfg.data.domains})
-    elif strategy.kind == "utility_threshold":
-        thresholds = {m: strategy.tau for m in METRIC_NAMES}
-    elif strategy.kind in ("static_noise", "off"):
-        sigma = strategy.sigma if strategy.kind == "static_noise" else 0.0
-        calibration = NoiseCalibration(sigma, sigma, sigma, multiplier_a=1.0, multiplier_b=1.0)
-        schedule = BudgetConfig({d: 1.0 for d in cfg.data.domains}, decay_rate=0.0)
-        thresholds = {}
+        clients = tuple(
+            ClientState(
+                id=i,
+                domain=spec.domain,
+                data=datasets[spec.domain],
+                model=backbone,
+                learning_rate=cfg.learning_rate,
+                local_epochs=cfg.local_epochs,
+                batch_size=cfg.batch_size,
+            )
+            for i, spec in enumerate(specs)
+        )
 
-    server = ServerState(
-        backbone=backbone,
-        global_adapters=adapters0,
-        schedule=schedule,
-        calibration=calibration,
-        thresholds=thresholds,
-        round_index=0,
-        rng_seed=cfg.seed,
-    )
-    return Experiment(cfg, backbone, clients, server)
+        strategy = cfg.strategy
+        schedule, calibration, thresholds = cfg.budgets, cfg.calibration, cfg.thresholds
+        if strategy.kind == "uniform":
+            schedule = replace(schedule, entries={d: strategy.eps_glob for d in cfg.data.domains})
+        elif strategy.kind == "utility_threshold":
+            thresholds = {m: strategy.tau for m in METRIC_NAMES}
+        elif strategy.kind in ("static_noise", "off"):
+            sigma = strategy.sigma if strategy.kind == "static_noise" else 0.0
+            calibration = NoiseCalibration(sigma, sigma, sigma, multiplier_a=1.0, multiplier_b=1.0)
+            schedule = BudgetConfig({d: 1.0 for d in cfg.data.domains}, decay_rate=0.0)
+            thresholds = {}
+
+        server = ServerState(
+            backbone=backbone,
+            global_adapters=adapters0,
+            schedule=schedule,
+            calibration=calibration,
+            thresholds=thresholds,
+            round_index=0,
+            rng_seed=cfg.seed,
+        )
+        return Experiment(cfg, backbone, clients, server)

@@ -267,10 +267,12 @@ def run_training(
     server state of the rounds completed before it.
 
     The rounds run with numpy's OpenBLAS on one thread (see
-    ``linalg.single_blas_thread``): no matmul in a round is large enough to
-    gain from a second thread, whose spin-waiting roughly doubled the CPU time
-    of every benchmarked run, and one thread keeps results independent of the
-    core count. The previous thread count is back when this returns or raises.
+    ``linalg.single_blas_thread``), as set-up in ``config.build_experiment``
+    does: no matmul in a run is large enough to gain from a second thread,
+    whose spin-waiting roughly doubled the CPU time of every benchmarked run
+    and made a set-up gemm about 50x slower on a 2-vCPU host, and one thread
+    keeps results independent of the core count. The previous thread count
+    is back when this returns or raises.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")

@@ -21,14 +21,16 @@ string's words are computed once per process; ``derive`` splits only its new
 tags.
 
 ``single_blas_thread`` runs a block with numpy's bundled OpenBLAS on one
-thread. Every matmul here has at most a few hundred columns, too small to
-gain from a second thread, while an idle OpenBLAS worker spin-waits after
-each threaded call and roughly doubles the CPU time of a run. One thread
-also makes results independent of the machine's core count.
+thread; set-up and the rounds both run inside it. Every matmul here has at
+most a few hundred columns, too small to gain from a second thread, while an
+idle OpenBLAS worker spin-waits after each threaded call and roughly doubles
+the CPU time of a run. One thread also makes results independent of the
+machine's core count.
 """
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -185,8 +187,13 @@ class Rng:
         return f"Rng(seed={self._seed}, stream={self._stream!r})"
 
 
+@functools.cache
 def _openblas_thread_controls():
-    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None."""
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Looked up once per process: the glob and ``dlopen`` cost about 80 us, and
+    ``single_blas_thread`` is entered once per set-up and once per training.
+    """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
@@ -204,11 +211,14 @@ def _openblas_thread_controls():
 def single_blas_thread():
     """Run the block with numpy's bundled OpenBLAS on one thread.
 
-    The previous thread count is restored on exit, also when the block
-    raises. Where numpy bundles no OpenBLAS (another BLAS, or a build
-    linked against the system's), the block runs unchanged. The count is
-    process-wide, so the block should not overlap BLAS work on other
-    threads.
+    Both entry points of a run use it: ``config.build_experiment`` for
+    set-up and ``federation.run_training`` for the rounds. On two threads,
+    set-up's largest gemm (a train split's rotation on the ``wide_model``
+    benchmark) took about 50x longer on a 2-vCPU host. The previous thread
+    count is restored on exit, also when the block raises, so the two nest.
+    Where numpy bundles no OpenBLAS (another BLAS, or a build linked against
+    the system's), the block runs unchanged. The count is process-wide, so
+    the block should not overlap BLAS work on other threads.
     """
     controls = _openblas_thread_controls()
     if controls is None:

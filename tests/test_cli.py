@@ -33,8 +33,9 @@ from fedmentor.config import (
     config_from_dict,
     load_config,
 )
+from fedmentor.data import DEFAULT_DOMAIN_SIZES
 from fedmentor.dp import NoiseCalibration
-from fedmentor.federation import metrics_csv_lines, run_training
+from fedmentor.federation import adapters_sha256, metrics_csv_lines, run_training
 from fedmentor.lora import serialize
 from fedmentor.metrics import METRIC_NAMES
 from reference import run_plain_fedavg
@@ -208,6 +209,17 @@ class TestConfigParsing:
             ({"strategy": {"kind": "uniform", "eps_glob": 1.0},
               "budgets": {"entries": {"IRF": 0.5}}},
              "budgets.entries: strategy 'uniform' replaces this section"),
+            ({"model": {"input_dim": 1, "hidden_dim": 4, "rank": 1}},
+             "model.input_dim: stock domain 'Dreaddit' needs input_dim >= 2, got 1"),
+            ({"model": {"input_dim": 1, "rank": 1},
+              "data": {"domains": ["x", "IRF"], "overrides": {"IRF": {"rotation_angle": 0.0}}}},
+             "model.input_dim: stock domain 'IRF' needs input_dim >= 2"),
+            ({"model": {"input_dim": 1, "rank": 1},
+              "data": {"domains": ["x", "MultiWD"], "overrides": {"x": {"rotation_angle": 0.5}}}},
+             "data.overrides.x.rotation_angle: 0.5 needs model.input_dim >= 2, got 1"),
+            ({"model": {"input_dim": 1, "rank": 1},
+              "data": {"domains": ["IRF"], "overrides": {"IRF": {"rotation_angle": -0.2}}}},
+             "data.overrides.IRF.rotation_angle: -0.2 needs model.input_dim >= 2"),
         ],
     )
     def test_malformed_config_names_field(self, raw, message):
@@ -228,14 +240,20 @@ def _floats(lo: float, hi: float):
 @st.composite
 def _run_configs(draw) -> RunConfig:
     """Random RunConfigs that pass validation."""
-    domains = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
     rank = draw(st.integers(1, 4))
+    input_dim = draw(st.integers(rank, 16))
+    names = st.text(min_size=1, max_size=6)
+    angles = _floats(-3.0, 3.0)
+    if input_dim < 2:  # only unrotated custom domains
+        names = names.filter(lambda name: name not in DEFAULT_DOMAIN_SIZES)
+        angles = st.just(0.0)
+    domains = draw(st.lists(names, min_size=1, max_size=4, unique=True))
     optional = lambda values: st.none() | values  # noqa: E731
     overrides = draw(st.dictionaries(st.sampled_from(domains), st.builds(
         DomainOverride,
         n_train=optional(st.integers(1, 100)),
         n_val=optional(st.integers(1, 20)),
-        rotation_angle=optional(_floats(-3.0, 3.0)),
+        rotation_angle=optional(angles),
         label_noise=optional(st.floats(0.0, 0.5, exclude_max=True)),
     )))
     strategy = draw(st.one_of(
@@ -276,7 +294,7 @@ def _run_configs(draw) -> RunConfig:
         batch_size=draw(st.integers(1, 64)),
         model=ModelConfig(
             n_layers=draw(st.integers(1, 5)),
-            input_dim=draw(st.integers(rank, 16)),
+            input_dim=input_dim,
             hidden_dim=draw(st.integers(rank, 16)),
             rank=rank,
         ),
@@ -386,6 +404,61 @@ class TestBuildExperiment:
         exp = build_experiment(cfg)
         assert len(exp.clients) == 1
         assert exp.clients[0].domain == "Dreaddit"
+
+    def test_one_input_dim_builds_unrotated_custom_domains(self):
+        cfg = config_from_dict({
+            "model": {"input_dim": 1, "hidden_dim": 4, "rank": 1},
+            "data": {"domains": ["x", "y"], "scale": 0.02,
+                     "overrides": {"x": {"rotation_angle": 0.0}}},
+            "strategy": {"kind": "uniform", "eps_glob": 1.0},
+        })
+        exp = build_experiment(cfg)
+        assert [c.data.input_dim for c in exp.clients] == [1, 1]
+
+    def test_custom_only_config_skips_the_stock_specs(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("stock specs built for a config without stock domains")
+
+        monkeypatch.setattr(config_mod, "default_federation_specs", unused)
+        cfg = config_from_dict({
+            "rounds": 1,
+            "data": {"domains": ["a", "b"], "scale": 0.02},
+            "strategy": {"kind": "uniform", "eps_glob": 1.0},
+        })
+        exp = build_experiment(cfg)
+        server, _ = run_training(exp.server, exp.clients, cfg.rounds)
+        # Recorded while the stock specs were always built: skipping them changes no bit.
+        assert adapters_sha256(server.global_adapters) == (
+            "7be02ab237acbb7985fa0a506d400d5d2cddb88c7bb10dd8d12a82630854f2d9"
+        )
+
+    def test_set_up_runs_on_one_blas_thread(self, blas_threads, monkeypatch):
+        get, outside = blas_threads
+        seen = []
+        real_make_domain = config_mod.make_domain
+
+        def observing(*args, **kwargs):
+            seen.append(get())
+            return real_make_domain(*args, **kwargs)
+
+        monkeypatch.setattr(config_mod, "make_domain", observing)
+        build_experiment(config_from_dict({"data": {"scale": 0.02}}))
+        assert seen == [1, 1, 1]
+        assert get() == outside
+
+    def test_blas_threads_restored_when_set_up_fails(self, blas_threads, monkeypatch):
+        get, outside = blas_threads
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(get())
+            raise ValueError("injected")
+
+        monkeypatch.setattr(config_mod, "make_domain", failing)
+        with pytest.raises(ValueError, match="injected"):
+            build_experiment(config_from_dict({"data": {"scale": 0.02}}))
+        assert seen == [1]
+        assert get() == outside
 
 
 class TestRunCommand:
@@ -614,6 +687,14 @@ class TestMainExitCodes:
         assert summary["rounds_completed"] == 3
         assert "round 4" in summary["error"]
         assert "client 0 (Dreaddit)" in summary["error"]
+
+    def test_unrotatable_domain_rejected_before_run_dir(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "rounds: 1\nmodel: {input_dim: 1, hidden_dim: 4, rank: 1}\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "model.input_dim" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_override_rejected_before_run_dir(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "rounds: 1\ndata: {scale: 0.02}\n")

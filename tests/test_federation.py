@@ -32,7 +32,7 @@ from fedmentor.lora import (
     serialize,
 )
 from fedmentor.trainer import BackboneModel, ClientState, init_adapters, model_view
-from oracles import brute_force_weighted_mean, merged_forward, openblas_threads, wire_length
+from oracles import brute_force_weighted_mean, merged_forward, wire_length
 from reference import run_plain_fedavg
 
 EPS = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
@@ -361,20 +361,6 @@ class TestRunTraining:
             final.global_adapters
         )
         assert metrics_csv_lines(shuffled_records) == metrics_csv_lines(records)
-
-    @pytest.fixture
-    def blas_threads(self):
-        """OpenBLAS set to two threads for the test: yields ``(get, count outside rounds)``."""
-        controls = openblas_threads()
-        if controls is None:
-            pytest.skip("numpy bundles no OpenBLAS")
-        get, set_ = controls
-        saved = get()
-        set_(2)
-        try:
-            yield get, get()
-        finally:
-            set_(saved)
 
     def test_rounds_run_on_one_blas_thread(self, blas_threads, monkeypatch):
         get, outside = blas_threads

@@ -1,6 +1,7 @@
 """The boundary matrix type and rng streams."""
 from __future__ import annotations
 
+import ctypes
 import threading
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedmentor.linalg import Matrix, Rng, ShapeError
-from oracles import stream_oracle
+from fedmentor import linalg
+from fedmentor.linalg import Matrix, Rng, ShapeError, single_blas_thread
+from oracles import openblas_threads, stream_oracle
 
 _TAGS = st.one_of(
     st.integers(-(2**80), 2**80),
@@ -155,3 +157,31 @@ class TestRng:
         ):
             assert ours.dtype == expected.dtype
             assert ours.tobytes() == expected.tobytes()
+
+
+class TestSingleBlasThread:
+    def test_openblas_is_loaded_once_per_process(self, monkeypatch):
+        bundled = openblas_threads() is not None
+        loads = []
+        real_cdll = ctypes.CDLL
+
+        def counting(*args, **kwargs):
+            loads.append(args[0])
+            return real_cdll(*args, **kwargs)
+
+        linalg._openblas_thread_controls.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", counting)
+        with single_blas_thread():
+            pass
+        assert len(loads) == int(bundled)
+        with single_blas_thread():
+            pass
+        assert len(loads) == int(bundled)
+
+    def test_block_runs_on_one_thread_and_nests(self, blas_threads):
+        get, outside = blas_threads
+        with single_blas_thread():
+            with single_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == outside
