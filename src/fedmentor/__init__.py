@@ -13,7 +13,7 @@ Submodules:
     data        synthetic domain-shifted datasets
     trainer     frozen backbone, analytic gradients on plain array pairs, local SGD
     federation  the strategy-free round loop: broadcast/train/privatize/aggregate/gate/decay
-    metrics     utility proxies and the sweep comparison table
+    metrics     the pooled validation utilities the gate reads
     config      run configuration, strategies, and experiment assembly
     cli         command-line entry point
 """

@@ -29,7 +29,7 @@ from .federation import (
     RoundError, bytes_to_mb, run_training, write_metrics_csv, write_summary_json,
 )
 from .lora import serialize
-from .metrics import ACCURACY, write_comparison_csv
+from .metrics import ACCURACY
 
 __all__ = ["main", "run_command", "sweep_command", "report_command"]
 
@@ -73,7 +73,6 @@ def execute_run(cfg: RunConfig, run_dir: Path) -> dict:
         raise error
     final = records[-1]
     return {
-        "run_dir": str(run_dir),
         "rounds": len(records),
         "final_accuracy": final.utilities[ACCURACY],
         "total_comm_bytes": sum(r.broadcast_bytes + r.upload_bytes for r in records),
@@ -159,7 +158,10 @@ def sweep_command(config_path, domain: str, eps_values: list[float], out: str | 
                 "run_dir": run_dir.name,
             }
         )
-    write_comparison_csv(sweep_dir / "sweep.csv", rows)
+    with open(sweep_dir / "sweep.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
     print(f"{'eps':>8}  {'accuracy':>9}  {'gate':>5}  {'comm MB':>8}")
     for row in rows:

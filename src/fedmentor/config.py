@@ -321,10 +321,8 @@ def load_config(path) -> RunConfig:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Fully assembled run: frozen backbone, clients, and initial server state."""
+    """Fully assembled run: the clients and the initial server state, which holds the backbone."""
 
-    config: RunConfig
-    backbone: BackboneModel
     clients: tuple[ClientState, ...]
     server: ServerState
 
@@ -427,4 +425,4 @@ def build_experiment(cfg: RunConfig) -> Experiment:
             round_index=0,
             rng_seed=cfg.seed,
         )
-        return Experiment(cfg, backbone, clients, server)
+        return Experiment(clients, server)

@@ -71,9 +71,12 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable train/val feature-label arrays for one domain."""
+    """Train/val feature-label arrays for one domain, held as read-only copies.
 
-    domain: str
+    Each array is copied once, so the caller's arrays stay writable and no
+    later write to them, or to an array they view, reaches the dataset.
+    """
+
     train_x: np.ndarray  # (n_train, input_dim)
     train_y: np.ndarray  # (n_train,) in {0, 1}
     val_x: np.ndarray
@@ -81,8 +84,7 @@ class Dataset:
 
     def __post_init__(self):
         for name in ("train_x", "train_y", "val_x", "val_y"):
-            arr = getattr(self, name)
-            arr = np.asarray(arr)
+            arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.train_x.shape[0] != self.train_y.shape[0]:
@@ -104,20 +106,21 @@ class Dataset:
 
 
 def _rotation(input_dim: int, angle: float) -> np.ndarray:
-    """Rotation of the (0, 1) coordinate plane, identity elsewhere."""
+    """Rotation of the (0, 1) coordinate plane by ``angle``, identity elsewhere."""
     rot = np.eye(input_dim)
-    if input_dim >= 2 and angle != 0.0:
-        c, s = np.cos(angle), np.sin(angle)
-        rot[0, 0], rot[0, 1] = c, -s
-        rot[1, 0], rot[1, 1] = s, c
+    c, s = np.cos(angle), np.sin(angle)
+    rot[0, 0], rot[0, 1] = c, -s
+    rot[1, 0], rot[1, 1] = s, c
     return rot
 
 
 def _sample_split(
-    spec: DomainSpec, w: np.ndarray, rotation: np.ndarray, n: int, rng: Rng
+    spec: DomainSpec, w: np.ndarray, rotation: np.ndarray | None, n: int, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray]:
     z = rng.standard_normal(n, spec.input_dim)
-    x = z @ rotation.T
+    # An unrotated domain's features are its draws; a rotated one keeps the
+    # full gemm, whose summation order its recorded results depend on.
+    x = z if rotation is None else z @ rotation.T
     # Labels follow the boundary in pre-rotation coordinates, i.e. the
     # effective boundary normal in feature space is the rotated w — rotating
     # the angle shifts P(y|x) while P(x) stays standard Gaussian.
@@ -131,10 +134,11 @@ def _sample_split(
 def make_domain(spec: DomainSpec, rng: Rng) -> Dataset:
     """Generate the domain's dataset; deterministic in (spec, rng stream)."""
     w = np.array(spec.true_weights)
-    rotation = _rotation(spec.input_dim, spec.rotation_angle)
+    angle = spec.rotation_angle
+    rotation = _rotation(spec.input_dim, angle) if angle != 0.0 else None
     train_x, train_y = _sample_split(spec, w, rotation, spec.n_train, rng.derive("train"))
     val_x, val_y = _sample_split(spec, w, rotation, spec.n_val, rng.derive("val"))
-    return Dataset(spec.domain, train_x, train_y, val_x, val_y)
+    return Dataset(train_x, train_y, val_x, val_y)
 
 
 def default_federation_specs(

@@ -202,7 +202,7 @@ def run_round(
     updates = []
     sizes = []
     upload_bytes = 0
-    for client, (update, stats) in zip(responders, trained):
+    for client, (update, train_loss, eval_loss) in zip(responders, trained):
         rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
         eps = server.budgets[client.domain]
         payload = serialize(
@@ -214,23 +214,17 @@ def run_round(
         except WireFormatError as exc:
             raise ValueError(f"client {client.id} ({client.domain}): upload: {exc}") from exc
         sizes.append(client.data.n_train)
-        per_client.append(
-            ClientRoundStats(
-                client_id=client.id,
-                train_loss=stats.final_train_loss,
-                eval_loss=stats.final_eval_loss,
-            )
-        )
+        per_client.append(ClientRoundStats(client.id, train_loss, eval_loss))
 
     new_global = aggregate(updates, sizes)
 
     pool_datasets = [c.data for c in ordered]
-    report = metrics_mod.evaluate(model_view(server.backbone, new_global), pool_datasets)
+    utilities = metrics_mod.evaluate(model_view(server.backbone, new_global), pool_datasets)
 
     scale_multiplier, gate_triggered = apply_utility_gate(
         server.scale_multiplier,
         server.calibration.gate_factor,
-        report.per_metric,
+        utilities,
         server.thresholds,
     )
     budgets = decay_budgets(server.schedule, server.budgets)
@@ -240,7 +234,7 @@ def run_round(
         per_client=tuple(per_client),
         broadcast_bytes=broadcast_bytes,
         upload_bytes=upload_bytes,
-        utilities=report.per_metric,
+        utilities=utilities,
         gate_triggered=gate_triggered,
         scale_multiplier=scale_multiplier,
         budgets=budgets,

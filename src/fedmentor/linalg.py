@@ -161,10 +161,6 @@ class Rng:
             self._gen = np.random.Generator(np.random.PCG64(seq))
         return self._gen
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def derive(self, *tags: int | str) -> "Rng":
         """Fresh independent stream for (seed, *this stream's tags, *tags)."""
         child = Rng.__new__(Rng)

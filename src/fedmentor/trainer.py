@@ -37,7 +37,6 @@ from .lora import AdapterSet, factor_views
 __all__ = [
     "BackboneModel",
     "ClientState",
-    "TrainStats",
     "init_adapters",
     "model_view",
     "cross_entropy",
@@ -229,18 +228,11 @@ class ClientState:
             )
 
 
-@dataclass(frozen=True)
-class TrainStats:
-    final_train_loss: float
-    final_eval_loss: float
-    steps: int
-
-
 def train_local(
     client: ClientState,
     global_adapters: AdapterSet,
     rng: Rng,
-) -> tuple[AdapterSet, TrainStats]:
+) -> tuple[AdapterSet, float, float]:
     """Run the client's local epochs of minibatch SGD from the global adapters.
 
     The caller hands an rng already scoped to (run seed, client, round); each
@@ -248,8 +240,8 @@ def train_local(
     (client state, global adapters, rng identity) and never on scheduling.
     Minibatches follow the shuffled order with the last partial batch kept.
     Each epoch gathers the shuffled training split once and takes its
-    minibatches as slices. Only adapter weights change; the returned stats
-    carry post-training mean losses on the full train and validation splits.
+    minibatches as slices. Only adapter weights change. Returns the trained
+    adapters and their mean losses on the full train and validation splits.
 
     The steps never check finiteness: a client that diverges runs its
     remaining steps on NaN/Inf, and the ``ValueError`` raised when the result
@@ -261,7 +253,6 @@ def train_local(
     lr, size = client.learning_rate, client.batch_size
     xs, ys = client.data.train_x, client.data.train_y
     n = xs.shape[0]
-    steps = 0
     for epoch in range(client.local_epochs):
         order = rng.derive("epoch", epoch, "shuffle").permutation(n)
         shuffled_x, shuffled_y = xs[order], ys[order].astype(np.float64)
@@ -270,16 +261,11 @@ def train_local(
             vec -= lr * grad_adapters(
                 client.model, params, shuffled_x[start:stop], shuffled_y[start:stop]
             )
-            steps += 1
     try:
         adapters = AdapterSet(global_adapters.shapes, vec)
     except ValueError as exc:
         raise ValueError(f"client {client.id} ({client.domain}): local training: {exc}") from exc
     view = model_view(client.model, adapters)
-    val_x, val_y = client.data.val_x, client.data.val_y
-    stats = TrainStats(
-        final_train_loss=float(np.mean(cross_entropy(view(xs), ys))),
-        final_eval_loss=float(np.mean(cross_entropy(view(val_x), val_y))),
-        steps=steps,
-    )
-    return adapters, stats
+    train_loss = float(np.mean(cross_entropy(view(xs), ys)))
+    eval_loss = float(np.mean(cross_entropy(view(client.data.val_x), client.data.val_y)))
+    return adapters, train_loss, eval_loss

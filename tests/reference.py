@@ -75,21 +75,15 @@ def run_plain_fedavg(
         upload_bytes = 0
         for client in ordered:
             rng = Rng(seed).derive("client", client.id, "round", round_number)
-            update, stats = train_local(client, global_adapters, rng)
+            update, train_loss, eval_loss = train_local(client, global_adapters, rng)
             payload = serialize(update)
             upload_bytes += len(payload)
             updates.append(update)
             sizes.append(client.data.n_train)
-            per_client.append(
-                ClientRoundStats(
-                    client_id=client.id,
-                    train_loss=stats.final_train_loss,
-                    eval_loss=stats.final_eval_loss,
-                )
-            )
+            per_client.append(ClientRoundStats(client.id, train_loss, eval_loss))
 
         global_adapters = _weighted_mean(updates, sizes)
-        report = metrics_mod.evaluate(
+        utilities = metrics_mod.evaluate(
             model_view(backbone, global_adapters), [c.data for c in ordered]
         )
 
@@ -99,7 +93,7 @@ def run_plain_fedavg(
                 per_client=tuple(per_client),
                 broadcast_bytes=broadcast_bytes,
                 upload_bytes=upload_bytes,
-                utilities=report.per_metric,
+                utilities=utilities,
                 gate_triggered=False,
                 scale_multiplier=1.0,
                 budgets=dict(budgets_echo),

@@ -100,7 +100,7 @@ def test_criterion_03_dp_off_byte_equivalence(tmp_path):
     (tmp_path / "pipeline.bin").write_bytes(serialize(server.global_adapters))
 
     ref_adapters, ref_records = run_plain_fedavg(
-        exp.backbone, list(exp.clients), exp.server.global_adapters,
+        exp.server.backbone, list(exp.clients), exp.server.global_adapters,
         cfg.seed, cfg.rounds, budgets_echo=exp.server.budgets,
     )
     write_metrics_csv(ref_records, tmp_path / "reference.csv")
@@ -268,11 +268,11 @@ def test_criterion_11_fairness_machinery():
     # 50 validation points per client, all positive; the view misses the first 3, 1, 0.
     def client(misses: int) -> Dataset:
         xs = np.where(np.arange(50) < misses, -1.0, 1.0)[:, None]
-        return Dataset("d", xs, np.ones(50, dtype=np.int64), xs, np.ones(50, dtype=np.int64))
+        return Dataset(xs, np.ones(50, dtype=np.int64), xs, np.ones(50, dtype=np.int64))
 
-    utility = evaluate(lambda xs: xs[:, 0], [client(3), client(1), client(0)])
-    per_client = utility.per_client_accuracy
-    percent = 100 * np.array([per_client[i] for i in range(3)])
+    percent = 100 * np.array(
+        [evaluate(lambda xs: xs[:, 0], [client(m)])[ACCURACY] for m in (3, 1, 0)]
+    )
     assert percent.tolist() == [94.0, 98.0, 100.0]
     assert round(percent.mean(), 2) == 97.33
     assert round(percent.std(), 2) == 2.49  # population std, as 3-client tables report

@@ -501,7 +501,7 @@ class TestRunCommand:
         exp = build_experiment(cfg)
         server, records = run_training(exp.server, exp.clients, cfg.rounds)
         ref_adapters, ref_records = run_plain_fedavg(
-            exp.backbone, list(exp.clients), exp.server.global_adapters, cfg.seed,
+            exp.server.backbone, list(exp.clients), exp.server.global_adapters, cfg.seed,
             cfg.rounds, budgets_echo=exp.server.budgets,
         )
         assert serialize(server.global_adapters) == serialize(ref_adapters)
@@ -558,6 +558,22 @@ class TestSweepCommand:
         lines = (sweep_dir / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + one per eps
         assert (sweep_dir / "eps-0.1" / "adapters.bin").exists()
+
+    def test_sweep_csv_bytes_are_the_header_then_one_row_per_eps(self, tmp_path):
+        cfg_path = write_config(tmp_path, "rounds: 1\ndata: {scale: 0.02}\n")
+        sweep_dir = sweep_command(cfg_path, "IRF", [0.5, 2.0], out=str(tmp_path / "out"))
+        blob = (sweep_dir / "sweep.csv").read_bytes()
+        header = b"domain,eps,final_accuracy,gate_rounds,scale_multiplier,total_comm_bytes,run_dir\r\n"
+        assert blob.startswith(header)
+        rows = blob[len(header):].split(b"\r\n")
+        assert rows.pop() == b""  # every row, the last too, ends in \r\n
+        assert len(rows) == 2
+        for row, (eps, name) in zip(rows, [("0.5", "eps-0.5"), ("2.0", "eps-2")]):
+            fields = row.decode().split(",")
+            assert fields[:2] == ["IRF", eps] and fields[-1] == name
+            summary = json.loads((sweep_dir / name / "summary.json").read_text())
+            assert fields[2] == repr(summary["final_utilities"]["accuracy"])
+            assert int(fields[5]) == summary["total_comm_bytes"]
 
     def test_single_value_sweep_equals_plain_run(self, tmp_path):
         seed_cfg = "rounds: 2\nseed: 3\ndata: {scale: 0.02}\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fedmentor import data
 from fedmentor.data import (
     DEFAULT_DOMAIN_SIZES,
     Dataset,
@@ -12,6 +13,7 @@ from fedmentor.data import (
     make_domain,
 )
 from fedmentor.linalg import Rng
+from oracles import stream_oracle
 
 
 def simple_spec(**kwargs) -> DomainSpec:
@@ -111,6 +113,18 @@ class TestMakeDomain:
         with pytest.raises(ValueError):
             ds.train_x[0, 0] = 99.0
 
+    def test_zero_angle_features_are_the_stream_draws(self, monkeypatch):
+        # An unrotated domain builds no rotation and its features are its draws, bit for bit.
+        def no_rotation(*args):
+            raise AssertionError("a zero angle needs no rotation matrix")
+
+        monkeypatch.setattr(data, "_rotation", no_rotation)
+        ds = make_domain(simple_spec(n_train=37, n_val=13), Rng(9, "gen"))
+        train = stream_oracle(9, "gen", "train").standard_normal((37, 4))
+        val = stream_oracle(9, "gen", "val").standard_normal((13, 4))
+        assert train.tobytes() == ds.train_x.tobytes()
+        assert val.tobytes() == ds.val_x.tobytes()
+
 
 class TestDefaultFederation:
     def test_scaled_sizes(self):
@@ -150,5 +164,19 @@ class TestDefaultFederation:
 class TestCsvRoundTrip:
     def test_split_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Dataset("d", np.zeros((3, 2)), np.zeros(2, dtype=np.int64),
+            Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64),
                     np.zeros((1, 2)), np.zeros(1, dtype=np.int64))
+
+
+class TestDataset:
+    def test_caller_arrays_stay_writable(self):
+        xs, ys = np.zeros((3, 2)), np.zeros(3, dtype=np.int64)
+        Dataset(xs, ys, xs, ys)
+        assert xs.flags.writeable and ys.flags.writeable
+
+    def test_writes_through_a_view_base_do_not_reach_the_dataset(self):
+        base = np.zeros((5, 2))
+        ys = np.zeros(3, dtype=np.int64)
+        ds = Dataset(base[:3], ys, base[:3], ys)
+        base[0, 0] = 5.0
+        assert ds.train_x[0, 0] == 0.0 and ds.val_x[0, 0] == 0.0

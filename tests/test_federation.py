@@ -206,7 +206,7 @@ class TestRunRound:
 
         new_server, record = run_round(server, clients)
         rng = Rng(server.rng_seed).derive("client", clients[0].id, "round", 1)
-        expected, _ = train_local(clients[0], server.global_adapters, rng)
+        expected, _, _ = train_local(clients[0], server.global_adapters, rng)
         assert serialize(new_server.global_adapters) == serialize(expected)
         assert record.round == 1
 
@@ -265,7 +265,7 @@ class TestRunRound:
         updates = []
         for c in survivors:
             rng = Rng(server.rng_seed).derive("client", c.id, "round", 1)
-            update, _ = train_local(c, server.global_adapters, rng)
+            update, _, _ = train_local(c, server.global_adapters, rng)
             updates.append(update)
         expected = aggregate(updates, [c.data.n_train for c in survivors])
         assert serialize(new_server.global_adapters) == serialize(expected)

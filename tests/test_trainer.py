@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmentor import trainer
 from fedmentor.data import Dataset, DomainSpec, make_domain
 from fedmentor.linalg import Matrix, Rng, ShapeError
 from fedmentor.lora import AdapterSet, serialize
@@ -235,60 +236,76 @@ def make_client(
     return client, init_adapters(model, 2, rng.derive("adapters"))
 
 
-class TestTrainLocal:
-    def test_zero_epochs_is_identity(self):
-        client, adapters = make_client(1, epochs=0)
-        out, stats = train_local(client, adapters, Rng(1, "r"))
-        assert out == adapters
-        assert stats.steps == 0
+def count_steps(monkeypatch) -> list:
+    """Record every ``trainer.grad_adapters`` call, one SGD step each, in the returned list."""
+    calls = []
+    original = trainer.grad_adapters
 
-    def test_zero_learning_rate_keeps_adapters_but_reports_losses(self):
-        client, adapters = make_client(2, lr=0.0)
-        out, stats = train_local(client, adapters, Rng(2, "r"))
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(trainer, "grad_adapters", counted)
+    return calls
+
+
+class TestTrainLocal:
+    def test_zero_epochs_is_identity(self, monkeypatch):
+        steps = count_steps(monkeypatch)
+        client, adapters = make_client(1, epochs=0)
+        out, _, _ = train_local(client, adapters, Rng(1, "r"))
         assert out == adapters
-        assert stats.steps > 0
-        assert stats.final_train_loss > 0.0
-        assert stats.final_eval_loss > 0.0
+        assert len(steps) == 0
+
+    def test_zero_learning_rate_keeps_adapters_but_reports_losses(self, monkeypatch):
+        steps = count_steps(monkeypatch)
+        client, adapters = make_client(2, lr=0.0)
+        out, train_loss, eval_loss = train_local(client, adapters, Rng(2, "r"))
+        assert out == adapters
+        assert len(steps) > 0
+        assert train_loss > 0.0
+        assert eval_loss > 0.0
 
     def test_loss_improves_on_separable_domain(self):
         client, adapters = make_client(3, epochs=20)
         initial = mean_loss(
             client.model, adapters, client.data.train_x, client.data.train_y
         )
-        _, stats = train_local(client, adapters, Rng(3, "r"))
-        assert stats.final_train_loss < initial
+        _, train_loss, _ = train_local(client, adapters, Rng(3, "r"))
+        assert train_loss < initial
 
     def test_reported_losses_equal_mean_loss_bitwise(self):
         client, adapters = make_client(7, epochs=3)
-        out, stats = train_local(client, adapters, Rng(7, "r"))
+        out, train_loss, eval_loss = train_local(client, adapters, Rng(7, "r"))
         data = client.data
-        assert stats.final_train_loss == mean_loss(client.model, out, data.train_x, data.train_y)
-        assert stats.final_eval_loss == mean_loss(client.model, out, data.val_x, data.val_y)
+        assert train_loss == mean_loss(client.model, out, data.train_x, data.train_y)
+        assert eval_loss == mean_loss(client.model, out, data.val_x, data.val_y)
 
     def test_backbone_frozen_through_training(self):
         client, adapters = make_client(4, epochs=5)
         before = backbone_checksum(client.model)
         for round_number in range(3):
-            adapters, _ = train_local(client, adapters, Rng(4, "round", round_number))
+            adapters, _, _ = train_local(client, adapters, Rng(4, "round", round_number))
         assert backbone_checksum(client.model) == before
 
     def test_deterministic_given_seed(self):
         client, adapters = make_client(5)
-        one, _ = train_local(client, adapters, Rng(5, "r"))
-        two, _ = train_local(client, adapters, Rng(5, "r"))
+        one, _, _ = train_local(client, adapters, Rng(5, "r"))
+        two, _, _ = train_local(client, adapters, Rng(5, "r"))
         assert serialize(one) == serialize(two)
 
     def test_different_stream_changes_result(self):
         client, adapters = make_client(6, epochs=3)
-        one, _ = train_local(client, adapters, Rng(6, "r1"))
-        two, _ = train_local(client, adapters, Rng(6, "r2"))
+        one, _, _ = train_local(client, adapters, Rng(6, "r1"))
+        two, _, _ = train_local(client, adapters, Rng(6, "r2"))
         assert serialize(one) != serialize(two)
 
-    def test_partial_last_batch_kept(self):
+    def test_partial_last_batch_kept(self, monkeypatch):
         # 40 samples, batch 8 -> 5 steps/epoch; 41 samples -> 6 steps/epoch.
+        steps = count_steps(monkeypatch)
         client, adapters = make_client(7, epochs=1, n=41)
-        _, stats = train_local(client, adapters, Rng(7, "r"))
-        assert stats.steps == 6
+        train_local(client, adapters, Rng(7, "r"))
+        assert len(steps) == 6
 
     def test_matrix_constructions_do_not_grow_with_steps(self, monkeypatch):
         # No Matrix at all, and one AdapterSet: the trained factors packed once.
@@ -302,12 +319,13 @@ class TestTrainLocal:
                 original(obj)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
+        calls = count_steps(monkeypatch)
         counts, steps = [], []
         for client, adapters in clients:
-            before = len(built)
-            _, stats = train_local(client, adapters, Rng(9, "r"))
+            before, steps_before = len(built), len(calls)
+            train_local(client, adapters, Rng(9, "r"))
             counts.append(built[before:])
-            steps.append(stats.steps)
+            steps.append(len(calls) - steps_before)
         assert steps == [5, 20]
         assert counts == [[AdapterSet], [AdapterSet]]
 
