@@ -8,8 +8,8 @@ vector. ``linalg.Matrix`` types only the frozen backbone's weights.
 
 Submodules:
     linalg      the validated Matrix weight type and reproducible random streams
-    lora        flat adapter vectors, layer classification, wire format
-    dp          the one Gaussian noise path, utility gate, budget decay
+    lora        flat adapter vectors and their wire format
+    dp          per-segment noise scales, the one Gaussian noise path, gate, decay
     data        synthetic domain-shifted datasets
     trainer     frozen backbone, analytic gradients on plain array pairs, local SGD
     federation  the strategy-free round loop: broadcast/train/privatize/aggregate/gate/decay

@@ -6,10 +6,11 @@
 
 Each run writes into its own directory named by seed and timestamp (never
 overwriting an earlier run): ``metrics.csv`` with one row per round,
-``summary.json`` with the config echo and the final adapter checksum, and
-``adapters.bin`` holding the final global adapters in wire format. A run
-whose round fails keeps ``metrics.csv`` and ``adapters.bin`` for the rounds
-it completed, if any, and its ``summary.json`` carries the error.
+``summary.json`` with the config echo (less ``output_dir``) and the final
+adapter checksum, and ``adapters.bin`` holding the final global adapters in
+wire format. A run whose round fails keeps ``metrics.csv`` and
+``adapters.bin`` for the rounds it completed, if any, and its
+``summary.json`` carries the error, which ``report`` prints.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 runtime error.
 """
@@ -66,9 +67,9 @@ def execute_run(cfg: RunConfig, run_dir: Path) -> dict:
     if records:
         write_metrics_csv(records, run_dir / "metrics.csv")
         (run_dir / "adapters.bin").write_bytes(serialize(server.global_adapters))
-    write_summary_json(
-        run_dir / "summary.json", cfg.to_dict(), server.global_adapters, records, error
-    )
+    # Where the run was written is no part of it: same runs, same summary bytes.
+    echo = {k: v for k, v in cfg.to_dict().items() if k != "output_dir"}
+    write_summary_json(run_dir / "summary.json", echo, server.global_adapters, records, error)
     if error is not None:
         raise error
     final = records[-1]
@@ -184,16 +185,21 @@ def _read_metrics(run_dir: Path) -> tuple[list[str], list[dict]]:
 
 
 def report_command(run_dir, plot_csv=None) -> None:
-    """Print the round table, budget traces, gate events, and comm totals."""
+    """Print a failed run's error, the round table, budget traces, gate events, and comm totals."""
     run_dir = Path(run_dir)
     summary_path = run_dir / "summary.json"
     if not summary_path.exists():
         raise FileNotFoundError(f"missing summary file: {summary_path}")
     summary = json.loads(summary_path.read_text())
+    print(f"run: {run_dir}")
+    if "error" in summary:
+        print(f"run failed: {summary['error']}")
+    if summary["rounds_completed"] == 0:  # only a failed run; it wrote no metrics.csv
+        print("rounds: 0")
+        return
     columns, rows = _read_metrics(run_dir)
 
     budget_cols = [c for c in columns if c.startswith("budget_")]
-    print(f"run: {run_dir}")
     print(f"rounds: {len(rows)}, final adapters sha256: {summary['final_adapters_sha256'][:16]}…")
     print()
     header = f"{'round':>5}  {'accuracy':>9}  {'neg_loss':>9}  {'gate':>4}  {'mult':>8}"

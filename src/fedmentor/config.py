@@ -31,6 +31,7 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import math
+import re
 import types
 import typing
 from dataclasses import asdict, dataclass, field, replace
@@ -303,6 +304,17 @@ def _validate(cfg: RunConfig) -> None:
             )
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML 1.1 loading that also reads YAML 1.2 floats such as ``1e-5`` and ``1E5``."""
+
+
+_Loader.add_implicit_resolver(  # YAML 1.1 wants a dot and a signed exponent
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path) -> RunConfig:
     """Parse a YAML config file; an empty file yields the stock defaults."""
     path = Path(path)
@@ -311,7 +323,7 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if raw is None:

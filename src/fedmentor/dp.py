@@ -5,19 +5,19 @@ one segment per matrix: B then A for each layer. Every entry of a segment is
 perturbed before transmission with independent Gaussian noise of standard
 deviation
 
-    sigma = base_scale(position) * kind_multiplier(kind) * scale_multiplier / eps_domain
+    sigma = noise_scales(cal, n_layers)[segment] * scale_multiplier / eps_domain
 
-where the base scale depends on layer depth (early layers get more noise),
-the kind multiplier on whether the matrix is an A or B factor, and eps is the
-transmitting domain's current privacy budget. ``NoiseCalibration`` holds the
-fixed part: the base scales, kind multipliers and gate factor, whose stock
-values are written only there. ``BudgetConfig`` holds each domain's starting
-eps and the decay schedule. The config's ``calibration`` and ``budgets``
-sections load straight into these two types. The server keeps the round
-state: ``scale_multiplier``, which the utility gate multiplies by the gate
-factor whenever any utility proxy drops below its threshold, and each
-domain's current eps, which ``decay_budgets`` shrinks every round so privacy
-tightens over time.
+where a segment's noise scale is its layer's depth-band base scale (early
+layers get more noise) times the multiplier of its factor, A or B, and eps
+is the transmitting domain's current privacy budget. ``NoiseCalibration``
+holds the fixed part: the base scales, kind multipliers and gate factor,
+whose stock values are written only there. ``BudgetConfig`` holds each
+domain's starting eps and the decay schedule. The config's ``calibration``
+and ``budgets`` sections load straight into these two types. The server
+keeps the round state: ``scale_multiplier``, which the utility gate
+multiplies by the gate factor whenever any utility proxy drops below its
+threshold, and each domain's current eps, which ``decay_budgets`` shrinks
+every round so privacy tightens over time.
 
 This is the only noise path and it never sees a strategy: ``config`` turns
 each strategy into a calibration and budgets (no noise is sigma 0).
@@ -37,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .linalg import Rng
-from .lora import AdapterKind, AdapterSet, LayerPosition, classify_layer
+from .lora import AdapterSet
 
 __all__ = [
     "DomainId",
@@ -45,7 +45,7 @@ __all__ = [
     "NoiseCalibration",
     "BudgetConfig",
     "DEFAULT_BUDGETS",
-    "noise_std",
+    "noise_scales",
     "privatize",
     "apply_utility_gate",
     "decay_budgets",
@@ -64,11 +64,13 @@ class UnknownDomainError(KeyError):
 
 @dataclass(frozen=True)
 class NoiseCalibration:
-    """Noise scales by layer position and adapter kind; the config's ``calibration``.
+    """Noise scales by layer depth and adapter kind; the config's ``calibration``.
 
-    ``early``/``middle``/``late`` are the base scales by layer depth, and
-    ``multiplier_a``/``multiplier_b`` the factors for A and B matrices.
-    ``nominal_delta`` is recorded for reporting but drives nothing.
+    ``early``/``middle``/``late`` are the base scales by depth band, and
+    ``multiplier_a``/``multiplier_b`` the factors for A and B matrices. Of L
+    layers, indices [0, ceil(L/3)) are early, [ceil(L/3), ceil(2L/3)) middle
+    and the rest late: contiguous, ordered bands. ``nominal_delta``, in
+    (0, 1), is recorded for reporting but drives nothing.
     """
 
     early: float = 0.01
@@ -89,6 +91,8 @@ class NoiseCalibration:
             raise ValueError(f"gate_factor must be in (0, 1), got {self.gate_factor}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be positive when set, got {self.clip_norm}")
+        if not 0.0 < self.nominal_delta < 1.0:  # also rejects NaN
+            raise ValueError(f"nominal_delta must be in (0, 1), got {self.nominal_delta}")
 
 
 @dataclass(frozen=True)
@@ -123,19 +127,15 @@ class BudgetConfig:
             )
 
 
-def noise_std(
-    position: LayerPosition,
-    kind: AdapterKind,
-    eps: float,
-    cal: NoiseCalibration,
-    scale_multiplier: float,
-) -> float:
-    """Effective Gaussian std for one matrix: base * kind_mult * scale_multiplier / eps."""
-    if not 0.0 < eps < math.inf:  # an infinite eps would silently drop the noise
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
-    base = getattr(cal, position.value)  # the field named after the position
-    kind_mult = cal.multiplier_a if kind is AdapterKind.A else cal.multiplier_b
-    return base * kind_mult * scale_multiplier / eps
+def noise_scales(cal: NoiseCalibration, n_layers: int) -> np.ndarray:
+    """Each segment's base scale times kind multiplier, in vector order: B then A per layer."""
+    early_end, middle_end = -(-n_layers // 3), -(-2 * n_layers // 3)  # ceil(L/3), ceil(2L/3)
+    bases = [
+        cal.early if i < early_end else cal.middle if i < middle_end else cal.late
+        for i in range(n_layers)
+    ]
+    kinds = (cal.multiplier_b, cal.multiplier_a)
+    return np.array([base * mult for base in bases for mult in kinds])
 
 
 def privatize(
@@ -147,22 +147,17 @@ def privatize(
 ) -> AdapterSet:
     """Perturb every adapter matrix with its calibrated Gaussian noise.
 
-    Noise std per matrix follows :func:`noise_std` with the layer position
-    from :func:`classify_layer` and the budget ``eps``. With
-    ``cal.clip_norm`` set, each matrix is first scaled down to that Frobenius
-    norm if it exceeds it. The input is never modified; a matrix whose std is
-    0 (with no clipping) comes out exactly as it went in. Noise is drawn in
-    vector order, B before A per layer, so a fixed rng stream gives a fixed
-    result.
+    A segment's std is its :func:`noise_scales` entry times
+    ``scale_multiplier`` over the budget ``eps``, which must be finite and
+    > 0. With ``cal.clip_norm`` set, each matrix is first scaled down to that
+    Frobenius norm if it exceeds it. The input is never modified; a matrix
+    whose std is 0 (with no clipping) comes out exactly as it went in. Noise
+    is drawn in vector order, B before A per layer, so a fixed rng stream
+    gives a fixed result.
     """
-    n_layers = len(adapters.shapes)
-    stds = []
-    for i in range(n_layers):
-        position = classify_layer(i, n_layers)
-        stds += [
-            noise_std(position, kind, eps, cal, scale_multiplier)
-            for kind in (AdapterKind.B, AdapterKind.A)
-        ]
+    if not 0.0 < eps < math.inf:  # an infinite eps would silently drop the noise
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    stds = (noise_scales(cal, len(adapters.shapes)) * scale_multiplier / eps).tolist()
     vec = np.array(adapters.vec)
     sizes = adapters.segment_sizes
     # One draw covers the segments whose std is nonzero, in vector order, which

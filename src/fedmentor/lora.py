@@ -1,4 +1,4 @@
-"""Adapter sets, layer classification, and the adapter wire format.
+"""Adapter sets and the adapter wire format.
 
 An adapted layer carries two trainable factors: B (d x r) and A (r x k) whose
 product B@A is the layer's delta weight. An ``AdapterSet`` holds every
@@ -9,9 +9,8 @@ gives the per-layer matrices as views where local training and evaluation
 need them. Adapter sets are the only state that ever leaves a client, so
 this module also owns the wire format every simulated transmission uses: the
 round loop sends ``serialize`` output, works on what ``deserialize`` gives
-back, and counts bytes as the lengths of those payloads.
-``LayerPosition`` and ``AdapterKind`` only name a matrix's depth band and
-factor; the noise scales keyed by them live in ``dp.NoiseCalibration``.
+back, and counts bytes as the lengths of those payloads. The noise scale of
+each matrix, by depth band and factor, is ``dp.noise_scales``.
 
 Wire format v1 (little-endian throughout):
 
@@ -26,7 +25,6 @@ touching the scalar payload. Round-trips are bit-exact.
 """
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 
@@ -35,11 +33,8 @@ import numpy as np
 from .linalg import ShapeError
 
 __all__ = [
-    "AdapterKind",
-    "LayerPosition",
     "AdapterSet",
     "WireFormatError",
-    "classify_layer",
     "factor_views",
     "serialize",
     "deserialize",
@@ -53,43 +48,6 @@ MAGIC = b"FMAD"
 WIRE_VERSION = 1
 FIXED_HEADER_BYTES = 12  # magic(4) + version(4) + layer_count(4)
 LAYER_HEADER_BYTES = 16  # layer_index, r, d, k as u32
-
-
-class AdapterKind(enum.Enum):
-    """Which factor of the low-rank pair a matrix is."""
-
-    A = "A"
-    B = "B"
-
-
-class LayerPosition(enum.Enum):
-    """Depth class of an adapted layer within the network."""
-
-    EARLY = "early"
-    MIDDLE = "middle"
-    LATE = "late"
-
-
-def classify_layer(layer_index: int, total_layers: int) -> LayerPosition:
-    """Partition layer indices into equal thirds: early, middle, late.
-
-    Indices in [0, ceil(L/3)) are early, [ceil(L/3), ceil(2L/3)) middle, and
-    the rest late. The partition is exact: every index maps to exactly one
-    position and the three bands are contiguous and ordered.
-    """
-    if total_layers < 1:
-        raise ValueError(f"total_layers must be >= 1, got {total_layers}")
-    if not 0 <= layer_index < total_layers:
-        raise ValueError(
-            f"layer_index {layer_index} out of range for {total_layers} layers"
-        )
-    early_end = -(-total_layers // 3)  # ceil(L/3)
-    middle_end = -(-2 * total_layers // 3)  # ceil(2L/3)
-    if layer_index < early_end:
-        return LayerPosition.EARLY
-    if layer_index < middle_end:
-        return LayerPosition.MIDDLE
-    return LayerPosition.LATE
 
 
 def _check_shape(layer: int, r: int, d: int, k: int) -> None:

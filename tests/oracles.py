@@ -4,11 +4,13 @@ These deliberately avoid the library's own code paths: the weighted mean is
 an elementwise pure-Python sum, the forward pass materializes merged weights
 first, gradients are checked by central finite differences and bit for bit
 against a per-layer pairwise kernel with a masked sigmoid, privatization
-clips and noises one matrix at a time with one draw per matrix, the wire
-length of an adapter set is computed from its shapes rather than by encoding
-it, the OpenBLAS thread count is read through a ctypes lookup of its own, and
-a random stream is keyed by handing numpy's ``SeedSequence`` the plain list
-of ints rather than 32-bit words.
+clips and noises one matrix at a time with one draw per matrix, a matrix's
+noise std comes from the calibration fields through a depth-band rule of its
+own (integer thirds, not ceilings), the wire length of an adapter set is
+computed from its shapes rather than by encoding it, the OpenBLAS thread
+count is read through a ctypes lookup of its own, and a random stream is
+keyed by handing numpy's ``SeedSequence`` the plain list of ints rather than
+32-bit words.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from fedmentor.linalg import Rng
-from fedmentor.lora import AdapterKind, AdapterSet
+from fedmentor.lora import AdapterSet
 from fedmentor.trainer import BackboneModel, cross_entropy, grad_adapters, model_view
 
 
@@ -172,18 +174,39 @@ def brute_force_weighted_mean(sets, sizes):
     return out
 
 
+def reference_band(layer_index: int, n_layers: int) -> str:
+    """The depth band of a layer: "early" in the first third, "middle" in the second.
+
+    For integers, i < ceil(L/3) exactly when 3i < L, so the bands need no
+    ceiling: early when 3i < L, middle when 3i < 2L, late otherwise.
+    """
+    if 3 * layer_index < n_layers:
+        return "early"
+    return "middle" if 3 * layer_index < 2 * n_layers else "late"
+
+
+def reference_std(cal, band: str, kind: str, eps: float, scale_multiplier: float) -> float:
+    """One matrix's noise std, read off the calibration fields by band and kind ("A"/"B").
+
+    The product runs in the documented order: base * kind multiplier *
+    scale_multiplier / eps.
+    """
+    mult = cal.multiplier_a if kind == "A" else cal.multiplier_b
+    return getattr(cal, band) * mult * scale_multiplier / eps
+
+
 def reference_privatize(adapters: AdapterSet, std_of, clip_norm, rng: Rng) -> AdapterSet:
     """Privatization one matrix at a time: per layer B, then A.
 
     Each matrix is scaled down to Frobenius norm ``clip_norm`` when that is
     set and exceeded, then gets ``std_of(layer_index, kind)`` times its own
-    rows x cols Gaussian draw; a std of 0 draws nothing and leaves the matrix
-    as it is.
+    rows x cols Gaussian draw, ``kind`` being "B" or "A"; a std of 0 draws
+    nothing and leaves the matrix as it is.
     """
     out = []
     for li, (a, b) in enumerate(adapters.factors()):
         noised = {}
-        for kind, m in ((AdapterKind.B, b), (AdapterKind.A, a)):
+        for kind, m in (("B", b), ("A", a)):
             if clip_norm is not None:
                 norm = float(np.sqrt(np.sum(m * m)))
                 if norm > clip_norm:
@@ -192,7 +215,7 @@ def reference_privatize(adapters: AdapterSet, std_of, clip_norm, rng: Rng) -> Ad
             if std != 0.0:
                 m = m + std * rng.standard_normal(*m.shape)
             noised[kind] = m
-        out.append((noised[AdapterKind.A], noised[AdapterKind.B]))
+        out.append((noised["A"], noised["B"]))
     return AdapterSet.from_factors(out)
 
 

@@ -111,6 +111,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not valid YAML"):
             load_config(write_config(tmp_path, "a: [unclosed\n"))
 
+    @pytest.mark.parametrize(
+        "literal, value", [("1e-5", 1e-5), ("1E5", 1e5), ("-2.5e-3", -2.5e-3), ("1.0e5", 1e5)]
+    )
+    def test_exponent_floats_load_as_floats(self, tmp_path, literal, value):
+        cfg = load_config(write_config(tmp_path, f"thresholds: {{accuracy: {literal}}}\n"))
+        assert cfg.thresholds["accuracy"] == value
+
+    def test_quoted_exponent_stays_a_string(self, tmp_path):
+        message = "learning_rate: expected float, got '1e-5'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write_config(tmp_path, "learning_rate: '1e-5'\n"))
+
+    def test_nominal_delta_in_exponent_notation(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "calibration: {nominal_delta: 1e-5}\n"))
+        assert cfg.calibration.nominal_delta == 1e-5
+
+    @pytest.mark.parametrize("bad", ["-0.5", "0.0", "1.0", "2.0", "1e5"])
+    def test_nominal_delta_outside_unit_interval_rejected(self, tmp_path, bad):
+        path = write_config(tmp_path, f"calibration: {{nominal_delta: {bad}}}\n")
+        message = "calibration: nominal_delta must be in (0, 1)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+
     def test_rank_must_fit_model(self, tmp_path):
         with pytest.raises(ConfigError, match="model.rank"):
             load_config(write_config(tmp_path, "model: {rank: 99}\n"))
@@ -275,7 +298,7 @@ def _run_configs(draw) -> RunConfig:
         multiplier_a=draw(_floats(0.0, 2.0)),
         multiplier_b=draw(_floats(0.0, 2.0)),
         gate_factor=draw(_floats(0.01, 0.99)),
-        nominal_delta=draw(_floats(0.0, 1e-3)),
+        nominal_delta=draw(st.floats(0.0, 1e-3, exclude_min=True)),
         clip_norm=draw(optional(_floats(0.01, 10.0))),
     )
     thresholds = draw(st.dictionaries(st.sampled_from(METRIC_NAMES), _floats(-2.0, 2.0)))
@@ -488,8 +511,8 @@ class TestRunCommand:
 
     def test_same_seed_byte_identical_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path, "rounds: 2\nseed: 5\ndata: {scale: 0.02}\n")
-        d1 = run_command(cfg_path, out=str(tmp_path / "out"))
-        d2 = run_command(cfg_path, out=str(tmp_path / "out"))
+        d1 = run_command(cfg_path, out=str(tmp_path / "o1"))
+        d2 = run_command(cfg_path, out=str(tmp_path / "o2"))
         assert (d1 / "metrics.csv").read_bytes() == (d2 / "metrics.csv").read_bytes()
         assert (d1 / "adapters.bin").read_bytes() == (d2 / "adapters.bin").read_bytes()
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
@@ -662,6 +685,38 @@ class TestReportCommand:
         assert main(["report", str(run_dir), "--plot-csv", str(plot)]) == EXIT_OK
         assert plot.exists()
         capsys.readouterr()
+
+    def test_failed_run_prints_its_error_and_completed_rounds(self, tmp_path, capsys):
+        # Client 0 (Dreaddit) diverges in round 4 at this learning rate.
+        cfg_path = write_config(
+            tmp_path, "learning_rate: 50.0\ndata:\n  overrides:\n    IRF: {n_train: 5}\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        (run_dir,) = (tmp_path / "out").iterdir()
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_OK
+        out = capsys.readouterr().out
+        error = json.loads((run_dir / "summary.json").read_text())["error"]
+        assert f"run failed: {error}\n" in out
+        assert "round 4" in error
+        assert "rounds: 3," in out
+
+    def test_run_failed_in_round_one_reports_zero_rounds(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, "learning_rate: 1.0e+12\ndata:\n  overrides:\n    IRF: {n_train: 5}\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        (run_dir,) = (tmp_path / "out").iterdir()
+        assert not (run_dir / "metrics.csv").exists()
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == EXIT_OK
+        out = capsys.readouterr().out
+        error = json.loads((run_dir / "summary.json").read_text())["error"]
+        assert "round 1" in error
+        assert out == f"run: {run_dir}\nrun failed: {error}\nrounds: 0\n"
 
     def test_missing_run_dir_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"

@@ -13,12 +13,12 @@ from fedmentor.dp import (
     NoiseCalibration,
     apply_utility_gate,
     decay_budgets,
-    noise_std,
+    noise_scales,
     privatize,
 )
 from fedmentor.linalg import Rng
-from fedmentor.lora import AdapterKind, AdapterSet, LayerPosition, classify_layer, serialize
-from oracles import reference_privatize, zero_adapters
+from fedmentor.lora import AdapterSet, serialize
+from oracles import reference_band, reference_privatize, reference_std, zero_adapters
 
 EPS = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
 NAN, INF = float("nan"), float("inf")
@@ -39,9 +39,9 @@ def static_noise(sigma: float) -> tuple[float, NoiseCalibration, float]:
 
 @st.composite
 def adapter_sets(draw) -> AdapterSet:
-    """One to four layers of random shapes; entries include -0.0 and exact zeros."""
+    """One to seven layers of random shapes; entries include -0.0 and exact zeros."""
     factors = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 7))):
         d, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
         r = draw(st.integers(1, min(d, k)))
         entries = st.sampled_from([-0.0, 0.0]) | st.floats(-3.0, 3.0, allow_subnormal=False)
@@ -52,50 +52,59 @@ def adapter_sets(draw) -> AdapterSet:
 
 
 class TestNoiseStd:
+    """A matrix's std: its ``noise_scales`` entry times the multiplier, over eps."""
+
     def test_early_a_with_strict_budget(self):
-        # 0.01 * 1.2 / 0.5
-        std = noise_std(LayerPosition.EARLY, AdapterKind.A, 0.5, NoiseCalibration(), 1.0)
-        assert std == pytest.approx(0.024, abs=1e-15)
+        # 0.01 * 1.2 / 0.5; segment 1 is layer 0's A
+        assert noise_scales(NoiseCalibration(), 3)[1] / 0.5 == pytest.approx(0.024, abs=1e-15)
 
     def test_late_b_with_loose_budget(self):
-        # 0.005 * 0.8 / 2.0
-        std = noise_std(LayerPosition.LATE, AdapterKind.B, 2.0, NoiseCalibration(), 1.0)
-        assert std == pytest.approx(0.002, abs=1e-15)
+        # 0.005 * 0.8 / 2.0; segment 4 is layer 2's B
+        assert noise_scales(NoiseCalibration(), 3)[4] / 2.0 == pytest.approx(0.002, abs=1e-15)
 
     def test_zero_multiplier_kills_noise(self):
-        for pos in LayerPosition:
-            for kind in AdapterKind:
-                assert noise_std(pos, kind, 0.7, NoiseCalibration(), 0.0) == 0.0
+        s = AdapterSet(((2, 4, 3),) * 3, Rng(3).standard_normal(42))
+        out = privatize(s, 0.7, NoiseCalibration(), 0.0, Rng(4))
+        assert serialize(out) == serialize(s)
 
     def test_nonpositive_eps_rejected(self):
         for bad in (0.0, -1.0, NAN, INF):
             with pytest.raises(ValueError, match="eps must be finite and > 0"):
-                noise_std(LayerPosition.EARLY, AdapterKind.A, bad, NoiseCalibration(), 1.0)
+                privatize(zero_set(3, 4, 4, 2), bad, NoiseCalibration(), 1.0, Rng(0))
 
     def test_strictly_decreasing_in_eps(self):
         cal = NoiseCalibration()
-        stds = [
-            noise_std(LayerPosition.MIDDLE, AdapterKind.A, e, cal, 1.0) for e in (0.25, 0.5, 1.0, 2.0)
+        noise = [
+            np.abs(privatize(zero_set(3, 4, 4, 2), e, cal, 1.0, Rng(5)).vec)
+            for e in (0.25, 0.5, 1.0, 2.0)
         ]
-        assert all(a > b for a, b in zip(stds, stds[1:]))
+        assert all((a > b).all() for a, b in zip(noise, noise[1:]))
 
     def test_std_times_eps_constant(self):
         cal = NoiseCalibration()
-        values = {
-            e: noise_std(LayerPosition.LATE, AdapterKind.A, e, cal, 1.0) * e
-            for e in (0.3, 0.9, 2.7)
-        }
-        ref = next(iter(values.values()))
-        for v in values.values():
-            assert v == pytest.approx(ref, rel=1e-12)
+        scaled = [
+            privatize(zero_set(3, 4, 4, 2), e, cal, 1.0, Rng(6)).vec * e for e in (0.3, 0.9, 2.7)
+        ]
+        for v in scaled[1:]:
+            np.testing.assert_allclose(v, scaled[0], rtol=1e-12, atol=0)
 
     def test_depth_and_kind_ordering(self):
-        cal = NoiseCalibration()
-        a = {p: noise_std(p, AdapterKind.A, 1.0, cal, 1.0) for p in LayerPosition}
-        assert a[LayerPosition.EARLY] > a[LayerPosition.MIDDLE] > a[LayerPosition.LATE]
-        for pos in LayerPosition:
-            a_std = noise_std(pos, AdapterKind.A, 1.0, cal, 1.0)
-            assert a_std > noise_std(pos, AdapterKind.B, 1.0, cal, 1.0)
+        scales = noise_scales(NoiseCalibration(), 3)
+        a, b = scales[1::2], scales[0::2]
+        assert a[0] > a[1] > a[2]
+        assert (a > b).all()
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3, 4, 5, 7, 12])
+    def test_scales_match_the_reference_bitwise(self, n_layers):
+        cal = NoiseCalibration(early=0.03, middle=0.7, late=1.1, multiplier_a=1.3, multiplier_b=0.6)
+        expected = [
+            reference_std(cal, reference_band(i, n_layers), kind, 0.9, 0.8)
+            for i in range(n_layers)
+            for kind in ("B", "A")
+        ]
+        stds = noise_scales(cal, n_layers) * 0.8 / 0.9
+        assert stds.dtype == np.float64
+        assert stds.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 class TestCalibrationValidation:
@@ -115,6 +124,12 @@ class TestCalibrationValidation:
     def test_clip_norm_must_be_positive(self):
         with pytest.raises(ValueError, match="clip_norm"):
             NoiseCalibration(clip_norm=0.0)
+
+    def test_nominal_delta_in_open_unit_interval(self):
+        for bad in (-0.5, 0.0, 1.0, 2.0, NAN, INF):
+            with pytest.raises(ValueError, match=r"^nominal_delta must be in \(0, 1\)"):
+                NoiseCalibration(nominal_delta=bad)
+        NoiseCalibration(nominal_delta=0.999)
 
 
 class TestPrivatize:
@@ -179,26 +194,26 @@ class TestPrivatize:
         s=adapter_sets(),
         eps=st.floats(0.05, 5.0),
         clip_norm=st.none() | st.floats(0.01, 5.0),
-        zero_position=st.none() | st.sampled_from(list(LayerPosition)),
+        zero_band=st.none() | st.sampled_from(["early", "middle", "late"]),
         scale_multiplier=st.sampled_from([1.0, 0.8, 0.0]),
         static=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_per_matrix_reference_bitwise_property(
-        self, s, eps, clip_norm, zero_position, scale_multiplier, static, seed
+        self, s, eps, clip_norm, zero_band, scale_multiplier, static, seed
     ):
         n_layers = len(s.shapes)
         if static:
             out = privatize(s, *static_noise(eps / 100), Rng(seed, "p"))
             ref = reference_privatize(s, lambda li, kind: eps / 100, None, Rng(seed, "p"))
         else:
-            zeroed = {} if zero_position is None else {zero_position.value: 0.0}
+            zeroed = {} if zero_band is None else {zero_band: 0.0}
             cal = NoiseCalibration(**zeroed, clip_norm=clip_norm)
             out = privatize(s, eps, cal, scale_multiplier, Rng(seed, "p"))
             ref = reference_privatize(
                 s,
-                lambda li, kind: noise_std(
-                    classify_layer(li, n_layers), kind, eps, cal, scale_multiplier
+                lambda li, kind: reference_std(
+                    cal, reference_band(li, n_layers), kind, eps, scale_multiplier
                 ),
                 clip_norm,
                 Rng(seed, "p"),

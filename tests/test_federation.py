@@ -32,7 +32,7 @@ from fedmentor.lora import (
     serialize,
 )
 from fedmentor.trainer import BackboneModel, ClientState, init_adapters, model_view
-from oracles import brute_force_weighted_mean, merged_forward, wire_length
+from oracles import brute_force_weighted_mean, merged_forward, reference_std, wire_length
 from reference import run_plain_fedavg
 
 EPS = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
@@ -436,16 +436,12 @@ class TestRunTraining:
         with pytest.raises(ValueError):
             run_training(server, clients, 0)
 
-    def test_noise_std_nondecreasing_when_gate_off(self):
-        from fedmentor.dp import noise_std
-        from fedmentor.lora import AdapterKind, LayerPosition
-
+    def test_early_a_std_nondecreasing_when_gate_off(self):
         server, clients = build_federation(seed=19, thresholds={"accuracy": 0.0})
         _, records = run_training(server, clients, 10)
         for domain in EPS:
             stds = [
-                noise_std(LayerPosition.EARLY, AdapterKind.A, r.budgets[domain],
-                          server.calibration, 1.0)
+                reference_std(server.calibration, "early", "A", r.budgets[domain], 1.0)
                 for r in records
             ]
             assert all(b >= a for a, b in zip(stds, stds[1:]))

@@ -1,4 +1,4 @@
-"""Adapter structures, layer classification, accounting, wire format."""
+"""Adapter structures, depth bands of the noise scales, accounting, wire format."""
 from __future__ import annotations
 
 import struct
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmentor.dp import NoiseCalibration
+from fedmentor.dp import NoiseCalibration, noise_scales
 from fedmentor.linalg import Rng, ShapeError
 from fedmentor.lora import (
     FIXED_HEADER_BYTES,
@@ -16,13 +16,11 @@ from fedmentor.lora import (
     MAGIC,
     WIRE_VERSION,
     AdapterSet,
-    LayerPosition,
     WireFormatError,
-    classify_layer,
     deserialize,
     serialize,
 )
-from oracles import trainable_param_count, wire_length, zero_adapters
+from oracles import reference_band, trainable_param_count, wire_length, zero_adapters
 
 
 def random_set(rng: Rng, n_layers: int, d: int = 6, k: int = 5, r: int = 2) -> AdapterSet:
@@ -65,39 +63,47 @@ class TestConstants:
 
     def test_position_base_scales_exact(self):
         cal = NoiseCalibration()
-        assert [getattr(cal, p.value) for p in LayerPosition] == [0.01, 0.008, 0.005]
+        assert [cal.early, cal.middle, cal.late] == [0.01, 0.008, 0.005]
+
+
+# Base scales that name their band, and kind multipliers of 1, so a scale reads as a band.
+_BANDS = {3.0: "early", 2.0: "middle", 1.0: "late"}
+_BAND_CAL = NoiseCalibration(early=3.0, middle=2.0, late=1.0, multiplier_a=1.0, multiplier_b=1.0)
+
+
+def bands(n_layers: int) -> list[str]:
+    """The depth band ``dp.noise_scales`` gives each layer, read off its B and A entries."""
+    scales = noise_scales(_BAND_CAL, n_layers)
+    assert scales.shape == (2 * n_layers,)
+    assert scales[0::2].tolist() == scales[1::2].tolist()  # B and A share their layer's band
+    return [_BANDS[x] for x in scales[0::2].tolist()]
 
 
 class TestClassifyLayer:
+    """Layer depth bands as ``dp.noise_scales`` assigns them: ceil-thirds of the depth."""
+
     def test_nine_layer_examples(self):
-        assert classify_layer(0, 9) is LayerPosition.EARLY
-        assert classify_layer(4, 9) is LayerPosition.MIDDLE
-        assert classify_layer(8, 9) is LayerPosition.LATE
+        labels = bands(9)
+        assert (labels[0], labels[4], labels[8]) == ("early", "middle", "late")
 
     def test_single_layer_is_early(self):
-        assert classify_layer(0, 1) is LayerPosition.EARLY
+        assert bands(1) == ["early"]
 
     def test_three_layer_split(self):
-        assert classify_layer(0, 3) is LayerPosition.EARLY
-        assert classify_layer(1, 3) is LayerPosition.MIDDLE
-        assert classify_layer(2, 3) is LayerPosition.LATE
+        assert bands(3) == ["early", "middle", "late"]
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify_layer(3, 3)
-        with pytest.raises(ValueError):
-            classify_layer(-1, 3)
-        with pytest.raises(ValueError):
-            classify_layer(0, 0)
+    def test_no_layers_no_scales(self):
+        assert bands(0) == []
 
     @pytest.mark.parametrize("total", [1, 2, 3, 4, 5, 6, 7, 9, 10, 17, 100])
     def test_partition_is_exact_and_ordered(self, total):
-        order = [LayerPosition.EARLY, LayerPosition.MIDDLE, LayerPosition.LATE]
-        labels = [classify_layer(i, total) for i in range(total)]
+        order = ["early", "middle", "late"]
+        labels = bands(total)
         # contiguous bands in early < middle < late order
         ranks = [order.index(lab) for lab in labels]
         assert ranks == sorted(ranks)
-        assert labels[0] is LayerPosition.EARLY
+        assert labels[0] == "early"
+        assert labels == [reference_band(i, total) for i in range(total)]
 
 
 class TestLoraPair:
