@@ -11,6 +11,11 @@ round's byte counts are the lengths of those payloads (the broadcast once
 per recipient). Aggregation always consumes results sorted by client id, so
 client declaration order cannot change a single bit of the outcome.
 
+The round trains every client first, then privatizes, encodes and decodes
+each update in a second loop. A raw trained update is released as soon as it
+is privatized, so the round holds the decoded uploads plus one client's
+update in flight, never two full sets of updates.
+
 The gate's multiplier and each domain's current budget are round state in
 ``ServerState``; the decay schedule, a ``dp.BudgetConfig``, does not change
 during a run. The round loop has no strategy branch:
@@ -23,6 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
+
+import numpy as np
 
 from . import metrics as metrics_mod
 from .dp import (
@@ -202,12 +209,14 @@ def run_round(
     updates = []
     sizes = []
     upload_bytes = 0
-    for client, (update, train_loss, eval_loss) in zip(responders, trained):
+    for i, client in enumerate(responders):
+        update, train_loss, eval_loss = trained[i]
+        trained[i] = None
         rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
         eps = server.budgets[client.domain]
-        payload = serialize(
-            privatize(update, eps, server.calibration, server.scale_multiplier, rng)
-        )
+        private = privatize(update, eps, server.calibration, server.scale_multiplier, rng)
+        del update
+        payload = serialize(private)
         upload_bytes += len(payload)
         try:
             updates.append(deserialize(payload))
@@ -267,11 +276,15 @@ def run_training(
     and made a set-up gemm about 50x slower on a 2-vCPU host, and one thread
     keeps results independent of the core count. The previous thread count
     is back when this returns or raises.
+
+    Floating-point overflow and invalid operations raise no numpy warning in
+    the rounds: a client that diverges fails its round once, with the
+    ``AdapterSet`` finiteness error naming the round, client and phase.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     records: list[RoundRecord] = []
-    with single_blas_thread():
+    with single_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(rounds):
             round_number = server.round_index + 1
             try:

@@ -17,6 +17,16 @@ Both post-training losses (train and validation split) then go through one
 ``model_view`` of the trained adapters, which builds the effective weights
 W + B@A once; the server evaluates the same way.
 
+Every large temporary exists once, and no rule below changes an arithmetic
+operation, so the bits are those of the plain expressions:
+
+- an effective weight is built in its product's array (``e = B@A; e += W``);
+- a model view runs each tanh in place on the fresh product it follows, so a
+  pass holds at most two activations and never writes into its input;
+- an epoch's shuffled copy of the training split is freed when the epoch
+  ends, so none is alive during the next gather or the loss passes;
+- a backbone layer's draw is scaled in place before ``Matrix`` copies it.
+
 tanh is used between layers (rather than ReLU) so the analytic gradients can
 be validated against central finite differences without subgradient
 headaches. Gradients are derived by hand: with effective weight
@@ -81,7 +91,8 @@ class BackboneModel:
         layers = []
         fan_in = input_dim
         for i in range(n_layers):
-            w = rng.derive("layer", i).standard_normal(hidden_dim, fan_in) / np.sqrt(fan_in)
+            w = rng.derive("layer", i).standard_normal(hidden_dim, fan_in)
+            w /= np.sqrt(fan_in)
             layers.append(Matrix(w))
             fan_in = hidden_dim
         head = rng.derive("head").standard_normal(1, fan_in) / np.sqrt(fan_in)
@@ -111,7 +122,18 @@ def _check_conformable(model: BackboneModel, adapters: AdapterSet) -> None:
 
 
 def _effective_weights(model: BackboneModel, params) -> list[np.ndarray]:
-    return [w.array + b.dot(a) for w, (a, b) in zip(model.layers, params)]
+    """E = W + B@A per layer, each built in the product's own array.
+
+    IEEE addition is commutative, so ``e += w`` gives the bits of W + B@A,
+    signed zeros included, without a second d x k array; W is finite, so a
+    NaN can only come from B@A and passes through unchanged.
+    """
+    effs = []
+    for w, (a, b) in zip(model.layers, params):
+        e = b.dot(a)
+        e += w.array
+        effs.append(e)
+    return effs
 
 
 def model_view(model: BackboneModel, adapters: AdapterSet) -> Callable[[np.ndarray], np.ndarray]:
@@ -121,6 +143,7 @@ def model_view(model: BackboneModel, adapters: AdapterSet) -> Callable[[np.ndarr
     here, so evaluating many batches costs one pass each. tanh sits between
     consecutive layers only; the last layer feeds the head linearly, so a
     one-layer model with identity effective weight is exactly the head.
+    A pass holds at most two activations and never writes into ``xs``.
     """
     _check_conformable(model, adapters)
     effs = _effective_weights(model, adapters.factors())
@@ -130,7 +153,8 @@ def model_view(model: BackboneModel, adapters: AdapterSet) -> Callable[[np.ndarr
         if act.ndim != 2 or act.shape[1] != model.input_dim:
             raise ShapeError(f"batch shape {act.shape} does not match input dim {model.input_dim}")
         for eff in effs[:-1]:
-            act = np.tanh(act @ eff.T)
+            act = act @ eff.T
+            np.tanh(act, out=act)
         act = act @ effs[-1].T
         return act @ model.head.array[0]
 
@@ -261,6 +285,8 @@ def train_local(
             vec -= lr * grad_adapters(
                 client.model, params, shuffled_x[start:stop], shuffled_y[start:stop]
             )
+        # Not left for the next epoch's gather or the loss passes to free.
+        del shuffled_x, shuffled_y
     try:
         adapters = AdapterSet(global_adapters.shapes, vec)
     except ValueError as exc:

@@ -2,15 +2,15 @@
 
 These deliberately avoid the library's own code paths: the weighted mean is
 an elementwise pure-Python sum, the forward pass materializes merged weights
-first, gradients are checked by central finite differences and bit for bit
-against a per-layer pairwise kernel with a masked sigmoid, privatization
-clips and noises one matrix at a time with one draw per matrix, a matrix's
-noise std comes from the calibration fields through a depth-band rule of its
-own (integer thirds, not ceilings), the wire length of an adapter set is
-computed from its shapes rather than by encoding it, the OpenBLAS thread
-count is read through a ctypes lookup of its own, and a random stream is
-keyed by handing numpy's ``SeedSequence`` the plain list of ints rather than
-32-bit words.
+first, each a fresh ``W + B @ A`` with W on the left, gradients are checked
+by central finite differences and bit for bit against a per-layer pairwise
+kernel with a masked sigmoid, privatization clips and noises one matrix at a
+time with one draw per matrix, a matrix's noise std comes from the
+calibration fields through a depth-band rule of its own (integer thirds, not
+ceilings), the wire length of an adapter set is computed from its shapes
+rather than by encoding it, the OpenBLAS thread count is read through a
+ctypes lookup of its own, and a random stream is keyed by handing numpy's
+``SeedSequence`` the plain list of ints rather than 32-bit words.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ def pairwise_grad_adapters(model: BackboneModel, params, xs, ys) -> list:
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    eff = [w.array + b @ a for w, (a, b) in zip(model.layers, params)]
+    eff = merged_weights(model, params)
     last = model.n_layers - 1
     acts = [xs]
     for l, e in enumerate(eff):
@@ -148,9 +148,14 @@ def randomized_adapters(model: BackboneModel, rank: int, rng: Rng, scale: float 
     )
 
 
+def merged_weights(model: BackboneModel, params) -> list[np.ndarray]:
+    """Each layer's W + B@A as a fresh array, one ``(a, b)`` pair per layer, W on the left."""
+    return [w.array + b @ a for w, (a, b) in zip(model.layers, params)]
+
+
 def merged_forward(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray) -> np.ndarray:
     """Reference forward that first materializes every merged weight."""
-    merged = [w.array + b @ a for w, (a, b) in zip(model.layers, adapters.factors())]
+    merged = merged_weights(model, adapters.factors())
     act = np.asarray(xs, dtype=np.float64)
     for e in merged[:-1]:
         act = np.tanh(act @ e.T)

@@ -5,7 +5,6 @@ import json
 import re
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -691,8 +690,7 @@ class TestReportCommand:
         cfg_path = write_config(
             tmp_path, "learning_rate: 50.0\ndata:\n  overrides:\n    IRF: {n_train: 5}\n"
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         (run_dir,) = (tmp_path / "out").iterdir()
         capsys.readouterr()
         assert main(["report", str(run_dir)]) == EXIT_OK
@@ -706,8 +704,7 @@ class TestReportCommand:
         cfg_path = write_config(
             tmp_path, "learning_rate: 1.0e+12\ndata:\n  overrides:\n    IRF: {n_train: 5}\n"
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == EXIT_RUNTIME
         (run_dir,) = (tmp_path / "out").iterdir()
         assert not (run_dir / "metrics.csv").exists()
@@ -744,8 +741,7 @@ class TestMainExitCodes:
         cfg_path = write_config(
             tmp_path, "learning_rate: 50.0\ndata:\n  overrides:\n    IRF: {n_train: 5}\n"
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "round 4" in err

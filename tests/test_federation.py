@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +289,27 @@ class TestRunRound:
         with pytest.raises(ValueError, match="duplicate"):
             run_round(server, twins)
 
+    def test_round_never_holds_two_sets_of_client_updates(self):
+        # Adapters large beside everything else a client touches: 32 clients
+        # of one tiny domain, rank half the width. numpy reports its data
+        # buffers to tracemalloc; keeping every raw update alive beside every
+        # decoded upload peaks at about 2.2 full sets of updates.
+        n_clients, width = 32, 64
+        rng = Rng(40)
+        model = BackboneModel.random(rng.derive("model"), width, width, 2)
+        spec = DomainSpec("d", 4, 4, width, (1.0,) + (0.0,) * (width - 1))
+        data = make_domain(spec, rng.derive("data"))
+        clients = [ClientState(i, "d", data, model, 0.1, 1, 4) for i in range(n_clients)]
+        adapters = init_adapters(model, width // 2, rng.derive("adapters"))
+        server = ServerState(model, adapters, BudgetConfig({"d": 1.0}), NoiseCalibration(), {})
+        tracemalloc.start()
+        try:
+            run_round(server, clients)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n_clients * adapters.vec.nbytes
+
 
 class TestBudgetState:
     def test_current_budgets_start_at_the_schedule_entries(self):
@@ -418,6 +440,9 @@ class TestRunTraining:
                 assert part in message, (name, message)
             assert info.value.records == []
 
+    # An escalated numpy RuntimeWarning would itself fail the round, under
+    # its own message: the run must fail on the finiteness check alone.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_names_round_client_domain_and_phase(self):
         from fedmentor.config import build_experiment, config_from_dict
 
@@ -425,11 +450,13 @@ class TestRunTraining:
             {"learning_rate": 50.0, "data": {"overrides": {"IRF": {"n_train": 5}}}}
         )
         exp = build_experiment(cfg)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RoundError) as info:
+        with pytest.raises(RoundError) as info:
             run_training(exp.server, exp.clients, cfg.rounds)
         message = str(info.value)
-        for part in ("round 4", "client 0", "Dreaddit", "local training"):
+        for part in ("round 4", "client 0", "Dreaddit", "local training: entry"):
             assert part in message
+        assert type(info.value.__cause__) is ValueError
+        assert len(info.value.records) == 3
 
     def test_invalid_round_count(self):
         server, clients = build_federation(seed=18)

@@ -1,6 +1,8 @@
 """Forward pass, loss, analytic gradients, and the local SGD loop."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from fedmentor import trainer
 from fedmentor.data import Dataset, DomainSpec, make_domain
 from fedmentor.linalg import Matrix, Rng, ShapeError
-from fedmentor.lora import AdapterSet, serialize
+from fedmentor.lora import AdapterSet, factor_views, serialize
 from fedmentor.trainer import (
     BackboneModel,
     ClientState,
@@ -26,6 +28,7 @@ from oracles import (
     masked_sigmoid,
     mean_loss,
     merged_forward,
+    merged_weights,
     pairwise_grad_adapters,
     randomized_adapters,
     unflatten_gradient,
@@ -104,11 +107,70 @@ class TestForward:
         ours = model_view(model, adapters)(xs)
         assert np.max(np.abs(ours - merged_forward(model, adapters, xs))) < 1e-12
 
+    def test_pass_holds_at_most_two_activations(self):
+        # numpy reports its data buffers to tracemalloc. Over n rows of width
+        # h, a pass may hold the effective weights and two n x h activations
+        # (the previous one and the fresh product the next tanh runs in).
+        n, k, h = 2000, 16, 64
+        model = BackboneModel.random(Rng(31), k, h, 3)
+        adapters = randomized_adapters(model, 4, Rng(31, "ad"))
+        xs = Rng(31, "x").standard_normal(n, k)
+        xs.setflags(write=False)  # the view only reads its input
+        eff_bytes = sum(w.rows * w.cols for w in model.layers) * 8
+        tracemalloc.start()
+        try:
+            model_view(model, adapters)(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * h * 8 + eff_bytes + 64 * 1024
+
     def test_input_dim_mismatch(self):
         model = BackboneModel.random(Rng(8), 4, 6, 2)
         adapters = init_adapters(model, 2, Rng(8))
         with pytest.raises(ShapeError):
             model_view(model, adapters)(np.zeros((1, 5)))
+
+
+def assert_same_bits(ours: list[np.ndarray], oracle: list[np.ndarray]) -> None:
+    assert [e.shape for e in ours] == [o.shape for o in oracle]
+    for e, o in zip(ours, oracle):
+        assert np.array_equal(e.view(np.uint64), o.view(np.uint64))
+
+
+class TestEffectiveWeights:
+    def test_equals_merged_weights_bit_for_bit(self):
+        model = BackboneModel.random(Rng(32), 6, 9, 3)
+        params = randomized_adapters(model, 3, Rng(32, "ad")).factors()
+        assert_same_bits(trainer._effective_weights(model, params), merged_weights(model, params))
+
+    def test_zero_b_keeps_the_signed_zeros_of_w_plus_b_at_a(self):
+        w = np.array([[-0.0, 0.0, 1.5], [0.0, -0.0, -2.0]])
+        model = BackboneModel((Matrix(w),), Matrix([[1.0, 1.0]]))
+        a = np.array([[1.0, -1.0, 0.5]])
+        for b in (np.zeros((2, 1)), np.full((2, 1), -0.0)):
+            assert_same_bits(
+                trainer._effective_weights(model, [(a, b)]), merged_weights(model, [(a, b)])
+            )
+
+    def test_non_finite_entry_reaches_the_adapter_set_error(self):
+        model = BackboneModel.random(Rng(33), 5, 6, 2)
+        adapters = randomized_adapters(model, 2, Rng(33, "ad"))
+        vec = np.array(adapters.vec)
+        params = factor_views(vec, adapters.shapes)
+        params[0][1][0, 0] = np.inf
+        params[1][0][1, 2] = np.nan
+        with np.errstate(invalid="ignore"):
+            ours = trainer._effective_weights(model, params)
+            oracle = merged_weights(model, params)
+        assert_same_bits(ours, oracle)
+        assert not all(np.isfinite(e).all() for e in ours)
+
+        client, start = make_client(33, lr=1e300)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            train_local(client, start, Rng(33, "r"))
+        assert "local training: entry" in str(info.value)
+        assert "not finite" in str(info.value)
 
 
 class TestLoss:
