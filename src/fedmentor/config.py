@@ -45,10 +45,10 @@ from .data import (
     DEFAULT_DOMAIN_SIZES, DEFAULT_ROTATIONS, DomainSpec, default_federation_specs, make_domain,
 )
 from .dp import DEFAULT_BUDGETS, BudgetConfig, NoiseCalibration
-from .federation import ServerState
+from .federation import ClientState, ServerState
 from .linalg import Rng, single_blas_thread
 from .metrics import METRIC_NAMES
-from .trainer import BackboneModel, ClientState, init_adapters
+from .trainer import BackboneModel, init_adapters
 
 __all__ = [
     "ConfigError",
@@ -333,7 +333,7 @@ def load_config(path) -> RunConfig:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Fully assembled run: the clients and the initial server state, which holds the backbone."""
+    """Fully assembled run: the clients and the initial server state (backbone, schedule)."""
 
     clients: tuple[ClientState, ...]
     server: ServerState
@@ -404,16 +404,7 @@ def build_experiment(cfg: RunConfig) -> Experiment:
         adapters0 = init_adapters(backbone, cfg.model.rank, master.derive("adapters"))
 
         clients = tuple(
-            ClientState(
-                id=i,
-                domain=spec.domain,
-                data=datasets[spec.domain],
-                model=backbone,
-                learning_rate=cfg.learning_rate,
-                local_epochs=cfg.local_epochs,
-                batch_size=cfg.batch_size,
-            )
-            for i, spec in enumerate(specs)
+            ClientState(i, spec.domain, datasets[spec.domain]) for i, spec in enumerate(specs)
         )
 
         strategy = cfg.strategy
@@ -434,6 +425,9 @@ def build_experiment(cfg: RunConfig) -> Experiment:
             schedule=schedule,
             calibration=calibration,
             thresholds=thresholds,
+            learning_rate=cfg.learning_rate,
+            local_epochs=cfg.local_epochs,
+            batch_size=cfg.batch_size,
             round_index=0,
             rng_seed=cfg.seed,
         )

@@ -87,6 +87,9 @@ class Dataset:
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        shapes = [getattr(self, n).shape for n in ("train_x", "val_x", "train_y", "val_y")]
+        if [len(s) for s in shapes] != [2, 2, 1, 1] or shapes[0][1] != shapes[1][1]:
+            raise ValueError(f"need 2-D features of one width and 1-D labels, got {shapes}")
         if self.train_x.shape[0] != self.train_y.shape[0]:
             raise ValueError("train features/labels length mismatch")
         if self.val_x.shape[0] != self.val_y.shape[0]:

@@ -11,6 +11,10 @@ round's byte counts are the lengths of those payloads (the broadcast once
 per recipient). Aggregation always consumes results sorted by client id, so
 client declaration order cannot change a single bit of the outcome.
 
+A client is its id, domain and data: the server holds the backbone and the
+local-SGD schedule once. A failure in local training, privatize or upload
+names the client, its domain and the phase.
+
 The round trains every client first, then privatizes, encodes and decodes
 each update in a second loop. A raw trained update is released as soon as it
 is privatized, so the round holds the decoded uploads plus one client's
@@ -26,12 +30,14 @@ privatizes every upload with ``dp.privatize`` and runs the gate and the decay.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from . import metrics as metrics_mod
+from .data import Dataset
 from .dp import (
     BudgetConfig,
     NoiseCalibration,
@@ -41,10 +47,11 @@ from .dp import (
     privatize,
 )
 from .linalg import Rng, ShapeError, single_blas_thread
-from .lora import AdapterSet, WireFormatError, deserialize, serialize
-from .trainer import BackboneModel, ClientState, model_view, train_local
+from .lora import AdapterSet, deserialize, serialize
+from .trainer import BackboneModel, _check_conformable, model_view, train_local
 
 __all__ = [
+    "ClientState",
     "ServerState",
     "ClientRoundStats",
     "RoundRecord",
@@ -67,9 +74,20 @@ def bytes_to_mb(n_bytes: int) -> float:
 
 
 @dataclass(frozen=True)
+class ClientState:
+    """One client: it trains the server's broadcast on the server's backbone and schedule."""
+
+    id: int
+    domain: str
+    data: Dataset
+
+
+@dataclass(frozen=True)
 class ServerState:
     """Everything the server carries from round to round.
 
+    It holds the frozen ``backbone`` and the local-SGD schedule
+    (``learning_rate``, ``local_epochs``, ``batch_size``) once for all clients.
     ``scale_multiplier`` is the product of every gate factor applied so far:
     it starts at 1.0 and only ever shrinks. Setting it to 0 disables noise.
     ``budgets`` holds each domain's current eps under the decay ``schedule``;
@@ -81,12 +99,19 @@ class ServerState:
     schedule: BudgetConfig
     calibration: NoiseCalibration
     thresholds: Mapping[str, float]
+    learning_rate: float
+    local_epochs: int
+    batch_size: int
     round_index: int = 0
     rng_seed: int = 0
     scale_multiplier: float = 1.0
     budgets: Mapping[str, float] | None = None
 
     def __post_init__(self):
+        for name, least in (("learning_rate", 0), ("local_epochs", 0), ("batch_size", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        _check_conformable(self.backbone, self.global_adapters)
         object.__setattr__(self, "thresholds", dict(self.thresholds))
         start = self.schedule.entries if self.budgets is None else self.budgets
         object.__setattr__(self, "budgets", dict(start))
@@ -166,12 +191,24 @@ def _validate_clients(server: ServerState, clients: Sequence[ClientState]) -> li
     ids = [c.id for c in ordered]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate client ids: {ids}")
+    dim = server.backbone.input_dim
     for c in ordered:
         if c.domain not in server.budgets:
             raise UnknownDomainError(
                 f"domain {c.domain!r} has no budget; known: {sorted(server.budgets)}"
             )
+        if c.data.input_dim != dim:
+            raise ShapeError(f"client {c.id}: data dim {c.data.input_dim} vs model dim {dim}")
     return ordered
+
+
+@contextmanager
+def _phase(client: ClientState, phase: str):
+    """Re-raise a ``ValueError`` as one naming the client, its domain and the phase."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"client {client.id} ({client.domain}): {phase}: {exc}") from exc
 
 
 def run_round(
@@ -196,14 +233,14 @@ def run_round(
     if not responders:
         raise ValueError(f"all clients failed in round {round_number}")
 
-    trained = [
-        train_local(
-            c,
-            broadcast,
-            Rng(server.rng_seed).derive("client", c.id, "round", round_number),
-        )
-        for c in responders
-    ]
+    trained = []
+    for client in responders:
+        rng = Rng(server.rng_seed).derive("client", client.id, "round", round_number)
+        with _phase(client, "local training"):
+            trained.append(train_local(
+                server.backbone, client.data, broadcast, rng, learning_rate=server.learning_rate,
+                local_epochs=server.local_epochs, batch_size=server.batch_size,
+            ))
 
     per_client = []
     updates = []
@@ -214,14 +251,13 @@ def run_round(
         trained[i] = None
         rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
         eps = server.budgets[client.domain]
-        private = privatize(update, eps, server.calibration, server.scale_multiplier, rng)
+        with _phase(client, "privatize"):
+            private = privatize(update, eps, server.calibration, server.scale_multiplier, rng)
         del update
         payload = serialize(private)
         upload_bytes += len(payload)
-        try:
+        with _phase(client, "upload"):
             updates.append(deserialize(payload))
-        except WireFormatError as exc:
-            raise ValueError(f"client {client.id} ({client.domain}): upload: {exc}") from exc
         sizes.append(client.data.n_train)
         per_client.append(ClientRoundStats(client.id, train_loss, eval_loss))
 

@@ -5,17 +5,19 @@ immutable weight matrix plus a low-rank adapter pair, tanh between layers,
 and a frozen linear head producing one logit. Only adapter entries ever
 receive gradient; the backbone and head never change.
 
-Local training runs on one plain vector: ``train_local`` copies the global
-``AdapterSet``'s flat vector once, takes ``(a, b)`` views of the copy once,
-one pair per layer, and updates it in place. ``grad_adapters`` reads those
-views and returns one flat gradient in the same B-then-A-per-layer order, so
-each SGD step is ``vec -= lr * grad``: elementwise the same arithmetic as
+``train_local`` knows no client: it trains one dataset on the backbone and
+the local-SGD schedule that the server holds once per run. Local training
+runs on one plain vector: ``train_local`` copies the global ``AdapterSet``'s
+flat vector once, takes ``(a, b)`` views of the copy once, one pair per
+layer, and updates it in place. ``grad_adapters`` reads those views and
+returns one flat gradient in the same B-then-A-per-layer order, so each SGD
+step is ``vec -= lr * grad``: elementwise the same arithmetic as
 ``a - lr * ga`` per matrix. Each epoch gathers its shuffled copy of the
-training split once, and every minibatch is a slice of it. The trained vector
-becomes one ``AdapterSet``, checked for finiteness, once per client-round.
-Both post-training losses (train and validation split) then go through one
-``model_view`` of the trained adapters, which builds the effective weights
-W + B@A once; the server evaluates the same way.
+training split once, and every minibatch is a slice of it. The trained
+vector becomes one ``AdapterSet``, checked for finiteness, once per
+client-round. Both post-training losses (train and validation split) then
+go through one ``model_view`` of the trained adapters, which builds the
+effective weights W + B@A once; the server evaluates the same way.
 
 Every large temporary exists once, and no rule below changes an arithmetic
 operation, so the bits are those of the plain expressions:
@@ -46,7 +48,6 @@ from .lora import AdapterSet, factor_views
 
 __all__ = [
     "BackboneModel",
-    "ClientState",
     "init_adapters",
     "model_view",
     "cross_entropy",
@@ -222,76 +223,41 @@ def grad_adapters(
     return np.concatenate(parts[::-1], axis=None)
 
 
-@dataclass(frozen=True)
-class ClientState:
-    """One client: its data, backbone view, and hyperparameters.
-
-    A client holds no adapters of its own: each round it trains from the
-    adapters the server broadcasts.
-    """
-
-    id: int
-    domain: str
-    data: Dataset
-    model: BackboneModel
-    learning_rate: float
-    local_epochs: int
-    batch_size: int
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.local_epochs < 0:
-            raise ValueError(f"local_epochs must be >= 0, got {self.local_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.data.input_dim != self.model.input_dim:
-            raise ShapeError(
-                f"client {self.id}: data dim {self.data.input_dim} vs "
-                f"model dim {self.model.input_dim}"
-            )
-
-
 def train_local(
-    client: ClientState,
-    global_adapters: AdapterSet,
-    rng: Rng,
+    model: BackboneModel, data: Dataset, global_adapters: AdapterSet, rng: Rng, *,
+    learning_rate: float, local_epochs: int, batch_size: int,
 ) -> tuple[AdapterSet, float, float]:
-    """Run the client's local epochs of minibatch SGD from the global adapters.
+    """Run ``local_epochs`` of minibatch SGD on ``data`` from the global adapters.
 
     The caller hands an rng already scoped to (run seed, client, round); each
     epoch derives its own shuffle stream from it, so results depend only on
-    (client state, global adapters, rng identity) and never on scheduling.
+    (data, schedule, global adapters, rng identity) and never on scheduling.
     Minibatches follow the shuffled order with the last partial batch kept.
     Each epoch gathers the shuffled training split once and takes its
     minibatches as slices. Only adapter weights change. Returns the trained
     adapters and their mean losses on the full train and validation splits.
 
     The steps never check finiteness: a client that diverges runs its
-    remaining steps on NaN/Inf, and the ``ValueError`` raised when the result
-    becomes an ``AdapterSet`` names the client, its domain and the phase.
+    remaining steps on NaN/Inf, and the result fails the ``AdapterSet``
+    finiteness check with a ``ValueError``.
     """
-    _check_conformable(client.model, global_adapters)
+    _check_conformable(model, global_adapters)
     vec = np.array(global_adapters.vec)  # writable; params are views into it
     params = factor_views(vec, global_adapters.shapes)
-    lr, size = client.learning_rate, client.batch_size
-    xs, ys = client.data.train_x, client.data.train_y
+    xs, ys = data.train_x, data.train_y
     n = xs.shape[0]
-    for epoch in range(client.local_epochs):
+    for epoch in range(local_epochs):
         order = rng.derive("epoch", epoch, "shuffle").permutation(n)
         shuffled_x, shuffled_y = xs[order], ys[order].astype(np.float64)
-        for start in range(0, n, size):
-            stop = start + size
-            vec -= lr * grad_adapters(
-                client.model, params, shuffled_x[start:stop], shuffled_y[start:stop]
+        for start in range(0, n, batch_size):
+            stop = start + batch_size
+            vec -= learning_rate * grad_adapters(
+                model, params, shuffled_x[start:stop], shuffled_y[start:stop]
             )
         # Not left for the next epoch's gather or the loss passes to free.
         del shuffled_x, shuffled_y
-    try:
-        adapters = AdapterSet(global_adapters.shapes, vec)
-    except ValueError as exc:
-        raise ValueError(f"client {client.id} ({client.domain}): local training: {exc}") from exc
-    view = model_view(client.model, adapters)
+    adapters = AdapterSet(global_adapters.shapes, vec)
+    view = model_view(model, adapters)
     train_loss = float(np.mean(cross_entropy(view(xs), ys)))
-    eval_loss = float(np.mean(cross_entropy(view(client.data.val_x), client.data.val_y)))
+    eval_loss = float(np.mean(cross_entropy(view(data.val_x), data.val_y)))
     return adapters, train_loss, eval_loss

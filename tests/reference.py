@@ -10,22 +10,20 @@ pipeline must match bit-for-bit when noise is disabled.
 SGD over one dataset using the same per-round/per-epoch stream derivation,
 with no federation machinery at all. A one-client federated run with noise
 off must reproduce it exactly.
+
+The server holds the backbone and the local-SGD schedule (learning rate,
+epochs, batch size) once per run; both loops read them, the starting
+adapters and the seed from a ``ServerState`` and nothing else from it.
 """
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
 from fedmentor import metrics as metrics_mod
-from fedmentor.federation import ClientRoundStats, RoundRecord
+from fedmentor.federation import ClientRoundStats, ClientState, RoundRecord, ServerState
 from fedmentor.linalg import Rng
 from fedmentor.lora import AdapterSet, factor_views, serialize
-from fedmentor.trainer import (
-    BackboneModel,
-    ClientState,
-    grad_adapters,
-    model_view,
-    train_local,
-)
+from fedmentor.trainer import grad_adapters, model_view, train_local
 
 __all__ = ["run_plain_fedavg", "run_centralized_sgd"]
 
@@ -49,22 +47,26 @@ def _weighted_mean(sets: Sequence[AdapterSet], sizes: Sequence[int]) -> AdapterS
 
 
 def run_plain_fedavg(
-    backbone: BackboneModel,
+    server: ServerState,
     clients: Sequence[ClientState],
-    initial_adapters: AdapterSet,
-    seed: int,
     rounds: int,
     budgets_echo: Mapping[str, float],
 ) -> tuple[AdapterSet, list[RoundRecord]]:
-    """Plain dataset-weighted FedAvg with no noise, no gate, no decay.
+    """Plain dataset-weighted FedAvg from ``server``'s state, with no noise, no gate, no decay.
 
     ``budgets_echo`` is copied verbatim into every round record so the
     emitted metrics line up column-for-column with a noise-off pipeline run.
     Byte counts are kept in local integers: every recipient's copy of the
     broadcast, and every upload.
     """
+    backbone, seed = server.backbone, server.rng_seed
+    schedule = dict(
+        learning_rate=server.learning_rate,
+        local_epochs=server.local_epochs,
+        batch_size=server.batch_size,
+    )
     ordered = sorted(clients, key=lambda c: c.id)
-    global_adapters = initial_adapters
+    global_adapters = server.global_adapters
     records: list[RoundRecord] = []
 
     for round_number in range(1, rounds + 1):
@@ -75,7 +77,9 @@ def run_plain_fedavg(
         upload_bytes = 0
         for client in ordered:
             rng = Rng(seed).derive("client", client.id, "round", round_number)
-            update, train_loss, eval_loss = train_local(client, global_adapters, rng)
+            update, train_loss, eval_loss = train_local(
+                backbone, client.data, global_adapters, rng, **schedule
+            )
             payload = serialize(update)
             upload_bytes += len(payload)
             updates.append(update)
@@ -102,30 +106,25 @@ def run_plain_fedavg(
     return global_adapters, records
 
 
-def run_centralized_sgd(
-    client: ClientState,
-    initial_adapters: AdapterSet,
-    seed: int,
-    rounds: int,
-) -> AdapterSet:
+def run_centralized_sgd(server: ServerState, client: ClientState, rounds: int) -> AdapterSet:
     """Direct minibatch SGD over one client's data, no federation machinery.
 
     Streams are derived the same way the protocol derives them — per
     (seed, client, round) and per epoch — so this is the exact computation a
     single-client federation performs, minus broadcast/aggregate.
     """
-    adapters = initial_adapters
+    adapters = server.global_adapters
     xs, ys = client.data.train_x, client.data.train_y
     n = xs.shape[0]
-    lr = client.learning_rate
+    lr, size = server.learning_rate, server.batch_size
     for round_number in range(1, rounds + 1):
-        rng = Rng(seed).derive("client", client.id, "round", round_number)
-        for epoch in range(client.local_epochs):
+        rng = Rng(server.rng_seed).derive("client", client.id, "round", round_number)
+        for epoch in range(server.local_epochs):
             order = rng.derive("epoch", epoch, "shuffle").permutation(n)
-            for start in range(0, n, client.batch_size):
-                batch = order[start : start + client.batch_size]
+            for start in range(0, n, size):
+                batch = order[start : start + size]
                 params = adapters.factors()
-                grad = grad_adapters(client.model, params, xs[batch], ys[batch])
+                grad = grad_adapters(server.backbone, params, xs[batch], ys[batch])
                 grads = factor_views(grad, adapters.shapes)
                 adapters = AdapterSet.from_factors(
                     (a - lr * g_a, b - lr * g_b) for (a, b), (g_a, g_b) in zip(params, grads)

@@ -102,8 +102,7 @@ def test_criterion_03_dp_off_byte_equivalence(tmp_path):
     (tmp_path / "pipeline.bin").write_bytes(serialize(server.global_adapters))
 
     ref_adapters, ref_records = run_plain_fedavg(
-        exp.server.backbone, list(exp.clients), exp.server.global_adapters,
-        cfg.seed, cfg.rounds, budgets_echo=exp.server.budgets,
+        exp.server, list(exp.clients), cfg.rounds, budgets_echo=exp.server.budgets,
     )
     write_metrics_csv(ref_records, tmp_path / "reference.csv")
     (tmp_path / "reference.bin").write_bytes(serialize(ref_adapters))
@@ -229,9 +228,7 @@ def test_criterion_09_single_client_centralization():
     exp = build_experiment(cfg)
     server, _ = run_training(exp.server, exp.clients, cfg.rounds)
 
-    direct = run_centralized_sgd(
-        exp.clients[0], exp.server.global_adapters, cfg.seed, cfg.rounds
-    )
+    direct = run_centralized_sgd(exp.server, exp.clients[0], cfg.rounds)
     assert serialize(server.global_adapters) == serialize(direct)
     report(9, "one-client federation bit-identical to the direct SGD loop")
 

@@ -523,8 +523,7 @@ class TestRunCommand:
         exp = build_experiment(cfg)
         server, records = run_training(exp.server, exp.clients, cfg.rounds)
         ref_adapters, ref_records = run_plain_fedavg(
-            exp.server.backbone, list(exp.clients), exp.server.global_adapters, cfg.seed,
-            cfg.rounds, budgets_echo=exp.server.budgets,
+            exp.server, list(exp.clients), cfg.rounds, budgets_echo=exp.server.budgets,
         )
         assert serialize(server.global_adapters) == serialize(ref_adapters)
         assert metrics_csv_lines(records) == metrics_csv_lines(ref_records)

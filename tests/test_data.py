@@ -174,6 +174,18 @@ class TestDataset:
         Dataset(xs, ys, xs, ys)
         assert xs.flags.writeable and ys.flags.writeable
 
+    def test_train_and_val_widths_must_match(self):
+        ys = np.zeros(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="of one width"):
+            Dataset(np.zeros((3, 5)), ys, np.zeros((3, 4)), ys)
+
+    def test_features_must_be_2d_and_labels_1d(self):
+        ys = np.zeros(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="need 2-D features"):
+            Dataset(np.zeros(3), ys, np.zeros(3), ys)
+        with pytest.raises(ValueError, match="1-D labels"):
+            Dataset(np.zeros((3, 2)), ys[:, None], np.zeros((3, 2)), ys)
+
     def test_writes_through_a_view_base_do_not_reach_the_dataset(self):
         base = np.zeros((5, 2))
         ys = np.zeros(3, dtype=np.int64)

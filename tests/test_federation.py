@@ -15,6 +15,7 @@ from fedmentor.config import PrivacyStrategy, build_experiment, config_from_dict
 from fedmentor.data import DomainSpec, make_domain
 from fedmentor.dp import BudgetConfig, NoiseCalibration, UnknownDomainError, decay_budgets
 from fedmentor.federation import (
+    ClientState,
     RoundError,
     ServerState,
     adapters_sha256,
@@ -32,7 +33,7 @@ from fedmentor.lora import (
     deserialize,
     serialize,
 )
-from fedmentor.trainer import BackboneModel, ClientState, init_adapters, model_view
+from fedmentor.trainer import BackboneModel, init_adapters, model_view, train_local
 from oracles import brute_force_weighted_mean, merged_forward, reference_std, wire_length
 from reference import run_plain_fedavg
 
@@ -169,23 +170,16 @@ def build_federation(seed: int = 0, n_clients: int = 3, dp_off: bool = False,
             true_weights=tuple(rng.derive("w", domain).standard_normal(1, 6)[0]),
             rotation_angle=0.1 * i,
         )
-        clients.append(
-            ClientState(
-                id=i,
-                domain=domain,
-                data=make_domain(spec, rng.derive("data", domain)),
-                model=model,
-                learning_rate=0.3,
-                local_epochs=epochs,
-                batch_size=16,
-            )
-        )
+        clients.append(ClientState(i, domain, make_domain(spec, rng.derive("data", domain))))
     server = ServerState(
         backbone=model,
         global_adapters=adapters0,
         schedule=BudgetConfig(EPS),
         calibration=NoiseCalibration(),
         thresholds=thresholds if thresholds is not None else {"accuracy": 0.0},
+        learning_rate=0.3,
+        local_epochs=epochs,
+        batch_size=16,
         round_index=0,
         rng_seed=seed,
     )
@@ -200,14 +194,23 @@ def build_federation(seed: int = 0, n_clients: int = 3, dp_off: bool = False,
     return server, clients
 
 
+def first_round_update(server: ServerState, client: ClientState):
+    """The client's round-1 local update from the server's adapters, backbone and schedule."""
+    rng = Rng(server.rng_seed).derive("client", client.id, "round", 1)
+    update, _, _ = train_local(
+        server.backbone, client.data, server.global_adapters, rng,
+        learning_rate=server.learning_rate,
+        local_epochs=server.local_epochs,
+        batch_size=server.batch_size,
+    )
+    return update
+
+
 class TestRunRound:
     def test_single_client_dp_off_equals_client_update(self):
         server, clients = build_federation(seed=1, n_clients=1, dp_off=True)
-        from fedmentor.trainer import train_local
-
         new_server, record = run_round(server, clients)
-        rng = Rng(server.rng_seed).derive("client", clients[0].id, "round", 1)
-        expected, _, _ = train_local(clients[0], server.global_adapters, rng)
+        expected = first_round_update(server, clients[0])
         assert serialize(new_server.global_adapters) == serialize(expected)
         assert record.round == 1
 
@@ -216,8 +219,7 @@ class TestRunRound:
         final_server, records = run_training(server, clients, 4)
 
         ref_adapters, ref_records = run_plain_fedavg(
-            server.backbone, clients, server.global_adapters, server.rng_seed, 4,
-            budgets_echo=server.budgets,
+            server, clients, 4, budgets_echo=server.budgets
         )
         assert serialize(final_server.global_adapters) == serialize(ref_adapters)
         assert metrics_csv_lines(records) == metrics_csv_lines(ref_records)
@@ -260,14 +262,8 @@ class TestRunRound:
         new_server, record = run_round(server, clients, {(1, clients[1].id)})
         assert {s.client_id for s in record.per_client} == {0, 2}
 
-        from fedmentor.trainer import train_local
-
         survivors = [clients[0], clients[2]]
-        updates = []
-        for c in survivors:
-            rng = Rng(server.rng_seed).derive("client", c.id, "round", 1)
-            update, _, _ = train_local(c, server.global_adapters, rng)
-            updates.append(update)
+        updates = [first_round_update(server, c) for c in survivors]
         expected = aggregate(updates, [c.data.n_train for c in survivors])
         assert serialize(new_server.global_adapters) == serialize(expected)
 
@@ -282,6 +278,32 @@ class TestRunRound:
         message = "domain 'IRF' has no budget; known: ['Dreaddit']"
         with pytest.raises(UnknownDomainError, match=re.escape(message)):
             run_round(server, clients)
+
+    def test_client_data_must_match_the_server_backbone_width(self):
+        server, clients = build_federation(seed=12, n_clients=2)
+        narrow = BackboneModel.random(Rng(12, "narrow"), 5, 8, 3)
+        server = replace(server, backbone=narrow, global_adapters=init_adapters(narrow, 2, Rng(12)))
+        with pytest.raises(ShapeError, match=re.escape("client 0: data dim 6 vs model dim 5")):
+            run_round(server, clients)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", -0.1, "learning_rate must be >= 0, got -0.1"),
+            ("local_epochs", -1, "local_epochs must be >= 0, got -1"),
+            ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ],
+    )
+    def test_server_rejects_a_bad_sgd_schedule(self, field, value, message):
+        server, _ = build_federation(seed=12, n_clients=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(server, **{field: value})
+
+    def test_server_adapters_must_fit_its_backbone(self):
+        server, _ = build_federation(seed=12, n_clients=1)
+        other = init_adapters(BackboneModel.random(Rng(12, "other"), 6, 8, 2), 2, Rng(12, "a"))
+        with pytest.raises(ShapeError, match="adapter set covers 2 layers, model has 3"):
+            replace(server, global_adapters=other)
 
     def test_duplicate_client_ids_rejected(self):
         server, clients = build_federation(seed=12, n_clients=2)
@@ -299,9 +321,11 @@ class TestRunRound:
         model = BackboneModel.random(rng.derive("model"), width, width, 2)
         spec = DomainSpec("d", 4, 4, width, (1.0,) + (0.0,) * (width - 1))
         data = make_domain(spec, rng.derive("data"))
-        clients = [ClientState(i, "d", data, model, 0.1, 1, 4) for i in range(n_clients)]
+        clients = [ClientState(i, "d", data) for i in range(n_clients)]
         adapters = init_adapters(model, width // 2, rng.derive("adapters"))
-        server = ServerState(model, adapters, BudgetConfig({"d": 1.0}), NoiseCalibration(), {})
+        server = ServerState(
+            model, adapters, BudgetConfig({"d": 1.0}), NoiseCalibration(), {}, 0.1, 1, 4
+        )
         tracemalloc.start()
         try:
             run_round(server, clients)
@@ -439,6 +463,20 @@ class TestRunTraining:
             for part in ("round 1", "client 1", "IRF", "upload"):
                 assert part in message, (name, message)
             assert info.value.records == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_privatize_failure_names_round_client_domain_and_phase(self):
+        # At eps 0.5 an early std of 1e308 overflows to inf for every client.
+        cfg = config_from_dict({
+            "rounds": 1, "data": {"scale": 0.02}, "calibration": {"early": 1.0e308},
+            "strategy": {"kind": "uniform", "eps_glob": 0.5},
+        })
+        exp = build_experiment(cfg)
+        with pytest.raises(RoundError) as info:
+            run_training(exp.server, exp.clients, cfg.rounds)
+        assert str(info.value).startswith("round 1: client 0 (Dreaddit): privatize: entry")
+        assert type(info.value.__cause__) is ValueError
+        assert info.value.records == []
 
     # An escalated numpy RuntimeWarning would itself fail the round, under
     # its own message: the run must fail on the finiteness check alone.

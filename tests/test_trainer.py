@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from fedmentor.linalg import Matrix, Rng, ShapeError
 from fedmentor.lora import AdapterSet, factor_views, serialize
 from fedmentor.trainer import (
     BackboneModel,
-    ClientState,
     _sigmoid,
     cross_entropy,
     grad_adapters,
@@ -168,8 +168,9 @@ class TestEffectiveWeights:
 
         client, start = make_client(33, lr=1e300)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
-            train_local(client, start, Rng(33, "r"))
-        assert "local training: entry" in str(info.value)
+            client.train(start, Rng(33, "r"))
+        # The round loop, not train_local, adds the client, domain and phase.
+        assert str(info.value).startswith("entry ")
         assert "not finite" in str(info.value)
 
 
@@ -280,20 +281,27 @@ class TestSigmoid:
         assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
 
 
+class Client(NamedTuple):
+    """A backbone, a dataset and the local-SGD schedule ``train_local`` runs them under."""
+
+    model: BackboneModel
+    data: Dataset
+    schedule: dict
+
+    def train(self, adapters: AdapterSet, rng: Rng) -> tuple[AdapterSet, float, float]:
+        return train_local(self.model, self.data, adapters, rng, **self.schedule)
+
+
 def make_client(
     seed: int, epochs: int = 2, lr: float = 0.3, n: int = 40
-) -> tuple[ClientState, AdapterSet]:
+) -> tuple[Client, AdapterSet]:
     """A client and the initial adapters it is handed to train from."""
     rng = Rng(seed)
     model = BackboneModel.random(rng.derive("model"), 5, 8, 2)
-    client = ClientState(
-        id=0,
-        domain="d",
-        data=tiny_dataset(rng.derive("data"), n=n),
-        model=model,
-        learning_rate=lr,
-        local_epochs=epochs,
-        batch_size=8,
+    client = Client(
+        model,
+        tiny_dataset(rng.derive("data"), n=n),
+        dict(learning_rate=lr, local_epochs=epochs, batch_size=8),
     )
     return client, init_adapters(model, 2, rng.derive("adapters"))
 
@@ -315,14 +323,14 @@ class TestTrainLocal:
     def test_zero_epochs_is_identity(self, monkeypatch):
         steps = count_steps(monkeypatch)
         client, adapters = make_client(1, epochs=0)
-        out, _, _ = train_local(client, adapters, Rng(1, "r"))
+        out, _, _ = client.train(adapters, Rng(1, "r"))
         assert out == adapters
         assert len(steps) == 0
 
     def test_zero_learning_rate_keeps_adapters_but_reports_losses(self, monkeypatch):
         steps = count_steps(monkeypatch)
         client, adapters = make_client(2, lr=0.0)
-        out, train_loss, eval_loss = train_local(client, adapters, Rng(2, "r"))
+        out, train_loss, eval_loss = client.train(adapters, Rng(2, "r"))
         assert out == adapters
         assert len(steps) > 0
         assert train_loss > 0.0
@@ -333,12 +341,12 @@ class TestTrainLocal:
         initial = mean_loss(
             client.model, adapters, client.data.train_x, client.data.train_y
         )
-        _, train_loss, _ = train_local(client, adapters, Rng(3, "r"))
+        _, train_loss, _ = client.train(adapters, Rng(3, "r"))
         assert train_loss < initial
 
     def test_reported_losses_equal_mean_loss_bitwise(self):
         client, adapters = make_client(7, epochs=3)
-        out, train_loss, eval_loss = train_local(client, adapters, Rng(7, "r"))
+        out, train_loss, eval_loss = client.train(adapters, Rng(7, "r"))
         data = client.data
         assert train_loss == mean_loss(client.model, out, data.train_x, data.train_y)
         assert eval_loss == mean_loss(client.model, out, data.val_x, data.val_y)
@@ -347,26 +355,26 @@ class TestTrainLocal:
         client, adapters = make_client(4, epochs=5)
         before = backbone_checksum(client.model)
         for round_number in range(3):
-            adapters, _, _ = train_local(client, adapters, Rng(4, "round", round_number))
+            adapters, _, _ = client.train(adapters, Rng(4, "round", round_number))
         assert backbone_checksum(client.model) == before
 
     def test_deterministic_given_seed(self):
         client, adapters = make_client(5)
-        one, _, _ = train_local(client, adapters, Rng(5, "r"))
-        two, _, _ = train_local(client, adapters, Rng(5, "r"))
+        one, _, _ = client.train(adapters, Rng(5, "r"))
+        two, _, _ = client.train(adapters, Rng(5, "r"))
         assert serialize(one) == serialize(two)
 
     def test_different_stream_changes_result(self):
         client, adapters = make_client(6, epochs=3)
-        one, _, _ = train_local(client, adapters, Rng(6, "r1"))
-        two, _, _ = train_local(client, adapters, Rng(6, "r2"))
+        one, _, _ = client.train(adapters, Rng(6, "r1"))
+        two, _, _ = client.train(adapters, Rng(6, "r2"))
         assert serialize(one) != serialize(two)
 
     def test_partial_last_batch_kept(self, monkeypatch):
         # 40 samples, batch 8 -> 5 steps/epoch; 41 samples -> 6 steps/epoch.
         steps = count_steps(monkeypatch)
         client, adapters = make_client(7, epochs=1, n=41)
-        train_local(client, adapters, Rng(7, "r"))
+        client.train(adapters, Rng(7, "r"))
         assert len(steps) == 6
 
     def test_matrix_constructions_do_not_grow_with_steps(self, monkeypatch):
@@ -385,7 +393,7 @@ class TestTrainLocal:
         counts, steps = [], []
         for client, adapters in clients:
             before, steps_before = len(built), len(calls)
-            train_local(client, adapters, Rng(9, "r"))
+            client.train(adapters, Rng(9, "r"))
             counts.append(built[before:])
             steps.append(len(calls) - steps_before)
         assert steps == [5, 20]
@@ -396,4 +404,4 @@ class TestTrainLocal:
         other_model = BackboneModel.random(Rng(99), 5, 6, 2)
         foreign = init_adapters(other_model, 2, Rng(99))
         with pytest.raises(ShapeError):
-            train_local(client, foreign, Rng(8, "r"))
+            client.train(foreign, Rng(8, "r"))
