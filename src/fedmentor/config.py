@@ -41,9 +41,7 @@ from typing import Mapping
 
 import yaml
 
-from .data import (
-    DEFAULT_DOMAIN_SIZES, DEFAULT_ROTATIONS, DomainSpec, default_federation_specs, make_domain,
-)
+from .data import DEFAULT_DOMAIN_SIZES, DomainSpec, default_federation_specs, make_domain
 from .dp import DEFAULT_BUDGETS, BudgetConfig, NoiseCalibration
 from .federation import ClientState, ServerState
 from .linalg import Rng, single_blas_thread
@@ -362,7 +360,7 @@ def _domain_specs(cfg: RunConfig, rng: Rng) -> list[DomainSpec]:
             w /= (w**2).sum() ** 0.5
             n_train = max(1, round(cfg.data.scale * 3452))
             n_val = max(1, round(0.1 * cfg.data.scale * 3452))
-            weights, angle = w.tolist(), DEFAULT_ROTATIONS.get(name, 0.0)
+            weights, angle = w.tolist(), 0.0
         else:
             n_train, n_val = spec.n_train, spec.n_val
             weights, angle = spec.true_weights, spec.rotation_angle

@@ -34,9 +34,10 @@ from fedmentor.config import (
 )
 from fedmentor.data import DEFAULT_DOMAIN_SIZES
 from fedmentor.dp import NoiseCalibration
-from fedmentor.federation import adapters_sha256, metrics_csv_lines, run_training
+from fedmentor.federation import metrics_csv_lines, run_training
 from fedmentor.lora import serialize
 from fedmentor.metrics import METRIC_NAMES
+from check_recorded_sha256 import load_recorded
 from reference import run_plain_fedavg
 
 
@@ -442,17 +443,8 @@ class TestBuildExperiment:
             raise AssertionError("stock specs built for a config without stock domains")
 
         monkeypatch.setattr(config_mod, "default_federation_specs", unused)
-        cfg = config_from_dict({
-            "rounds": 1,
-            "data": {"domains": ["a", "b"], "scale": 0.02},
-            "strategy": {"kind": "uniform", "eps_glob": 1.0},
-        })
-        exp = build_experiment(cfg)
-        server, _ = run_training(exp.server, exp.clients, cfg.rounds)
-        # Recorded while the stock specs were always built: skipping them changes no bit.
-        assert adapters_sha256(server.global_adapters) == (
-            "7be02ab237acbb7985fa0a506d400d5d2cddb88c7bb10dd8d12a82630854f2d9"
-        )
+        # The golden custom_only case of test_golden.py pins this config's bits.
+        build_experiment(config_from_dict(load_recorded()["golden"]["custom_only"]["config"]))
 
     def test_set_up_runs_on_one_blas_thread(self, blas_threads, monkeypatch):
         get, outside = blas_threads
