@@ -25,7 +25,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, build_experiment, config_from_dict, load_config
+from .config import ConfigError, RunConfig, build_experiment, load_config
 from .federation import (
     RoundError, bytes_to_mb, run_training, write_metrics_csv, write_summary_json,
 )
@@ -88,12 +88,12 @@ def run_command(
     rounds: int | None = None,
     out: str | None = None,
 ) -> Path:
-    """Load config, apply CLI overrides, run, and return the run directory."""
-    cfg = load_config(config_path)
+    """Load config, apply CLI overrides, run, and return the run directory.
+
+    ``replace`` checks the overridden config before any run directory exists.
+    """
     overrides = {"seed": seed, "rounds": rounds, "output_dir": out}
-    cfg = config_from_dict(
-        {**cfg.to_dict(), **{k: v for k, v in overrides.items() if v is not None}}
-    )
+    cfg = replace(load_config(config_path), **{k: v for k, v in overrides.items() if v is not None})
     run_dir = _fresh_run_dir(Path(cfg.output_dir), cfg.seed)
     try:
         summary = execute_run(cfg, run_dir)

@@ -23,8 +23,10 @@ A section the strategy replaces (``budgets.entries`` under uniform,
 and off) would be ignored, so setting it to anything but its default is an
 error.
 
-Validation errors raise :class:`ConfigError` naming the offending field. No
-float may be NaN or infinite, wherever it sits in the config.
+Every RunConfig checks its rules when it is built: from YAML, a dict, code
+or ``dataclasses.replace``. A broken rule raises :class:`ConfigError` naming
+the field; a range check is written ``not x >= lo`` so that a NaN fails it.
+The loader also rejects ill-typed values and any NaN or infinite float.
 """
 from __future__ import annotations
 
@@ -115,6 +117,11 @@ class PrivacyStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; expected one of {STRATEGY_KINDS}")
+        # A parameter its kind does not read would be echoed as if it had been applied.
+        readers = {"eps_glob": "uniform", "sigma": "static_noise", "tau": "utility_threshold"}
+        for name, reader in readers.items():
+            if getattr(self, name) is not None and self.kind != reader:
+                raise ValueError(f"strategy {self.kind!r} does not read {name}; leave it unset")
         # An unset value reads as NaN, which fails the comparisons as a NaN value does.
         eps_glob = math.nan if self.eps_glob is None else self.eps_glob
         if self.kind == "uniform" and not 0 < eps_glob < math.inf:
@@ -129,6 +136,16 @@ class PrivacyStrategy:
     def per_domain(self) -> bool:
         """True when noise follows the per-domain budgets of the config."""
         return self.kind in ("domain_aware", "utility_threshold")
+
+
+# The sections build_experiment replaces for each strategy; a value set there
+# would be silently ignored, so it is rejected instead.
+_REPLACED_SECTIONS = {
+    "uniform": ("budgets.entries",),
+    "utility_threshold": ("thresholds",),
+    "static_noise": ("budgets", "calibration", "thresholds"),
+    "off": ("budgets", "calibration", "thresholds"),
+}
 
 
 @dataclass(frozen=True)
@@ -146,6 +163,71 @@ class RunConfig:
     thresholds: Mapping[str, float] = field(default_factory=lambda: {"accuracy": 0.8})
     output_dir: str = "runs"
 
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
+        if not self.rounds >= 1:
+            raise ConfigError(f"rounds: must be >= 1, got {self.rounds}")
+        if not self.local_epochs >= 0:
+            raise ConfigError(f"local_epochs: must be >= 0, got {self.local_epochs}")
+        if not self.learning_rate >= 0:
+            raise ConfigError(f"learning_rate: must be >= 0, got {self.learning_rate}")
+        if not self.batch_size >= 1:
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
+        if not self.model.n_layers >= 1:
+            raise ConfigError(f"model.n_layers: must be >= 1, got {self.model.n_layers}")
+        if not self.model.rank >= 1:
+            raise ConfigError(f"model.rank: must be >= 1, got {self.model.rank}")
+        if self.model.rank > min(self.model.hidden_dim, self.model.input_dim):
+            raise ConfigError(
+                f"model.rank: {self.model.rank} exceeds "
+                f"min(hidden_dim={self.model.hidden_dim}, input_dim={self.model.input_dim})"
+            )
+        if not self.data.scale > 0:
+            raise ConfigError(f"data.scale: must be > 0, got {self.data.scale}")
+        if not 0.0 <= self.data.label_noise < 0.5:
+            raise ConfigError(f"data.label_noise: must be in [0, 0.5), got {self.data.label_noise}")
+        if not self.data.domains:
+            raise ConfigError("data.domains: expected a nonempty list of domain names")
+        if len(set(self.data.domains)) != len(self.data.domains):
+            raise ConfigError(f"data.domains: duplicate names in {list(self.data.domains)}")
+        for name in self.data.overrides:
+            if name not in self.data.domains:
+                raise ConfigError(f"data.overrides.{name}: domain not in data.domains")
+        if self.model.input_dim < 2:
+            # A boundary rotation acts on the plane of the first two input coordinates.
+            for name in self.data.domains:
+                angle = (self.data.overrides.get(name) or DomainOverride()).rotation_angle
+                if angle not in (None, 0.0):
+                    raise ConfigError(
+                        f"data.overrides.{name}.rotation_angle: {angle} needs "
+                        f"model.input_dim >= 2, got {self.model.input_dim}"
+                    )
+                if name in DEFAULT_DOMAIN_SIZES:
+                    raise ConfigError(
+                        f"model.input_dim: stock domain {name!r} needs input_dim >= 2, got "
+                        f"{self.model.input_dim}; the stock domains are built together, and "
+                        f"some are rotated"
+                    )
+        for name in self.thresholds:
+            if name not in METRIC_NAMES:
+                raise ConfigError(f"thresholds.{name}: unknown metric; expected one of {METRIC_NAMES}")
+        if self.strategy.per_domain:
+            missing = [d for d in self.data.domains if d not in self.budgets.entries]
+            if missing:
+                raise ConfigError(
+                    f"budgets.entries: missing budgets for domains {missing} "
+                    f"required by strategy {self.strategy.kind!r}"
+                )
+        kind = self.strategy.kind
+        if kind in ("static_noise", "off") and self.calibration.clip_norm is not None:
+            raise ConfigError(f"calibration.clip_norm: strategy {kind!r} clips nothing")
+        for section in _REPLACED_SECTIONS.get(kind, ()):
+            if attrgetter(section)(self) != attrgetter(section)(_DEFAULTS):
+                raise ConfigError(
+                    f"{section}: strategy {kind!r} replaces this section, so it must be left unset"
+                )
+
     def to_dict(self) -> dict:
         """Canonical plain-dict echo; feeding it back reproduces this config."""
         out = asdict(self)
@@ -159,6 +241,9 @@ class RunConfig:
         }
         out["thresholds"] = dict(self.thresholds)
         return out
+
+
+_DEFAULTS = RunConfig()
 
 
 def _load(kind, value, path: str):
@@ -183,6 +268,8 @@ def _load(kind, value, path: str):
         kwargs = {k: _load(hints[k], v, prefix + k) for k, v in value.items()}
         try:
             return kind(**kwargs)
+        except ConfigError:
+            raise  # a RunConfig's own message names the field already
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     origin, args = typing.get_origin(kind), typing.get_args(kind)
@@ -218,88 +305,8 @@ def _load(kind, value, path: str):
 
 
 def config_from_dict(raw: Mapping) -> RunConfig:
-    """Build a RunConfig from a (possibly empty) nested mapping of overrides."""
-    cfg = _load(RunConfig, raw, "")
-    _validate(cfg)
-    return cfg
-
-
-_DEFAULTS = RunConfig()
-
-# The sections build_experiment replaces for each strategy; a value set there
-# would be silently ignored, so it is rejected instead.
-_REPLACED_SECTIONS = {
-    "uniform": ("budgets.entries",),
-    "utility_threshold": ("thresholds",),
-    "static_noise": ("budgets", "calibration", "thresholds"),
-    "off": ("budgets", "calibration", "thresholds"),
-}
-
-
-def _validate(cfg: RunConfig) -> None:
-    if not 0 <= cfg.seed < 2**64:
-        raise ConfigError(f"seed: must be a 64-bit unsigned integer, got {cfg.seed}")
-    if cfg.rounds < 1:
-        raise ConfigError(f"rounds: must be >= 1, got {cfg.rounds}")
-    if cfg.local_epochs < 0:
-        raise ConfigError(f"local_epochs: must be >= 0, got {cfg.local_epochs}")
-    if cfg.learning_rate < 0:
-        raise ConfigError(f"learning_rate: must be >= 0, got {cfg.learning_rate}")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size: must be >= 1, got {cfg.batch_size}")
-    if cfg.model.n_layers < 1:
-        raise ConfigError(f"model.n_layers: must be >= 1, got {cfg.model.n_layers}")
-    if cfg.model.rank < 1:
-        raise ConfigError(f"model.rank: must be >= 1, got {cfg.model.rank}")
-    if cfg.model.rank > min(cfg.model.hidden_dim, cfg.model.input_dim):
-        raise ConfigError(
-            f"model.rank: {cfg.model.rank} exceeds "
-            f"min(hidden_dim={cfg.model.hidden_dim}, input_dim={cfg.model.input_dim})"
-        )
-    if cfg.data.scale <= 0:
-        raise ConfigError(f"data.scale: must be > 0, got {cfg.data.scale}")
-    if not 0.0 <= cfg.data.label_noise < 0.5:
-        raise ConfigError(f"data.label_noise: must be in [0, 0.5), got {cfg.data.label_noise}")
-    if not cfg.data.domains:
-        raise ConfigError("data.domains: expected a nonempty list of domain names")
-    if len(set(cfg.data.domains)) != len(cfg.data.domains):
-        raise ConfigError(f"data.domains: duplicate names in {list(cfg.data.domains)}")
-    for name in cfg.data.overrides:
-        if name not in cfg.data.domains:
-            raise ConfigError(f"data.overrides.{name}: domain not in data.domains")
-    if cfg.model.input_dim < 2:
-        # A boundary rotation acts on the plane of the first two input coordinates.
-        for name in cfg.data.domains:
-            angle = (cfg.data.overrides.get(name) or DomainOverride()).rotation_angle
-            if angle not in (None, 0.0):
-                raise ConfigError(
-                    f"data.overrides.{name}.rotation_angle: {angle} needs "
-                    f"model.input_dim >= 2, got {cfg.model.input_dim}"
-                )
-            if name in DEFAULT_DOMAIN_SIZES:
-                raise ConfigError(
-                    f"model.input_dim: stock domain {name!r} needs input_dim >= 2, got "
-                    f"{cfg.model.input_dim}; the stock domains are built together, and "
-                    f"some are rotated"
-                )
-    for name in cfg.thresholds:
-        if name not in METRIC_NAMES:
-            raise ConfigError(f"thresholds.{name}: unknown metric; expected one of {METRIC_NAMES}")
-    if cfg.strategy.per_domain:
-        missing = [d for d in cfg.data.domains if d not in cfg.budgets.entries]
-        if missing:
-            raise ConfigError(
-                f"budgets.entries: missing budgets for domains {missing} "
-                f"required by strategy {cfg.strategy.kind!r}"
-            )
-    kind = cfg.strategy.kind
-    if kind in ("static_noise", "off") and cfg.calibration.clip_norm is not None:
-        raise ConfigError(f"calibration.clip_norm: strategy {kind!r} clips nothing")
-    for section in _REPLACED_SECTIONS.get(kind, ()):
-        if attrgetter(section)(cfg) != attrgetter(section)(_DEFAULTS):
-            raise ConfigError(
-                f"{section}: strategy {kind!r} replaces this section, so it must be left unset"
-            )
+    """Build a RunConfig, checked as every one is, from a nested mapping of overrides."""
+    return _load(RunConfig, raw, "")
 
 
 class _Loader(yaml.SafeLoader):
@@ -314,7 +321,7 @@ _Loader.add_implicit_resolver(  # YAML 1.1 wants a dot and a signed exponent
 
 
 def load_config(path) -> RunConfig:
-    """Parse a YAML config file; an empty file yields the stock defaults."""
+    """Parse and check a YAML config file; an empty file yields the stock defaults."""
     path = Path(path)
     try:
         text = path.read_text()

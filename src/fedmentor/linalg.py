@@ -32,6 +32,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,7 +148,9 @@ class Rng:
     """
 
     def __init__(self, seed: int, *stream: int | str):
-        seed = int(seed)
+        if isinstance(seed, bool):
+            raise TypeError("bool is not a valid seed")
+        seed = operator.index(seed)  # an int or a numpy int; never a truncated float
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self._seed = seed

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -243,11 +244,62 @@ class TestConfigParsing:
             ({"model": {"input_dim": 1, "rank": 1},
               "data": {"domains": ["IRF"], "overrides": {"IRF": {"rotation_angle": -0.2}}}},
              "data.overrides.IRF.rotation_angle: -0.2 needs model.input_dim >= 2"),
+            ({"strategy": {"kind": "domain_aware", "sigma": 0.5}},
+             "strategy: strategy 'domain_aware' does not read sigma"),
+            ({"strategy": {"kind": "off", "eps_glob": 1.0}},
+             "strategy: strategy 'off' does not read eps_glob"),
+            ({"strategy": {"kind": "uniform", "eps_glob": 1.0, "tau": 0.5}},
+             "strategy: strategy 'uniform' does not read tau"),
+            ({"strategy": {"kind": "static_noise", "sigma": 0.008, "eps_glob": 1.0}},
+             "strategy: strategy 'static_noise' does not read eps_glob"),
+            ({"strategy": {"kind": "utility_threshold", "tau": 0.5, "sigma": 0.0}},
+             "strategy: strategy 'utility_threshold' does not read sigma"),
         ],
     )
     def test_malformed_config_names_field(self, raw, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw, fields",
+        [
+            ({"rounds": 0}, {"rounds": 0}),
+            ({"rounds": 0, "batch_size": 0}, {"rounds": 0, "batch_size": 0}),
+            ({"seed": -1}, {"seed": -1}),
+            ({"model": {"rank": 99}}, {"model": ModelConfig(rank=99)}),
+            ({"data": {"domains": ["IRF", "IRF"]}}, {"data": DataConfig(domains=("IRF", "IRF"))}),
+            ({"thresholds": {"bert": 0.5}}, {"thresholds": {"bert": 0.5}}),
+            ({"rounds": 1, "strategy": {"kind": "off"}, "thresholds": {"accuracy": 0.99},
+              "calibration": {"clip_norm": 0.05}},
+             {"rounds": 1, "strategy": PrivacyStrategy("off"), "thresholds": {"accuracy": 0.99},
+              "calibration": NoiseCalibration(clip_norm=0.05)}),
+            ({"strategy": {"kind": "uniform", "eps_glob": 1.0},
+              "budgets": {"entries": {"IRF": 0.5}}},
+             {"strategy": PrivacyStrategy("uniform", eps_glob=1.0),
+              "budgets": BudgetConfig(entries={"IRF": 0.5})}),
+        ],
+    )
+    def test_code_and_replace_reach_the_dict_check(self, raw, fields):
+        with pytest.raises(ConfigError) as from_dict:
+            config_from_dict(raw)
+        with pytest.raises(ConfigError) as built:
+            RunConfig(**fields)
+        with pytest.raises(ConfigError) as replaced:
+            replace(config_from_dict({}), **fields)
+        assert str(built.value) == str(replaced.value) == str(from_dict.value)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"learning_rate": math.nan}, "learning_rate: must be >= 0, got nan"),
+            ({"data": DataConfig(scale=math.nan)}, "data.scale: must be > 0, got nan"),
+        ],
+    )
+    def test_nan_set_in_code_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(**fields)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replace(RunConfig(), **fields)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -262,7 +314,7 @@ def _floats(lo: float, hi: float):
 
 @st.composite
 def _run_configs(draw) -> RunConfig:
-    """Random RunConfigs that pass validation."""
+    """Random valid RunConfigs: each checks its rules as it is built, as every RunConfig does."""
     rank = draw(st.integers(1, 4))
     input_dim = draw(st.integers(rank, 16))
     names = st.text(min_size=1, max_size=6)
@@ -757,10 +809,14 @@ class TestMainExitCodes:
     def test_invalid_override_rejected_before_run_dir(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "rounds: 1\ndata: {scale: 0.02}\n")
         out = tmp_path / "out"
-        code = main(["run", "--config", str(cfg_path), "--seed", "-1", "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert "seed" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        for override, message in [
+            (["--seed", "-1"], "seed: must be a 64-bit unsigned integer, got -1"),
+            (["--rounds", "0"], "rounds: must be >= 1, got 0"),
+        ]:
+            code = main(["run", "--config", str(cfg_path), *override, "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_cli_overrides_apply(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "rounds: 5\nseed: 1\ndata: {scale: 0.02}\n")

@@ -128,6 +128,15 @@ class TestRng:
         with pytest.raises(TypeError):
             Rng(0).derive(1.5)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("seed", [3.7, 3.0, True, np.True_, "3"])
+    def test_bad_seed_type_rejected(self, seed):
+        with pytest.raises(TypeError):
+            Rng(seed)  # type: ignore[arg-type]
+
+    def test_numpy_int_seed_draws_as_the_int(self):
+        for seed in (np.int64(5), np.uint64(5), np.int32(5)):
+            assert np.array_equal(Rng(seed).standard_normal(2, 2), Rng(5).standard_normal(2, 2))
+
     def test_permutation_covers_range(self):
         perm = Rng(3).permutation(100)
         assert sorted(perm.tolist()) == list(range(100))
