@@ -12,10 +12,12 @@ Submodules:
     dp          per-segment noise scales, the one Gaussian noise path, gate, decay
     data        synthetic domain-shifted datasets
     trainer     frozen backbone, analytic gradients on plain array pairs, local SGD
-    federation  the strategy-free round loop: broadcast/train/privatize/aggregate/gate/decay
+    federation  the strategy-free round engine (no file I/O): broadcast, train,
+                privatize, aggregate, gate, decay
     metrics     the pooled validation utilities the gate reads
     config      run configuration, strategies, and experiment assembly
-    cli         command-line entry point
+    cli         command-line entry point; writes and reads the run directory
+                (metrics.csv, adapters.bin, summary.json)
 """
 from .linalg import Matrix, Rng
 

@@ -1,16 +1,23 @@
-"""Command-line entry point: run experiments, sweep budgets, inspect runs.
+"""Command-line entry point, and the one module that writes and reads a run directory.
 
     fedmentor run --config CONFIG [--seed N] [--rounds R] [--out DIR]
     fedmentor sweep --config CONFIG --domain NAME --eps V [V ...]
     fedmentor report RUN_DIR [--plot-csv PATH]
 
 Each run writes into its own directory named by seed and timestamp (never
-overwriting an earlier run): ``metrics.csv`` with one row per round,
-``summary.json`` with the config echo (less ``output_dir``) and the final
-adapter checksum, and ``adapters.bin`` holding the final global adapters in
-wire format. A run whose round fails keeps ``metrics.csv`` and
-``adapters.bin`` for the rounds it completed, if any, and its
-``summary.json`` carries the error, which ``report`` prints.
+overwriting an earlier run). It holds three files:
+
+    metrics.csv    one row per completed round (``metrics_csv_lines``)
+    adapters.bin   the final global adapters in wire format
+    summary.json   the config echo (less ``output_dir``), rounds completed,
+                   total communication bytes, final utilities, and the
+                   SHA-256 of the final adapters' wire bytes (those of
+                   ``adapters.bin``, or of the starting adapters if no
+                   round completed)
+
+A run whose round fails keeps ``metrics.csv`` and ``adapters.bin`` for the
+rounds it completed, if any, and its ``summary.json`` carries the error,
+which ``report`` prints.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 runtime error.
 """
@@ -18,25 +25,31 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from .config import ConfigError, RunConfig, build_experiment, load_config
-from .federation import (
-    RoundError, bytes_to_mb, run_training, write_metrics_csv, write_summary_json,
-)
+from .federation import RoundError, RoundRecord, run_training
 from .lora import serialize
-from .metrics import ACCURACY
+from .metrics import ACCURACY, METRIC_NAMES
 
 __all__ = ["main", "run_command", "sweep_command", "report_command"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+BYTES_PER_MB = 1024 * 1024
+
+
+def bytes_to_mb(n_bytes: int) -> float:
+    return n_bytes / BYTES_PER_MB
 
 
 def _fresh_run_dir(parent: Path, seed: int) -> Path:
@@ -53,7 +66,7 @@ def _fresh_run_dir(parent: Path, seed: int) -> Path:
 
 
 def execute_run(cfg: RunConfig, run_dir: Path) -> dict:
-    """Train per the config and emit metrics.csv / summary.json / adapters.bin.
+    """Train per the config and write metrics.csv, adapters.bin and summary.json.
 
     If a round fails, the artifacts of the rounds completed before it are
     written, and then its ``RoundError`` is raised again.
@@ -64,22 +77,77 @@ def execute_run(cfg: RunConfig, run_dir: Path) -> dict:
         server, records = run_training(experiment.server, experiment.clients, cfg.rounds)
     except RoundError as exc:
         server, records, error = exc.server, exc.records, exc
+    blob = serialize(server.global_adapters)
     if records:
         write_metrics_csv(records, run_dir / "metrics.csv")
-        (run_dir / "adapters.bin").write_bytes(serialize(server.global_adapters))
-    # Where the run was written is no part of it: same runs, same summary bytes.
-    echo = {k: v for k, v in cfg.to_dict().items() if k != "output_dir"}
-    write_summary_json(run_dir / "summary.json", echo, server.global_adapters, records, error)
+        (run_dir / "adapters.bin").write_bytes(blob)
+    summary = {
+        # Where the run was written is no part of it: same runs, same summary bytes.
+        "config": {k: v for k, v in cfg.to_dict().items() if k != "output_dir"},
+        "final_adapters_sha256": hashlib.sha256(blob).hexdigest(),
+        "rounds_completed": len(records),
+        "total_comm_bytes": sum(r.broadcast_bytes + r.upload_bytes for r in records),
+        "final_utilities": dict(records[-1].utilities) if records else {},
+    }
+    if error is not None:
+        summary["error"] = str(error)
+    write_summary_json(run_dir / "summary.json", summary)
     if error is not None:
         raise error
     final = records[-1]
     return {
         "rounds": len(records),
         "final_accuracy": final.utilities[ACCURACY],
-        "total_comm_bytes": sum(r.broadcast_bytes + r.upload_bytes for r in records),
+        "total_comm_bytes": summary["total_comm_bytes"],
         "gate_rounds": sum(1 for r in records if r.gate_triggered),
         "scale_multiplier": final.scale_multiplier,
     }
+
+
+def metrics_csv_lines(records: Sequence[RoundRecord]) -> list[str]:
+    """Fixed-column CSV rows, one per round.
+
+    Columns: round, per-client train/eval losses (client ids sorted), comm
+    byte counters, utilities, gate flag, scale multiplier, per-domain budgets
+    (domains sorted). A float is written as ``str`` writes it, its shortest
+    round-trip form, so equal runs produce byte-equal files.
+    """
+    if not records:
+        raise ValueError("no records to format")
+    client_ids = sorted({c.client_id for r in records for c in r.per_client})
+    domains = sorted(records[0].budgets)
+    header = ["round"]
+    for cid in client_ids:
+        header += [f"client{cid}_train_loss", f"client{cid}_eval_loss"]
+    header += ["broadcast_bytes", "upload_bytes", "total_comm_bytes"]
+    header += list(METRIC_NAMES)
+    header += ["gate_triggered", "scale_multiplier"]
+    header += [f"budget_{d}" for d in domains]
+
+    lines = [",".join(header)]
+    for rec in records:
+        by_id = {c.client_id: c for c in rec.per_client}
+        row = [str(rec.round)]
+        for cid in client_ids:
+            stats = by_id.get(cid)
+            row += ["", ""] if stats is None else [str(stats.train_loss), str(stats.eval_loss)]
+        total = rec.broadcast_bytes + rec.upload_bytes
+        row += [str(rec.broadcast_bytes), str(rec.upload_bytes), str(total)]
+        row += [str(rec.utilities[m]) for m in METRIC_NAMES]
+        row += [str(int(rec.gate_triggered)), str(rec.scale_multiplier)]
+        row += [str(rec.budgets[d]) for d in domains]
+        lines.append(",".join(row))
+    return lines
+
+
+def write_metrics_csv(records: Sequence[RoundRecord], path) -> None:
+    Path(path).write_text("\n".join(metrics_csv_lines(records)) + "\n", newline="")
+
+
+def write_summary_json(path, summary: Mapping) -> None:
+    """Encode the whole summary before opening the file, so a bad value leaves no partial file."""
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text)
 
 
 def run_command(
@@ -174,16 +242,6 @@ def sweep_command(config_path, domain: str, eps_values: list[float], out: str | 
     return sweep_dir
 
 
-def _read_metrics(run_dir: Path) -> tuple[list[str], list[dict]]:
-    metrics_path = run_dir / "metrics.csv"
-    if not metrics_path.exists():
-        raise FileNotFoundError(f"missing metrics file: {metrics_path}")
-    with open(metrics_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        return list(reader.fieldnames or []), rows
-
-
 def report_command(run_dir, plot_csv=None) -> None:
     """Print a failed run's error, the round table, budget traces, gate events, and comm totals."""
     run_dir = Path(run_dir)
@@ -196,28 +254,31 @@ def report_command(run_dir, plot_csv=None) -> None:
         print(f"run failed: {summary['error']}")
     if summary["rounds_completed"] == 0:  # only a failed run; it wrote no metrics.csv
         print("rounds: 0")
-        return
-    columns, rows = _read_metrics(run_dir)
-
-    budget_cols = [c for c in columns if c.startswith("budget_")]
-    print(f"rounds: {len(rows)}, final adapters sha256: {summary['final_adapters_sha256'][:16]}…")
-    print()
-    header = f"{'round':>5}  {'accuracy':>9}  {'neg_loss':>9}  {'gate':>4}  {'mult':>8}"
-    print(header)
-    for row in rows:
-        print(
-            f"{row['round']:>5}  {float(row['accuracy']):>9.4f}  "
-            f"{float(row['neg_eval_loss']):>9.4f}  {row['gate_triggered']:>4}  "
-            f"{float(row['scale_multiplier']):>8.4f}"
-        )
-    print()
-    for col in budget_cols:
-        trace = " -> ".join(f"{float(r[col]):.4f}" for r in rows)
-        print(f"{col}: {trace}")
-    gate_rounds = [r["round"] for r in rows if r["gate_triggered"] == "1"]
-    print(f"gate fired in rounds: {', '.join(gate_rounds) if gate_rounds else 'never'}")
-    total = sum(int(r["total_comm_bytes"]) for r in rows)
-    print(f"total communication: {total} bytes ({bytes_to_mb(total):.2f} MB)")
+        columns, rows = [], []
+    else:
+        with open(run_dir / "metrics.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        columns = reader.fieldnames
+        budget_cols = [c for c in columns if c.startswith("budget_")]
+        sha = summary["final_adapters_sha256"]
+        print(f"rounds: {len(rows)}, final adapters sha256: {sha[:16]}…")
+        print()
+        print(f"{'round':>5}  {'accuracy':>9}  {'neg_loss':>9}  {'gate':>4}  {'mult':>8}")
+        for row in rows:
+            print(
+                f"{row['round']:>5}  {float(row['accuracy']):>9.4f}  "
+                f"{float(row['neg_eval_loss']):>9.4f}  {row['gate_triggered']:>4}  "
+                f"{float(row['scale_multiplier']):>8.4f}"
+            )
+        print()
+        for col in budget_cols:
+            trace = " -> ".join(f"{float(r[col]):.4f}" for r in rows)
+            print(f"{col}: {trace}")
+        gate_rounds = [r["round"] for r in rows if r["gate_triggered"] == "1"]
+        print(f"gate fired in rounds: {', '.join(gate_rounds) if gate_rounds else 'never'}")
+        total = sum(int(r["total_comm_bytes"]) for r in rows)
+        print(f"total communication: {total} bytes ({bytes_to_mb(total):.2f} MB)")
 
     if plot_csv is not None:
         with open(plot_csv, "w", newline="") as fh:

@@ -26,7 +26,8 @@ error.
 Every RunConfig checks its rules when it is built: from YAML, a dict, code
 or ``dataclasses.replace``. A broken rule raises :class:`ConfigError` naming
 the field; a range check is written ``not x >= lo`` so that a NaN fails it.
-The loader also rejects ill-typed values and any NaN or infinite float.
+The loader also rejects ill-typed values and any NaN or infinite float, and
+so does a RunConfig for its int fields, thresholds, tau and rotation angles.
 """
 from __future__ import annotations
 
@@ -148,6 +149,25 @@ _REPLACED_SECTIONS = {
 }
 
 
+def _scalar(kind, value, where: str):
+    """The loader's rule for a scalar: a bool is no number; a float is finite, returned as one."""
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{where}: must be finite, got an integer too large for a float"
+            ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: must be finite, got {value!r}")
+        return value
+    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if kind is str and isinstance(value, str):
+        return value
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -164,6 +184,18 @@ class RunConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        # Values set in code meet the loader's rules: these ints are ints, these floats finite.
+        ints = {k: getattr(self, k) for k in ("seed", "rounds", "local_epochs", "batch_size")}
+        ints |= {f"model.{k}": v for k, v in asdict(self.model).items()}
+        floats = {f"thresholds.{k}": v for k, v in self.thresholds.items()}
+        floats["strategy.tau"] = self.strategy.tau
+        for name, ov in self.data.overrides.items():
+            ints |= {f"data.overrides.{name}.{k}": getattr(ov, k) for k in ("n_train", "n_val")}
+            floats[f"data.overrides.{name}.rotation_angle"] = ov.rotation_angle
+        for kind, values in ((int, ints), (float, floats)):
+            for where, value in values.items():
+                if value is not None:
+                    _scalar(kind, value, where)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
         if not self.rounds >= 1:
@@ -251,9 +283,7 @@ def _load(kind, value, path: str):
 
     Handles dataclasses (missing keys keep their defaults), ``X | None``
     (``None`` means unset), ``tuple[X, ...]``, ``Mapping[K, V]``, and the
-    scalars int/float/str. Booleans are never numbers, and a float must be
-    finite (an integer too large for a float counts as not). Errors name
-    ``path``.
+    scalars int/float/str (see ``_scalar``). Errors name ``path``.
     """
     where = path or "config"
     if dataclasses.is_dataclass(kind):
@@ -287,21 +317,7 @@ def _load(kind, value, path: str):
             _load(args[0], k, f"{where} key"): _load(args[1], v, f"{where}.{k}")
             for k, v in value.items()
         }
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(
-                f"{where}: must be finite, got an integer too large for a float"
-            ) from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{where}: must be finite, got {value!r}")
-        return value
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return _scalar(kind, value, where)
 
 
 def config_from_dict(raw: Mapping) -> RunConfig:

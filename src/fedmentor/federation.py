@@ -1,4 +1,7 @@
-"""Server state machine: broadcast, train, privatize, aggregate, gate, decay.
+"""The round engine: broadcast, train, privatize, aggregate, gate, decay.
+
+It does no file I/O: the rounds return records, and ``cli`` writes them, with
+the final adapters, into the run directory.
 
 One round executes, in order: encode the global adapters and decode that
 broadcast, train each responding client from the decoded adapters in
@@ -30,7 +33,6 @@ privatizes every upload with ``dp.privatize`` and runs the gate and the decay.
 """
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Collection, Mapping, Sequence
@@ -60,18 +62,7 @@ __all__ = [
     "aggregate",
     "run_round",
     "run_training",
-    "write_metrics_csv",
-    "write_summary_json",
-    "adapters_sha256",
-    "bytes_to_mb",
-    "BYTES_PER_MB",
 ]
-
-BYTES_PER_MB = 1024 * 1024
-
-
-def bytes_to_mb(n_bytes: int) -> float:
-    return n_bytes / BYTES_PER_MB
 
 
 @dataclass(frozen=True)
@@ -330,82 +321,3 @@ def run_training(
                 raise RoundError(f"round {round_number}: {exc}", server, records) from exc
             records.append(record)
     return server, records
-
-
-# ---------------------------- artifact emission ---------------------------- #
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def metrics_csv_lines(records: Sequence[RoundRecord]) -> list[str]:
-    """Fixed-column CSV rows, one per round.
-
-    Columns: round, per-client train/eval losses (client ids sorted), comm
-    byte counters, utilities, gate flag, scale multiplier, per-domain budgets
-    (domains sorted). Floats are written with ``repr`` so equal runs produce
-    byte-equal files.
-    """
-    if not records:
-        raise ValueError("no records to format")
-    client_ids = sorted({c.client_id for r in records for c in r.per_client})
-    domains = sorted(records[0].budgets)
-    header = ["round"]
-    for cid in client_ids:
-        header += [f"client{cid}_train_loss", f"client{cid}_eval_loss"]
-    header += ["broadcast_bytes", "upload_bytes", "total_comm_bytes"]
-    header += list(metrics_mod.METRIC_NAMES)
-    header += ["gate_triggered", "scale_multiplier"]
-    header += [f"budget_{d}" for d in domains]
-
-    lines = [",".join(header)]
-    for rec in records:
-        by_id = {c.client_id: c for c in rec.per_client}
-        row = [str(rec.round)]
-        for cid in client_ids:
-            stats = by_id.get(cid)
-            row += ["", ""] if stats is None else [_fmt(stats.train_loss), _fmt(stats.eval_loss)]
-        total = rec.broadcast_bytes + rec.upload_bytes
-        row += [str(rec.broadcast_bytes), str(rec.upload_bytes), str(total)]
-        row += [_fmt(rec.utilities[m]) for m in metrics_mod.METRIC_NAMES]
-        row += [_fmt(rec.gate_triggered), _fmt(rec.scale_multiplier)]
-        row += [_fmt(rec.budgets[d]) for d in domains]
-        lines.append(",".join(row))
-    return lines
-
-
-def write_metrics_csv(records: Sequence[RoundRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(metrics_csv_lines(records)) + "\n")
-
-
-def adapters_sha256(adapters: AdapterSet) -> str:
-    import hashlib
-
-    return hashlib.sha256(serialize(adapters)).hexdigest()
-
-
-def write_summary_json(
-    path,
-    config_echo: Mapping,
-    final_adapters: AdapterSet,
-    records: Sequence[RoundRecord],
-    error: Exception | None = None,
-) -> None:
-    """Write the run summary; a failed run's summary also names its error."""
-    summary = {
-        "config": config_echo,
-        "final_adapters_sha256": adapters_sha256(final_adapters),
-        "rounds_completed": len(records),
-        "total_comm_bytes": sum(r.broadcast_bytes + r.upload_bytes for r in records),
-        "final_utilities": dict(records[-1].utilities) if records else {},
-    }
-    if error is not None:
-        summary["error"] = str(error)
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")

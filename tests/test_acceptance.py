@@ -12,16 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fedmentor.cli import BYTES_PER_MB, bytes_to_mb, write_metrics_csv
 from fedmentor.config import PrivacyStrategy, RunConfig, build_experiment, config_from_dict
 from fedmentor.data import Dataset
 from fedmentor.dp import NoiseCalibration, privatize
-from fedmentor.federation import (
-    BYTES_PER_MB,
-    aggregate,
-    bytes_to_mb,
-    run_training,
-    write_metrics_csv,
-)
+from fedmentor.federation import aggregate, run_training
 from fedmentor.linalg import Rng
 from fedmentor.lora import AdapterSet, serialize
 from fedmentor.metrics import ACCURACY, evaluate

@@ -1,11 +1,13 @@
 """Config parsing, the run/sweep/report commands, and artifact emission."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +20,10 @@ from fedmentor.cli import (
     EXIT_RUNTIME,
     execute_run,
     main,
+    metrics_csv_lines,
     run_command,
     sweep_command,
+    write_summary_json,
 )
 from fedmentor.config import (
     BudgetConfig,
@@ -35,7 +39,7 @@ from fedmentor.config import (
 )
 from fedmentor.data import DEFAULT_DOMAIN_SIZES
 from fedmentor.dp import NoiseCalibration
-from fedmentor.federation import metrics_csv_lines, run_training
+from fedmentor.federation import run_training
 from fedmentor.lora import serialize
 from fedmentor.metrics import METRIC_NAMES
 from check_recorded_sha256 import load_recorded
@@ -277,6 +281,14 @@ class TestConfigParsing:
               "budgets": {"entries": {"IRF": 0.5}}},
              {"strategy": PrivacyStrategy("uniform", eps_glob=1.0),
               "budgets": BudgetConfig(entries={"IRF": 0.5})}),
+            ({"seed": 3.0}, {"seed": 3.0}),
+            ({"seed": np.int64(3)}, {"seed": np.int64(3)}),
+            ({"rounds": 1.5}, {"rounds": 1.5}),
+            ({"rounds": True}, {"rounds": True}),
+            ({"batch_size": 2.5}, {"batch_size": 2.5}),
+            ({"model": {"hidden_dim": 16.5}}, {"model": ModelConfig(hidden_dim=16.5)}),
+            ({"data": {"overrides": {"IRF": {"n_train": 2.5}}}},
+             {"data": DataConfig(overrides={"IRF": DomainOverride(n_train=2.5)})}),
         ],
     )
     def test_code_and_replace_reach_the_dict_check(self, raw, fields):
@@ -293,6 +305,11 @@ class TestConfigParsing:
         [
             ({"learning_rate": math.nan}, "learning_rate: must be >= 0, got nan"),
             ({"data": DataConfig(scale=math.nan)}, "data.scale: must be > 0, got nan"),
+            ({"thresholds": {"accuracy": math.nan}}, "thresholds.accuracy: must be finite, got nan"),
+            ({"strategy": PrivacyStrategy("utility_threshold", tau=math.nan)},
+             "strategy.tau: must be finite, got nan"),
+            ({"data": DataConfig(overrides={"IRF": DomainOverride(rotation_angle=math.nan)})},
+             "data.overrides.IRF.rotation_angle: must be finite, got nan"),
         ],
     )
     def test_nan_set_in_code_rejected(self, fields, message):
@@ -536,8 +553,15 @@ class TestRunCommand:
         assert (run_dir / "adapters.bin").exists()
         summary = json.loads((run_dir / "summary.json").read_text())
         assert summary["rounds_completed"] == 2
-        assert len(summary["final_adapters_sha256"]) == 64
+        adapters_sha256 = hashlib.sha256((run_dir / "adapters.bin").read_bytes()).hexdigest()
+        assert summary["final_adapters_sha256"] == adapters_sha256
         assert "error" not in summary
+
+    def test_unencodable_summary_leaves_no_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        with pytest.raises(TypeError, match="int64"):
+            write_summary_json(path, {"config": {"seed": np.int64(3)}})
+        assert not path.exists()
 
     def test_metrics_has_one_row_per_round(self, tmp_path):
         cfg_path = write_config(tmp_path, "rounds: 3\ndata: {scale: 0.02}\n")
@@ -738,10 +762,13 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", str(run_dir)]) == EXIT_OK
         out = capsys.readouterr().out
-        error = json.loads((run_dir / "summary.json").read_text())["error"]
+        summary = json.loads((run_dir / "summary.json").read_text())
+        error = summary["error"]
         assert f"run failed: {error}\n" in out
         assert "round 4" in error
         assert "rounds: 3," in out
+        adapters_sha256 = hashlib.sha256((run_dir / "adapters.bin").read_bytes()).hexdigest()
+        assert summary["final_adapters_sha256"] == adapters_sha256
 
     def test_run_failed_in_round_one_reports_zero_rounds(self, tmp_path, capsys):
         cfg_path = write_config(
@@ -757,6 +784,10 @@ class TestReportCommand:
         error = json.loads((run_dir / "summary.json").read_text())["error"]
         assert "round 1" in error
         assert out == f"run: {run_dir}\nrun failed: {error}\nrounds: 0\n"
+        plot = tmp_path / "plot.csv"
+        assert main(["report", str(run_dir), "--plot-csv", str(plot)]) == EXIT_OK
+        assert capsys.readouterr().out == f"{out}plot-ready CSV in {plot}\n"
+        assert plot.read_bytes() == b"round,metric,value\r\n"
 
     def test_missing_run_dir_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
