@@ -182,7 +182,9 @@ def sweep_command(config_path, domain: str, eps_values: list[float], out: str | 
     """One training per epsilon for the chosen domain, other budgets fixed.
 
     Only the strategies that read per-domain budgets can sweep one, and the
-    domain must have a client.
+    domain must have a client. If a run's round fails, ``sweep.csv`` still
+    holds a row for each run completed before it, and the ``RoundError`` is
+    raised again.
     """
     if not eps_values:
         raise ConfigError("sweep: --eps needs at least one value")
@@ -208,14 +210,18 @@ def sweep_command(config_path, domain: str, eps_values: list[float], out: str | 
         names[name] = eps
 
     sweep_dir = _fresh_run_dir(Path(cfg.output_dir), cfg.seed)
-    rows = []
+    rows, error = [], None
     for name, eps in names.items():
         entries = dict(cfg.budgets.entries)
         entries[domain] = eps
         run_cfg = replace(cfg, budgets=replace(cfg.budgets, entries=entries))
         run_dir = sweep_dir / name
         run_dir.mkdir()
-        summary = execute_run(run_cfg, run_dir)
+        try:
+            summary = execute_run(run_cfg, run_dir)
+        except RoundError as exc:
+            error = exc
+            break
         rows.append(
             {
                 "domain": domain,
@@ -227,10 +233,17 @@ def sweep_command(config_path, domain: str, eps_values: list[float], out: str | 
                 "run_dir": run_dir.name,
             }
         )
+    columns = [
+        "domain", "eps", "final_accuracy", "gate_rounds", "scale_multiplier", "total_comm_bytes",
+        "run_dir",
+    ]
     with open(sweep_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
+    if error is not None:
+        print(f"partial artifacts in {run_dir}", file=sys.stderr)
+        raise error
 
     print(f"{'eps':>8}  {'accuracy':>9}  {'gate':>5}  {'comm MB':>8}")
     for row in rows:

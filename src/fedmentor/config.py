@@ -23,11 +23,15 @@ A section the strategy replaces (``budgets.entries`` under uniform,
 and off) would be ignored, so setting it to anything but its default is an
 error.
 
-Every RunConfig checks its rules when it is built: from YAML, a dict, code
-or ``dataclasses.replace``. A broken rule raises :class:`ConfigError` naming
-the field; a range check is written ``not x >= lo`` so that a NaN fails it.
-The loader also rejects ill-typed values and any NaN or infinite float, and
-so does a RunConfig for its int fields, thresholds, tau and rotation angles.
+Every RunConfig checks itself the same way when it is built, from YAML, a
+dict, code or ``dataclasses.replace``: first the loader's walk (``_load``)
+types each value by its annotation, then the ranges and cross-field rules
+run. A broken rule raises :class:`ConfigError` naming the field. The walk
+rejects a bool where a number is due, a non-int where an int is, and any NaN
+or infinite float; an int given for a float is stored as a float, from YAML
+or code alike. ``PrivacyStrategy``, ``dp.NoiseCalibration`` and
+``dp.BudgetConfig`` also check their own values when built, as they are used
+alone too: a lone strategy in tests, the dp types in ``federation.ServerState``.
 """
 from __future__ import annotations
 
@@ -86,14 +90,6 @@ class DomainOverride:
     rotation_angle: float | None = None
     label_noise: float | None = None
 
-    def __post_init__(self):
-        for name in ("n_train", "n_val"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.label_noise is not None and not 0.0 <= self.label_noise < 0.5:
-            raise ValueError(f"label_noise must be in [0, 0.5), got {self.label_noise}")
-
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -149,25 +145,6 @@ _REPLACED_SECTIONS = {
 }
 
 
-def _scalar(kind, value, where: str):
-    """The loader's rule for a scalar: a bool is no number; a float is finite, returned as one."""
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(
-                f"{where}: must be finite, got an integer too large for a float"
-            ) from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{where}: must be finite, got {value!r}")
-        return value
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -184,18 +161,10 @@ class RunConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        # Values set in code meet the loader's rules: these ints are ints, these floats finite.
-        ints = {k: getattr(self, k) for k in ("seed", "rounds", "local_epochs", "batch_size")}
-        ints |= {f"model.{k}": v for k, v in asdict(self.model).items()}
-        floats = {f"thresholds.{k}": v for k, v in self.thresholds.items()}
-        floats["strategy.tau"] = self.strategy.tau
-        for name, ov in self.data.overrides.items():
-            ints |= {f"data.overrides.{name}.{k}": getattr(ov, k) for k in ("n_train", "n_val")}
-            floats[f"data.overrides.{name}.rotation_angle"] = ov.rotation_angle
-        for kind, values in ((int, ints), (float, floats)):
-            for where, value in values.items():
-                if value is not None:
-                    _scalar(kind, value, where)
+        # The loader's walk types every value, however this config was built.
+        hints = typing.get_type_hints(RunConfig)
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _load(hints[f.name], getattr(self, f.name), f.name))
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
         if not self.rounds >= 1:
@@ -223,9 +192,15 @@ class RunConfig:
             raise ConfigError("data.domains: expected a nonempty list of domain names")
         if len(set(self.data.domains)) != len(self.data.domains):
             raise ConfigError(f"data.domains: duplicate names in {list(self.data.domains)}")
-        for name in self.data.overrides:
+        for name, ov in self.data.overrides.items():
+            where = f"data.overrides.{name}"
+            for k, size in (("n_train", ov.n_train), ("n_val", ov.n_val)):
+                if size is not None and size < 1:
+                    raise ConfigError(f"{where}: {k} must be >= 1, got {size}")
+            if ov.label_noise is not None and not 0.0 <= ov.label_noise < 0.5:
+                raise ConfigError(f"{where}: label_noise must be in [0, 0.5), got {ov.label_noise}")
             if name not in self.data.domains:
-                raise ConfigError(f"data.overrides.{name}: domain not in data.domains")
+                raise ConfigError(f"{where}: domain not in data.domains")
         if self.model.input_dim < 2:
             # A boundary rotation acts on the plane of the first two input coordinates.
             for name in self.data.domains:
@@ -275,18 +250,19 @@ class RunConfig:
         return out
 
 
-_DEFAULTS = RunConfig()
-
-
 def _load(kind, value, path: str):
     """Coerce a raw (YAML-shaped) value to the annotated type ``kind``.
 
-    Handles dataclasses (missing keys keep their defaults), ``X | None``
-    (``None`` means unset), ``tuple[X, ...]``, ``Mapping[K, V]``, and the
-    scalars int/float/str (see ``_scalar``). Errors name ``path``.
+    Handles dataclasses, given as a mapping or an instance of ``kind``
+    (missing keys keep their defaults), ``X | None`` (``None`` means unset),
+    ``tuple[X, ...]``, ``Mapping[K, V]``, and the scalars int/float/str: a
+    bool is no number, and a float is finite and returned as one. Errors
+    name ``path``.
     """
     where = path or "config"
     if dataclasses.is_dataclass(kind):
+        if isinstance(value, kind):
+            value = {f.name: getattr(value, f.name) for f in dataclasses.fields(kind)}
         if not isinstance(value, Mapping):
             raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
         hints = typing.get_type_hints(kind)
@@ -317,7 +293,22 @@ def _load(kind, value, path: str):
             _load(args[0], k, f"{where} key"): _load(args[1], v, f"{where}.{k}")
             for k, v in value.items()
         }
-    return _scalar(kind, value, where)
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{where}: must be finite, got an integer too large for a float"
+            ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: must be finite, got {value!r}")
+        return value
+    if kind in (int, str) and isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
+_DEFAULTS = RunConfig()
 
 
 def config_from_dict(raw: Mapping) -> RunConfig:

@@ -100,14 +100,17 @@ class BackboneModel:
         return cls(tuple(layers), Matrix(head))
 
 
-def init_adapters(model: BackboneModel, rank: int, rng: Rng, a_std: float = 0.01) -> AdapterSet:
+A_STD = 0.01  # standard deviation of a fresh adapter's A entries
+
+
+def init_adapters(model: BackboneModel, rank: int, rng: Rng) -> AdapterSet:
     """Fresh adapters: A from a small Gaussian, B at zero, so delta starts at 0."""
     factors = []
     for i, w in enumerate(model.layers):
         d, k = w.rows, w.cols
         if rank > min(d, k):
             raise ValueError(f"rank {rank} too large for layer {i} ({d}x{k})")
-        a = rng.derive("adapter-a", i).standard_normal(rank, k) * a_std
+        a = rng.derive("adapter-a", i).standard_normal(rank, k) * A_STD
         factors.append((a, np.zeros((d, rank))))
     return AdapterSet.from_factors(factors)
 

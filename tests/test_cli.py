@@ -39,7 +39,7 @@ from fedmentor.config import (
 )
 from fedmentor.data import DEFAULT_DOMAIN_SIZES
 from fedmentor.dp import NoiseCalibration
-from fedmentor.federation import run_training
+from fedmentor.federation import RoundError, run_training
 from fedmentor.lora import serialize
 from fedmentor.metrics import METRIC_NAMES
 from check_recorded_sha256 import load_recorded
@@ -289,9 +289,24 @@ class TestConfigParsing:
             ({"model": {"hidden_dim": 16.5}}, {"model": ModelConfig(hidden_dim=16.5)}),
             ({"data": {"overrides": {"IRF": {"n_train": 2.5}}}},
              {"data": DataConfig(overrides={"IRF": DomainOverride(n_train=2.5)})}),
+            ({"learning_rate": math.inf}, {"learning_rate": math.inf}),
+            ({"learning_rate": math.nan}, {"learning_rate": math.nan}),
+            ({"learning_rate": "0.1"}, {"learning_rate": "0.1"}),
+            ({"data": {"scale": math.inf}}, {"data": DataConfig(scale=math.inf)}),
+            ({"data": {"scale": math.nan}}, {"data": DataConfig(scale=math.nan)}),
+            ({"data": {"label_noise": "0.1"}}, {"data": DataConfig(label_noise="0.1")}),
+            ({"data": {"domains": "IRF"}}, {"data": DataConfig(domains="IRF")}),
+            # Built inside the test, so that an error raised while building them fails the
+            # test rather than its collection.
+            ({"data": {"overrides": {"IRF": {"n_train": "5"}}}},
+             lambda: {"data": DataConfig(overrides={"IRF": DomainOverride(n_train="5")})}),
+            ({"data": {"overrides": {"IRF": {"label_noise": math.inf}}}},
+             lambda: {"data": DataConfig(overrides={"IRF": DomainOverride(label_noise=math.inf)})}),
         ],
     )
     def test_code_and_replace_reach_the_dict_check(self, raw, fields):
+        if callable(fields):
+            fields = fields()
         with pytest.raises(ConfigError) as from_dict:
             config_from_dict(raw)
         with pytest.raises(ConfigError) as built:
@@ -303,8 +318,10 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"learning_rate": math.nan}, "learning_rate: must be >= 0, got nan"),
-            ({"data": DataConfig(scale=math.nan)}, "data.scale: must be > 0, got nan"),
+            ({"data": DataConfig(label_noise=math.nan)},
+             "data.label_noise: must be finite, got nan"),
+            ({"thresholds": {"accuracy": 0.5, "neg_eval_loss": math.nan}},
+             "thresholds.neg_eval_loss: must be finite, got nan"),
             ({"thresholds": {"accuracy": math.nan}}, "thresholds.accuracy: must be finite, got nan"),
             ({"strategy": PrivacyStrategy("utility_threshold", tau=math.nan)},
              "strategy.tau: must be finite, got nan"),
@@ -323,10 +340,16 @@ class TestConfigParsing:
     def test_echo_round_trips_random_valid_configs(self, data):
         cfg = data.draw(_run_configs())
         assert config_from_dict(cfg.to_dict()) == cfg
+        # An int given for a float is stored as the float YAML would load.
+        assert json.dumps(cfg.to_dict()) == json.dumps(config_from_dict(cfg.to_dict()).to_dict())
 
 
 def _floats(lo: float, hi: float):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    """Finite floats in [lo, hi], and sometimes an int in that range given in their place."""
+    floats = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    if math.ceil(lo) > math.floor(hi):
+        return floats
+    return floats | st.integers(math.ceil(lo), math.floor(hi))
 
 
 @st.composite
@@ -672,6 +695,20 @@ class TestSweepCommand:
         assert (sweep_dir / "eps-0.5" / "adapters.bin").read_bytes() == (
             run_dir / "adapters.bin"
         ).read_bytes()
+
+    def test_failed_run_keeps_the_rows_of_completed_runs(self, tmp_path, capsys):
+        # At eps 1e-10 IRF's noise scale overflows to inf; at 1e300 every round completes.
+        cfg_path = write_config(
+            tmp_path,
+            "rounds: 2\ndata: {scale: 0.02}\ncalibration: {early: 1.0e300}\n"
+            "budgets: {entries: {Dreaddit: 1.0e300, IRF: 0.5, MultiWD: 1.0e300}}\n",
+        )
+        with pytest.raises(RoundError, match="privatize"):
+            sweep_command(cfg_path, "IRF", [1e300, 1e-10], out=str(tmp_path / "failed"))
+        (sweep_csv,) = (tmp_path / "failed").glob("run-seed0-*/sweep.csv")
+        assert f"partial artifacts in {sweep_csv.parent / 'eps-1e-10'}" in capsys.readouterr().err
+        sweep_dir = sweep_command(cfg_path, "IRF", [1e300], out=str(tmp_path / "ok"))
+        assert sweep_csv.read_bytes() == (sweep_dir / "sweep.csv").read_bytes()
 
     def test_empty_values_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path, "")
