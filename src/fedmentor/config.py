@@ -6,7 +6,8 @@ Dreaddit 2.0 / IRF 0.5 / MultiWD 1.5 with 0.1 multiplicative decay, the
 stock noise calibration, and the domain-aware strategy. The ``budgets``,
 ``calibration`` and ``strategy`` sections load straight into the runtime types
 ``dp.BudgetConfig``, ``dp.NoiseCalibration`` and ``PrivacyStrategy`` (defined
-here), which hold their own defaults and validation.
+here), which hold their own defaults and validation. The ``data`` section
+names the clients' domains; the recipe of their specs is ``data.domain_specs``.
 
 ``build_experiment`` resolves the strategy into the server's decay schedule,
 noise calibration and gate thresholds, so the round loop never sees it:
@@ -48,7 +49,7 @@ from typing import Mapping
 
 import yaml
 
-from .data import DEFAULT_DOMAIN_SIZES, DomainSpec, default_federation_specs, make_domain
+from .data import DEFAULT_ROTATIONS, DomainOverride, domain_specs, make_domain
 from .dp import DEFAULT_BUDGETS, BudgetConfig, NoiseCalibration
 from .federation import ClientState, ServerState
 from .linalg import Rng, single_blas_thread
@@ -81,14 +82,6 @@ class ModelConfig:
     input_dim: int = 8
     hidden_dim: int = 16
     rank: int = 4
-
-
-@dataclass(frozen=True)
-class DomainOverride:
-    n_train: int | None = None
-    n_val: int | None = None
-    rotation_angle: float | None = None
-    label_noise: float | None = None
 
 
 @dataclass(frozen=True)
@@ -204,17 +197,14 @@ class RunConfig:
         if self.model.input_dim < 2:
             # A boundary rotation acts on the plane of the first two input coordinates.
             for name in self.data.domains:
-                angle = (self.data.overrides.get(name) or DomainOverride()).rotation_angle
-                if angle not in (None, 0.0):
+                angle = self.data.overrides.get(name, DomainOverride()).rotation_angle
+                where = f"data.overrides.{name}.rotation_angle: {angle}"
+                if angle is None:
+                    angle = DEFAULT_ROTATIONS.get(name, 0.0)
+                    where = f"model.input_dim: stock domain {name!r} is rotated by {angle}, which"
+                if angle != 0.0:
                     raise ConfigError(
-                        f"data.overrides.{name}.rotation_angle: {angle} needs "
-                        f"model.input_dim >= 2, got {self.model.input_dim}"
-                    )
-                if name in DEFAULT_DOMAIN_SIZES:
-                    raise ConfigError(
-                        f"model.input_dim: stock domain {name!r} needs input_dim >= 2, got "
-                        f"{self.model.input_dim}; the stock domains are built together, and "
-                        f"some are rotated"
+                        f"{where} needs model.input_dim >= 2, got {self.model.input_dim}"
                     )
         for name in self.thresholds:
             if name not in METRIC_NAMES:
@@ -351,51 +341,13 @@ class Experiment:
     server: ServerState
 
 
-def _domain_specs(cfg: RunConfig, rng: Rng) -> list[DomainSpec]:
-    stock = {}
-    # Deriving never advances ``rng``, so skipping an unused stock trio keeps every bit.
-    if not DEFAULT_DOMAIN_SIZES.keys().isdisjoint(cfg.data.domains):
-        stock = {
-            s.domain: s
-            for s in default_federation_specs(
-                rng, scale=cfg.data.scale, input_dim=cfg.model.input_dim,
-                label_noise=cfg.data.label_noise,
-            )
-        }
-    # Custom domains: the stock trio's recipe, sized like the mean, around one shared base.
-    base = rng.derive("base-weights").standard_normal(1, cfg.model.input_dim)[0]
-    base = base / (base**2).sum() ** 0.5
-    chosen = []
-    for name in cfg.data.domains:
-        spec = stock.get(name)
-        if spec is None:
-            jitter = rng.derive("weights", name).standard_normal(1, cfg.model.input_dim)[0]
-            w = base + 0.05 * jitter
-            w /= (w**2).sum() ** 0.5
-            n_train = max(1, round(cfg.data.scale * 3452))
-            n_val = max(1, round(0.1 * cfg.data.scale * 3452))
-            weights, angle = w.tolist(), 0.0
-        else:
-            n_train, n_val = spec.n_train, spec.n_val
-            weights, angle = spec.true_weights, spec.rotation_angle
-        ov = cfg.data.overrides.get(name) or DomainOverride()
-        chosen.append(DomainSpec(
-            domain=name,
-            n_train=n_train if ov.n_train is None else ov.n_train,
-            n_val=n_val if ov.n_val is None else ov.n_val,
-            input_dim=cfg.model.input_dim,
-            true_weights=weights,
-            rotation_angle=angle if ov.rotation_angle is None else ov.rotation_angle,
-            label_noise=cfg.data.label_noise if ov.label_noise is None else ov.label_noise,
-        ))
-    return chosen
-
-
 def build_experiment(cfg: RunConfig) -> Experiment:
     """Deterministically materialize data, model, clients, and server state.
 
-    Client ids are assigned by sorted domain name, so declaration order in
-    the config can never influence results.
+    Each configured domain is one client: ``data.domain_specs`` builds its
+    spec once, and ``make_domain`` its dataset. Client ids are assigned by
+    sorted domain name, so declaration order in the config can never
+    influence results.
 
     Set-up runs with numpy's OpenBLAS on one thread, as the rounds do in
     ``federation.run_training`` (see ``linalg.single_blas_thread``): on two
@@ -404,20 +356,19 @@ def build_experiment(cfg: RunConfig) -> Experiment:
     """
     with single_blas_thread():
         master = Rng(cfg.seed)
-        specs = _domain_specs(cfg, master.derive("specs"))
-        specs = sorted(specs, key=lambda s: s.domain)
-
-        datasets = {
-            spec.domain: make_domain(spec, master.derive("dataset", spec.domain)) for spec in specs
-        }
+        specs = domain_specs(
+            master.derive("specs"), sorted(cfg.data.domains), scale=cfg.data.scale,
+            input_dim=cfg.model.input_dim, label_noise=cfg.data.label_noise,
+            overrides=cfg.data.overrides,
+        )
+        clients = tuple(
+            ClientState(i, spec.domain, make_domain(spec, master.derive("dataset", spec.domain)))
+            for i, spec in enumerate(specs)
+        )
         backbone = BackboneModel.random(
             master.derive("model"), cfg.model.input_dim, cfg.model.hidden_dim, cfg.model.n_layers
         )
         adapters0 = init_adapters(backbone, cfg.model.rank, master.derive("adapters"))
-
-        clients = tuple(
-            ClientState(i, spec.domain, datasets[spec.domain]) for i, spec in enumerate(specs)
-        )
 
         strategy = cfg.strategy
         schedule, calibration, thresholds = cfg.budgets, cfg.calibration, cfg.thresholds

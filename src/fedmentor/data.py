@@ -9,34 +9,49 @@ domain on its own stays linearly separable (up to the configured label
 noise). With zero label noise the generating boundary itself classifies a
 domain perfectly, which the learning acceptance checks rely on.
 
+``domain_specs`` is the one recipe for a domain's spec. A stock domain (the
+paper's Dreaddit / IRF / MultiWD corpora) is scaled from its corpus size and
+rotated by its ``DEFAULT_ROTATIONS`` angle; any other name is a custom domain,
+scaled from ``CUSTOM_CORPUS_SIZE`` and unrotated.
+
 Train and validation splits are generated from disjoint derived rng streams,
 so they never overlap and either split can be regenerated independently.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .linalg import Rng
 
 __all__ = [
-    "DomainSpec",
-    "Dataset",
-    "make_domain",
-    "default_federation_specs",
-    "DEFAULT_DOMAIN_SIZES",
-    "DEFAULT_ROTATIONS",
+    "DomainSpec", "DomainOverride", "Dataset", "make_domain", "domain_specs",
+    "DEFAULT_DOMAIN_SIZES", "DEFAULT_ROTATIONS", "CUSTOM_CORPUS_SIZE",
 ]
 
-# Per-domain corpus sizes the default federation is scaled from.
+# Per-domain corpus sizes the stock domains are scaled from.
 DEFAULT_DOMAIN_SIZES: dict[str, int] = {"Dreaddit": 3553, "IRF": 3522, "MultiWD": 3281}
 
 # Distinct boundary rotations (radians). Kept small so the three domains
 # remain jointly learnable by one global model while still being non-IID.
 DEFAULT_ROTATIONS: dict[str, float] = {"Dreaddit": 0.0, "IRF": 0.15, "MultiWD": 0.3}
 
+# The corpus size a custom domain is scaled from, about the stock sizes' mean.
+CUSTOM_CORPUS_SIZE = 3452
+
 VALIDATION_FRACTION = 0.1
+
+
+@dataclass(frozen=True)
+class DomainOverride:
+    """Values that replace a domain's generated ones; ``None`` keeps the recipe's."""
+
+    n_train: int | None = None
+    n_val: int | None = None
+    rotation_angle: float | None = None
+    label_noise: float | None = None
 
 
 @dataclass(frozen=True)
@@ -144,41 +159,49 @@ def make_domain(spec: DomainSpec, rng: Rng) -> Dataset:
     return Dataset(train_x, train_y, val_x, val_y)
 
 
-def default_federation_specs(
-    rng: Rng,
-    scale: float = 1.0,
-    input_dim: int = 8,
-    label_noise: float = 0.0,
+def domain_specs(
+    rng: Rng, domains: Iterable[str], *, scale: float, input_dim: int,
+    label_noise: float = 0.0, overrides: Mapping[str, DomainOverride] | None = None,
 ) -> list[DomainSpec]:
-    """The three-domain federation: Dreaddit / IRF / MultiWD.
+    """One spec per name in ``domains``, in that order; each depends on its name alone.
 
-    Train sizes are round(scale * corpus size) per domain, validation is 10%
-    of that. Each domain gets a distinct rotation angle and its own boundary
-    normal: a shared base direction plus a small per-domain perturbation
-    drawn from ``rng``, keeping the domains correlated enough that a single
-    global model can fit all three.
+    Train sizes are round(scale * corpus size), validation about 10% of that.
+    Each boundary normal is a shared base direction plus a small perturbation
+    drawn from ``rng`` by the domain's name, keeping the domains correlated
+    enough that a single global model can fit them all. A domain's entry in
+    ``overrides`` replaces the values it sets.
     """
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    base = rng.derive("base-weights").standard_normal(1, input_dim)[0]
-    base /= np.linalg.norm(base)
+    overrides, unset = overrides or {}, DomainOverride()
+    drawn = rng.derive("base-weights").standard_normal(1, input_dim)[0]
+    # ROADMAP item 10's ⚑ step: a custom domain keeps its own norm and its
+    # own n_val rounding, on which recorded results depend; they are the only
+    # differences from a stock domain's recipe.
+    stock_base = drawn / np.linalg.norm(drawn)
+    custom_base = drawn / (drawn**2).sum() ** 0.5
     specs = []
-    for name, size in DEFAULT_DOMAIN_SIZES.items():
-        n_train = max(1, round(scale * size))
-        n_val = max(1, round(VALIDATION_FRACTION * n_train))
+    for name in domains:
         jitter = rng.derive("weights", name).standard_normal(1, input_dim)[0]
-        w = base + 0.05 * jitter
-        w /= np.linalg.norm(w)
-        specs.append(
-            DomainSpec(
-                domain=name,
-                n_train=n_train,
-                n_val=n_val,
-                input_dim=input_dim,
-                true_weights=tuple(w),
-                rotation_angle=DEFAULT_ROTATIONS[name],
-                label_noise=label_noise,
-            )
-        )
+        size = DEFAULT_DOMAIN_SIZES.get(name, CUSTOM_CORPUS_SIZE)
+        n_train = max(1, round(scale * size))
+        if name in DEFAULT_DOMAIN_SIZES:
+            n_val = max(1, round(VALIDATION_FRACTION * n_train))
+            w = stock_base + 0.05 * jitter
+            w /= np.linalg.norm(w)
+        else:
+            n_val = max(1, round(VALIDATION_FRACTION * scale * size))
+            w = custom_base + 0.05 * jitter
+            w /= (w**2).sum() ** 0.5
+        ov = overrides.get(name, unset)
+        angle = DEFAULT_ROTATIONS.get(name, 0.0)
+        specs.append(DomainSpec(
+            domain=name,
+            n_train=n_train if ov.n_train is None else ov.n_train,
+            n_val=n_val if ov.n_val is None else ov.n_val,
+            input_dim=input_dim,
+            true_weights=w.tolist(),
+            rotation_angle=angle if ov.rotation_angle is None else ov.rotation_angle,
+            label_noise=label_noise if ov.label_noise is None else ov.label_noise,
+        ))
     return specs
-

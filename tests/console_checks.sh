@@ -42,6 +42,11 @@ printf 'rounds: 1\ndata: {scale: 0.02}\nstrategy: {kind: utility_threshold, tau:
 fedmentor run --config "$tmp/threshold.yaml" --out "$tmp/threshold-runs"
 fedmentor report "$tmp"/threshold-runs/run-seed0-*
 
+# One input coordinate: an unrotated stock domain runs beside a custom one.
+printf 'rounds: 1\nmodel: {input_dim: 1, hidden_dim: 4, rank: 1}\ndata: {domains: [Dreaddit, extra], scale: 0.02}\nstrategy: {kind: uniform, eps_glob: 1.0}\n' > "$tmp/flat-stock.yaml"
+fedmentor run --config "$tmp/flat-stock.yaml" --out "$tmp/flat-stock-runs"
+fedmentor report "$tmp"/flat-stock-runs/run-seed0-*
+
 # A config error exits 2, and leaves no run directory.
 printf 'rounds: 1\nstrategy: {kind: static_noise, sigma: 0.008}\nthresholds: {accuracy: 0.9}\n' > "$tmp/replaced.yaml"
 status=0

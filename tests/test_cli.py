@@ -42,7 +42,6 @@ from fedmentor.dp import NoiseCalibration
 from fedmentor.federation import RoundError, run_training
 from fedmentor.lora import serialize
 from fedmentor.metrics import METRIC_NAMES
-from check_recorded_sha256 import load_recorded
 from reference import run_plain_fedavg
 
 
@@ -238,10 +237,11 @@ class TestConfigParsing:
               "budgets": {"entries": {"IRF": 0.5}}},
              "budgets.entries: strategy 'uniform' replaces this section"),
             ({"model": {"input_dim": 1, "hidden_dim": 4, "rank": 1}},
-             "model.input_dim: stock domain 'Dreaddit' needs input_dim >= 2, got 1"),
+             "model.input_dim: stock domain 'IRF' is rotated by 0.15, which needs "
+             "model.input_dim >= 2, got 1"),
             ({"model": {"input_dim": 1, "rank": 1},
-              "data": {"domains": ["x", "IRF"], "overrides": {"IRF": {"rotation_angle": 0.0}}}},
-             "model.input_dim: stock domain 'IRF' needs input_dim >= 2"),
+              "data": {"domains": ["x", "MultiWD"], "overrides": {"x": {"rotation_angle": 0.0}}}},
+             "model.input_dim: stock domain 'MultiWD' is rotated by 0.3"),
             ({"model": {"input_dim": 1, "rank": 1},
               "data": {"domains": ["x", "MultiWD"], "overrides": {"x": {"rotation_angle": 0.5}}}},
              "data.overrides.x.rotation_angle: 0.5 needs model.input_dim >= 2, got 1"),
@@ -530,13 +530,18 @@ class TestBuildExperiment:
         exp = build_experiment(cfg)
         assert [c.data.input_dim for c in exp.clients] == [1, 1]
 
-    def test_custom_only_config_skips_the_stock_specs(self, monkeypatch):
-        def unused(*args, **kwargs):
-            raise AssertionError("stock specs built for a config without stock domains")
-
-        monkeypatch.setattr(config_mod, "default_federation_specs", unused)
-        # The golden custom_only case of test_golden.py pins this config's bits.
-        build_experiment(config_from_dict(load_recorded()["golden"]["custom_only"]["config"]))
+    @pytest.mark.parametrize("data", [
+        {"domains": ["Dreaddit", "extra"]},
+        {"domains": ["x", "IRF"], "overrides": {"IRF": {"rotation_angle": 0.0}}},
+    ])
+    def test_one_input_dim_runs_unrotated_stock_domains(self, data, tmp_path):
+        cfg = config_from_dict({
+            "rounds": 1,
+            "model": {"input_dim": 1, "hidden_dim": 4, "rank": 1},
+            "data": {**data, "scale": 0.02},
+            "strategy": {"kind": "uniform", "eps_glob": 1.0},
+        })
+        assert execute_run(cfg, tmp_path)["rounds"] == 1
 
     def test_set_up_runs_on_one_blas_thread(self, blas_threads, monkeypatch):
         get, outside = blas_threads

@@ -1,15 +1,18 @@
-"""Synthetic domain generation and the default federation."""
+"""Synthetic domain generation and the domain spec recipe."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmentor import data
 from fedmentor.data import (
     DEFAULT_DOMAIN_SIZES,
     Dataset,
+    DomainOverride,
     DomainSpec,
-    default_federation_specs,
+    domain_specs,
     make_domain,
 )
 from fedmentor.linalg import Rng
@@ -126,39 +129,66 @@ class TestMakeDomain:
         assert val.tobytes() == ds.val_x.tobytes()
 
 
+STOCK = tuple(DEFAULT_DOMAIN_SIZES)
+
+
+def stock_specs(rng: Rng, scale: float = 1.0) -> list[DomainSpec]:
+    return domain_specs(rng, STOCK, scale=scale, input_dim=8)
+
+
 class TestDefaultFederation:
     def test_scaled_sizes(self):
-        specs = default_federation_specs(Rng(1), scale=0.1)
+        specs = stock_specs(Rng(1), scale=0.1)
         sizes = {s.domain: s.n_train for s in specs}
         assert sizes == {"Dreaddit": 355, "IRF": 352, "MultiWD": 328}
 
     def test_full_scale_matches_corpus_sizes(self):
-        specs = default_federation_specs(Rng(1), scale=1.0)
+        specs = stock_specs(Rng(1), scale=1.0)
         sizes = {s.domain: s.n_train for s in specs}
         assert sizes == DEFAULT_DOMAIN_SIZES
 
     def test_each_domain_exactly_once(self):
-        specs = default_federation_specs(Rng(2))
-        assert sorted(s.domain for s in specs) == ["Dreaddit", "IRF", "MultiWD"]
+        specs = domain_specs(Rng(2), ["x", "IRF", "Dreaddit", "a"], scale=0.1, input_dim=8)
+        assert [s.domain for s in specs] == ["x", "IRF", "Dreaddit", "a"]
 
     def test_distinct_rotations(self):
-        specs = default_federation_specs(Rng(3))
+        specs = stock_specs(Rng(3))
         angles = [s.rotation_angle for s in specs]
         assert len(set(angles)) == 3
 
     def test_distinct_true_weights(self):
-        specs = default_federation_specs(Rng(4))
+        specs = stock_specs(Rng(4))
         weights = {s.true_weights for s in specs}
         assert len(weights) == 3
 
     def test_deterministic_in_rng(self):
-        a = default_federation_specs(Rng(5, "specs"))
-        b = default_federation_specs(Rng(5, "specs"))
+        a = stock_specs(Rng(5, "specs"))
+        b = stock_specs(Rng(5, "specs"))
         assert a == b
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
-            default_federation_specs(Rng(1), scale=0.0)
+            stock_specs(Rng(1), scale=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        names=st.lists(st.sampled_from(STOCK) | st.text(min_size=1, max_size=6),
+                       min_size=1, max_size=6, unique=True),
+        scale=st.floats(0.001, 2.0),
+        input_dim=st.integers(2, 6),
+        label_noise=st.floats(0.0, 0.4),
+        n_train=st.none() | st.integers(1, 50),
+        angle=st.none() | st.floats(-3.0, 3.0),
+    )
+    def test_each_spec_depends_on_its_name_alone(
+        self, names, scale, input_dim, label_noise, n_train, angle
+    ):
+        """A domain's spec is the one a call naming it alone gives, whatever else is listed."""
+        overrides = {names[0]: DomainOverride(n_train=n_train, rotation_angle=angle)}
+        kwargs = dict(scale=scale, input_dim=input_dim, label_noise=label_noise,
+                      overrides=overrides)
+        specs = domain_specs(Rng(6, "specs"), names, **kwargs)
+        assert specs == [domain_specs(Rng(6, "specs"), [name], **kwargs)[0] for name in names]
 
 
 class TestCsvRoundTrip:
