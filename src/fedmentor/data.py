@@ -173,7 +173,8 @@ def domain_specs(
     """
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    overrides, unset = overrides or {}, DomainOverride()
+    overrides = overrides or {}
+    unset = DomainOverride()
     drawn = rng.derive("base-weights").standard_normal(1, input_dim)[0]
     # ROADMAP item 10's ⚑ step: a custom domain keeps its own norm and its
     # own n_val rounding, on which recorded results depend; they are the only
