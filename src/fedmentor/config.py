@@ -50,7 +50,7 @@ from typing import Mapping
 import yaml
 
 from .data import DEFAULT_ROTATIONS, DomainOverride, domain_specs, make_domain
-from .dp import DEFAULT_BUDGETS, BudgetConfig, NoiseCalibration
+from .dp import DEFAULT_BUDGETS, BudgetConfig, NoiseCalibration, expect_float
 from .federation import ClientState, ServerState
 from .linalg import Rng, single_blas_thread
 from .metrics import METRIC_NAMES
@@ -110,8 +110,10 @@ class PrivacyStrategy:
         # A parameter its kind does not read would be echoed as if it had been applied.
         readers = {"eps_glob": "uniform", "sigma": "static_noise", "tau": "utility_threshold"}
         for name, reader in readers.items():
-            if getattr(self, name) is not None and self.kind != reader:
-                raise ValueError(f"strategy {self.kind!r} does not read {name}; leave it unset")
+            if getattr(self, name) is not None:
+                expect_float(name, getattr(self, name))
+                if self.kind != reader:
+                    raise ValueError(f"strategy {self.kind!r} does not read {name}; leave it unset")
         # An unset value reads as NaN, which fails the comparisons as a NaN value does.
         eps_glob = math.nan if self.eps_glob is None else self.eps_glob
         if self.kind == "uniform" and not 0 < eps_glob < math.inf:

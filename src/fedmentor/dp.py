@@ -31,6 +31,7 @@ is available for experimentation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -45,6 +46,7 @@ __all__ = [
     "NoiseCalibration",
     "BudgetConfig",
     "DEFAULT_BUDGETS",
+    "expect_float",
     "noise_scales",
     "privatize",
     "apply_utility_gate",
@@ -60,6 +62,17 @@ DEFAULT_BUDGETS: dict[DomainId, float] = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD"
 
 class UnknownDomainError(KeyError):
     """A client's domain has no privacy budget."""
+
+
+def expect_float(where: str, value):
+    """``value`` if it is a real number, which a bool is not.
+
+    Otherwise a ``TypeError`` in the words of the config loader's walk, so a
+    value set in code names its field as a YAML value does.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{where}: expected float, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -84,14 +97,14 @@ class NoiseCalibration:
 
     def __post_init__(self):
         for name in ("early", "middle", "late", "multiplier_a", "multiplier_b"):
-            value = getattr(self, name)
+            value = expect_float(name, getattr(self, name))
             if not 0.0 <= value < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 < self.gate_factor < 1.0:
+        if not 0.0 < expect_float("gate_factor", self.gate_factor) < 1.0:
             raise ValueError(f"gate_factor must be in (0, 1), got {self.gate_factor}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
+        if self.clip_norm is not None and not expect_float("clip_norm", self.clip_norm) > 0:
             raise ValueError(f"clip_norm must be positive when set, got {self.clip_norm}")
-        if not 0.0 < self.nominal_delta < 1.0:  # also rejects NaN
+        if not 0.0 < expect_float("nominal_delta", self.nominal_delta) < 1.0:  # also NaN
             raise ValueError(f"nominal_delta must be in (0, 1), got {self.nominal_delta}")
 
 
@@ -115,11 +128,11 @@ class BudgetConfig:
     def __post_init__(self):
         object.__setattr__(self, "entries", dict(self.entries))
         for domain, eps in self.entries.items():
-            if not 0.0 < eps < math.inf:  # also rejects NaN
+            if not 0.0 < expect_float(f"entries.{domain}", eps) < math.inf:  # also NaN
                 raise ValueError(f"entries[{domain!r}] must be finite and > 0, got {eps}")
-        if not 0.0 <= self.decay_rate < 1.0:
+        if not 0.0 <= expect_float("decay_rate", self.decay_rate) < 1.0:
             raise ValueError(f"decay_rate must be in [0, 1), got {self.decay_rate}")
-        if not 0.0 < self.floor < math.inf:
+        if not 0.0 < expect_float("floor", self.floor) < math.inf:
             raise ValueError(f"floor must be finite and > 0, got {self.floor}")
         if self.decay_mode not in ("multiplicative", "linear"):
             raise ValueError(

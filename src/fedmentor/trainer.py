@@ -10,23 +10,28 @@ the local-SGD schedule that the server holds once per run. Local training
 runs on one plain vector: ``train_local`` copies the global ``AdapterSet``'s
 flat vector once, takes ``(a, b)`` views of the copy once, one pair per
 layer, and updates it in place. ``grad_adapters`` reads those views and
-returns one flat gradient in the same B-then-A-per-layer order, so each SGD
-step is ``vec -= lr * grad``: elementwise the same arithmetic as
+writes one flat gradient in the same B-then-A-per-layer order, so each SGD
+step is ``grad *= lr; vec -= grad``: elementwise the same arithmetic as
 ``a - lr * ga`` per matrix. Each epoch gathers its shuffled copy of the
 training split once, and every minibatch is a slice of it. The trained
 vector becomes one ``AdapterSet``, checked for finiteness, once per
 client-round. Both post-training losses (train and validation split) then
-go through one ``model_view`` of the trained adapters, which builds the
-effective weights W + B@A once; the server evaluates the same way.
+go through one ``model_view``, the one forward pass; the server evaluates
+through it too.
 
-Every large temporary exists once, and no rule below changes an arithmetic
-operation, so the bits are those of the plain expressions:
+No SGD step allocates an array of d x k or of batch x width entries, and a
+pass holds two ``BLOCK_ROWS`` x width buffers besides its (n,) logits. No
+rule below changes an arithmetic operation, so the bits are those of the
+plain expressions:
 
+- ``train_local`` builds one ``workspace``, a single allocation, per
+  client-round and drops it before the loss passes; each epoch gathers its
+  shuffled copy of the training split into it, and each step writes every
+  product into it with ``out=``, a partial batch into a row prefix;
 - an effective weight is built in its product's array (``e = B@A; e += W``);
-- a model view runs each tanh in place on the fresh product it follows, so a
-  pass holds at most two activations and never writes into its input;
-- an epoch's shuffled copy of the training split is freed when the epoch
-  ends, so none is alive during the next gather or the loss passes;
+- a model view builds E once and pushes its input through in blocks of
+  ``BLOCK_ROWS`` rows, and never writes into its input. A block's row count
+  picks OpenBLAS's kernel path, so another block size can move bits;
 - a backbone layer's draw is scaled in place before ``Matrix`` copies it.
 
 tanh is used between layers (rather than ReLU) so the analytic gradients can
@@ -37,6 +42,9 @@ gradient with respect to E.
 """
 from __future__ import annotations
 
+import itertools
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +59,7 @@ __all__ = [
     "init_adapters",
     "model_view",
     "cross_entropy",
+    "workspace",
     "grad_adapters",
     "train_local",
 ]
@@ -125,19 +134,22 @@ def _check_conformable(model: BackboneModel, adapters: AdapterSet) -> None:
             raise ShapeError(f"adapter at layer {i} is {d}x{k}, weight is {w.rows}x{w.cols}")
 
 
-def _effective_weights(model: BackboneModel, params) -> list[np.ndarray]:
-    """E = W + B@A per layer, each built in the product's own array.
+def _effective_weights(model: BackboneModel, params, out=None) -> list[np.ndarray]:
+    """E = W + B@A per layer, each built in its product's array: ``out``'s, or fresh ones.
 
     IEEE addition is commutative, so ``e += w`` gives the bits of W + B@A,
     signed zeros included, without a second d x k array; W is finite, so a
     NaN can only come from B@A and passes through unchanged.
     """
-    effs = []
-    for w, (a, b) in zip(model.layers, params):
-        e = b.dot(a)
+    if out is None:
+        out = [np.empty(w.shape) for w in model.layers]
+    for e, w, (a, b) in zip(out, model.layers, params):
+        np.dot(b, a, out=e)
         e += w.array
-        effs.append(e)
-    return effs
+    return out
+
+
+BLOCK_ROWS = 256  # rows per block of a model view's pass (module docstring)
 
 
 def model_view(model: BackboneModel, adapters: AdapterSet) -> Callable[[np.ndarray], np.ndarray]:
@@ -147,20 +159,28 @@ def model_view(model: BackboneModel, adapters: AdapterSet) -> Callable[[np.ndarr
     here, so evaluating many batches costs one pass each. tanh sits between
     consecutive layers only; the last layer feeds the head linearly, so a
     one-layer model with identity effective weight is exactly the head.
-    A pass holds at most two activations and never writes into ``xs``.
+    A pass runs in blocks of ``BLOCK_ROWS`` rows and never writes into ``xs``.
     """
     _check_conformable(model, adapters)
     effs = _effective_weights(model, adapters.factors())
+    head = model.head.array[0]
+    width = max(w.rows for w in model.layers)
 
     def logits(xs: np.ndarray) -> np.ndarray:
-        act = np.asarray(xs, dtype=np.float64)
-        if act.ndim != 2 or act.shape[1] != model.input_dim:
-            raise ShapeError(f"batch shape {act.shape} does not match input dim {model.input_dim}")
-        for eff in effs[:-1]:
-            act = act @ eff.T
-            np.tanh(act, out=act)
-        act = act @ effs[-1].T
-        return act @ model.head.array[0]
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim != 2 or xs.shape[1] != model.input_dim:
+            raise ShapeError(f"batch shape {xs.shape} does not match input dim {model.input_dim}")
+        out = np.empty(xs.shape[0])
+        bufs = np.empty((2, min(xs.shape[0], BLOCK_ROWS) * width))
+        for start in range(0, xs.shape[0], BLOCK_ROWS):
+            act = xs[start : start + BLOCK_ROWS]
+            for l, eff in enumerate(effs):
+                buf = bufs[l % 2, : len(act) * eff.shape[0]].reshape(len(act), -1)
+                act = np.dot(act, eff.T, out=buf)
+                if l < len(effs) - 1:
+                    np.tanh(act, out=act)
+            np.dot(act, head, out=out[start : start + len(act)])
+        return out
 
     return logits
 
@@ -179,11 +199,38 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
+Workspace = namedtuple("Workspace", "effs g_eff acts g_acts grad grads xs ys")
+
+
+def workspace(model: BackboneModel, shapes, rows: int, split=(0, 0)) -> Workspace:
+    """Step buffers for up to ``rows`` rows and adapters of ``(r, d, k)`` ``shapes``.
+
+    For ``grad_adapters``: each layer's E, one weight gradient of the largest
+    d x k, per layer a forward and a backward buffer of ``rows`` x width, and
+    the flat gradient with its ``(dL/dA, dL/dB)`` views; for ``train_local``,
+    an epoch's shuffled training split (``split`` features, as many labels).
+    They are views into one allocation: glibc maps the first such block and,
+    when it is freed, raises its mmap and trim thresholds above it, so later
+    client-rounds reuse heap pages instead of re-faulting a trimmed heap.
+    """
+    layers = [w.shape for w in model.layers]
+    parts = [*layers, (max(d * k for d, k in layers),), *[(rows, d) for d, _ in layers] * 2,
+             (sum(r * (d + k) for r, d, k in shapes),), split, split[:1]]
+    ends = list(itertools.accumulate(math.prod(shape) for shape in parts))
+    flat = np.empty(ends[-1])
+    views = [flat[end - math.prod(shape) : end].reshape(shape) for shape, end in zip(parts, ends)]
+    n = len(layers)
+    grad = views[-3]
+    return Workspace(views[:n], views[n], views[n + 1 : 2 * n + 1], views[2 * n + 1 : -3], grad,
+                     factor_views(grad, shapes), *views[-2:])
+
+
 def grad_adapters(
     model: BackboneModel,
     params: list[tuple[np.ndarray, np.ndarray]],
     xs: np.ndarray,
     ys: np.ndarray,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """Mean batch gradient of the loss w.r.t. every A and B entry, as one flat vector.
 
@@ -191,39 +238,49 @@ def grad_adapters(
     order, already known to conform to the model (``train_local`` passes
     views into its working vector). The result is laid out like
     ``AdapterSet.vec``: per layer dL/dB then dL/dA, row-major, so a step is
-    one in-place ``vec -= lr * grad``. The backbone gradient is never formed
-    into updates.
+    ``grad *= lr; vec -= grad``. The backbone gradient is never formed into
+    updates. With a ``workspace`` the result is its ``grad``, which the next
+    call on it overwrites; without one, the result is a fresh array.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise ValueError("grad_adapters needs a nonempty 2-D batch")
+    m = xs.shape[0]
+    if work is None:
+        work = workspace(model, [(a.shape[0], b.shape[0], a.shape[1]) for a, b in params], m)
 
-    # ndarray.dot reaches the same BLAS calls as @, so the bits are the same,
-    # at less overhead per call on small matrices; the tests hold it to an
-    # @-based oracle bit for bit.
-    eff = _effective_weights(model, params)
+    # np.dot reaches the same BLAS calls as @, so the bits are the same, at
+    # less overhead per call on small matrices, and it writes into ``out``;
+    # the tests hold it to an @-based oracle bit for bit.
+    eff = _effective_weights(model, params, work.effs)
     head = model.head.array[0]
     last = model.n_layers - 1
-    acts = [xs]
+    acts = [xs] + [buf[:m] for buf in work.acts]
+    g_acts = [buf[:m] for buf in work.g_acts]
     for l, e in enumerate(eff):
-        pre = acts[-1].dot(e.T)
-        acts.append(np.tanh(pre) if l < last else pre)
+        np.dot(acts[l], e.T, out=acts[l + 1])
+        if l < last:
+            np.tanh(acts[l + 1], out=acts[l + 1])
     logits = acts[-1].dot(head)
 
-    dlogit = (_sigmoid(logits) - ys) / xs.shape[0]  # (n,)
-    g_act = dlogit[:, None] * head  # (n, d_last)
-
-    parts = []  # dL/dA, dL/dB per layer, last layer first
+    dlogit = (_sigmoid(logits) - ys) / m  # (m,)
+    # g_z = dlogit[:, None] * head; a broadcasting ufunc would allocate buffers.
+    np.copyto(acts[-1], dlogit[:, None])
+    np.copyto(g_acts[last], head)
+    g_z = np.multiply(acts[-1], g_acts[last], out=g_acts[last])  # (m, d_last)
     for l in range(last, -1, -1):
-        # The final layer is linear into the head; earlier ones pass tanh.
-        g_z = g_act if l == last else g_act * (1.0 - acts[l + 1] ** 2)
-        g_eff = g_z.T.dot(acts[l])  # (d_l, d_{l-1})
-        a, b = params[l]
-        parts += (b.T.dot(g_eff), g_eff.dot(a.T))
+        if l < last:  # g_z = g_act * (1 - act**2) through tanh, in act's buffer
+            g_z = np.square(acts[l + 1], out=acts[l + 1])
+            np.subtract(1.0, g_z, out=g_z)
+            np.multiply(g_acts[l], g_z, out=g_z)
+        g_eff = np.dot(g_z.T, acts[l], out=work.g_eff[: eff[l].size].reshape(eff[l].shape))
+        (a, b), (g_a, g_b) = params[l], work.grads[l]
+        np.dot(b.T, g_eff, out=g_a)
+        np.dot(g_eff, a.T, out=g_b)
         if l > 0:
-            g_act = g_z.dot(eff[l])
-    return np.concatenate(parts[::-1], axis=None)
+            np.dot(g_z, eff[l], out=g_acts[l - 1])
+    return work.grad
 
 
 def train_local(
@@ -249,16 +306,19 @@ def train_local(
     params = factor_views(vec, global_adapters.shapes)
     xs, ys = data.train_x, data.train_y
     n = xs.shape[0]
+    work = workspace(model, global_adapters.shapes, min(batch_size, n), xs.shape)
     for epoch in range(local_epochs):
         order = rng.derive("epoch", epoch, "shuffle").permutation(n)
-        shuffled_x, shuffled_y = xs[order], ys[order].astype(np.float64)
+        # A permutation has no index to clip; "clip" only spares take the
+        # full-size copy that "raise" gathers into before writing ``out``.
+        np.take(xs, order, axis=0, out=work.xs, mode="clip")
+        work.ys[:] = ys[order]
         for start in range(0, n, batch_size):
-            stop = start + batch_size
-            vec -= learning_rate * grad_adapters(
-                model, params, shuffled_x[start:stop], shuffled_y[start:stop]
-            )
-        # Not left for the next epoch's gather or the loss passes to free.
-        del shuffled_x, shuffled_y
+            batch = slice(start, start + batch_size)
+            grad = grad_adapters(model, params, work.xs[batch], work.ys[batch], work)
+            grad *= learning_rate
+            vec -= grad
+    work = grad = None  # not left alive through the loss passes
     adapters = AdapterSet(global_adapters.shapes, vec)
     view = model_view(model, adapters)
     train_loss = float(np.mean(cross_entropy(view(xs), ys)))

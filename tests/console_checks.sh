@@ -42,6 +42,12 @@ printf 'rounds: 1\ndata: {scale: 0.02}\nstrategy: {kind: utility_threshold, tau:
 fedmentor run --config "$tmp/threshold.yaml" --out "$tmp/threshold-runs"
 fedmentor report "$tmp"/threshold-runs/run-seed0-*
 
+# At scale 0.1 the train splits (328-355 rows) span two of a forward pass's
+# 256-row blocks; the configs above stay inside the first.
+printf 'rounds: 1\ndata: {scale: 0.1}\n' > "$tmp/blocks.yaml"
+fedmentor run --config "$tmp/blocks.yaml" --out "$tmp/blocks-runs"
+fedmentor report "$tmp"/blocks-runs/run-seed0-*
+
 # One input coordinate: an unrotated stock domain runs beside a custom one.
 printf 'rounds: 1\nmodel: {input_dim: 1, hidden_dim: 4, rank: 1}\ndata: {domains: [Dreaddit, extra], scale: 0.02}\nstrategy: {kind: uniform, eps_glob: 1.0}\n' > "$tmp/flat-stock.yaml"
 fedmentor run --config "$tmp/flat-stock.yaml" --out "$tmp/flat-stock-runs"

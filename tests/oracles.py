@@ -2,15 +2,16 @@
 
 These deliberately avoid the library's own code paths: the weighted mean is
 an elementwise pure-Python sum, the forward pass materializes merged weights
-first, each a fresh ``W + B @ A`` with W on the left, gradients are checked
-by central finite differences and bit for bit against a per-layer pairwise
-kernel with a masked sigmoid, privatization clips and noises one matrix at a
-time with one draw per matrix, a matrix's noise std comes from the
-calibration fields through a depth-band rule of its own (integer thirds, not
-ceilings), the wire length of an adapter set is computed from its shapes
-rather than by encoding it, the OpenBLAS thread count is read through a
-ctypes lookup of its own, and a random stream is keyed by handing numpy's
-``SeedSequence`` the plain list of ints rather than 32-bit words.
+first, each a fresh ``W + B @ A`` with W on the left, and runs all rows in
+one unblocked pass, gradients are checked by central finite differences and
+bit for bit against a per-layer pairwise kernel with a masked sigmoid,
+privatization clips and noises one matrix at a time with one draw per
+matrix, a matrix's noise std comes from the calibration fields through a
+depth-band rule of its own (integer thirds, not ceilings), the wire length
+of an adapter set is computed from its shapes rather than by encoding it,
+the OpenBLAS thread count is read through a ctypes lookup of its own, and a
+random stream is keyed by handing numpy's ``SeedSequence`` the plain list of
+ints rather than 32-bit words.
 """
 from __future__ import annotations
 
@@ -154,7 +155,11 @@ def merged_weights(model: BackboneModel, params) -> list[np.ndarray]:
 
 
 def merged_forward(model: BackboneModel, adapters: AdapterSet, xs: np.ndarray) -> np.ndarray:
-    """Reference forward that first materializes every merged weight."""
+    """Reference forward that first materializes every merged weight, then runs every row at once.
+
+    Unblocked and ``@``-based, so ``model_view``'s row blocks are checked
+    against a pass that has none.
+    """
     merged = merged_weights(model, adapters.factors())
     act = np.asarray(xs, dtype=np.float64)
     for e in merged[:-1]:

@@ -258,6 +258,8 @@ class TestConfigParsing:
              "strategy: strategy 'static_noise' does not read eps_glob"),
             ({"strategy": {"kind": "utility_threshold", "tau": 0.5, "sigma": 0.0}},
              "strategy: strategy 'utility_threshold' does not read sigma"),
+            ({"strategy": {"kind": "uniform", "eps_glob": "1"}},
+             "strategy.eps_glob: expected float"),
         ],
     )
     def test_malformed_config_names_field(self, raw, message):

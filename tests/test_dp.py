@@ -125,6 +125,17 @@ class TestCalibrationValidation:
         with pytest.raises(ValueError, match="clip_norm"):
             NoiseCalibration(clip_norm=0.0)
 
+    @pytest.mark.parametrize("bad", ["0.1", True])
+    @pytest.mark.parametrize(
+        "name",
+        ["early", "middle", "late", "multiplier_a", "multiplier_b", "gate_factor",
+         "nominal_delta", "clip_norm"],
+    )
+    def test_non_number_is_named_as_the_config_walk_names_it(self, name, bad):
+        with pytest.raises(TypeError) as info:
+            NoiseCalibration(**{name: bad})
+        assert str(info.value) == f"{name}: expected float, got {bad!r}"
+
     def test_nominal_delta_in_open_unit_interval(self):
         for bad in (-0.5, 0.0, 1.0, 2.0, NAN, INF):
             with pytest.raises(ValueError, match=r"^nominal_delta must be in \(0, 1\)"):
@@ -364,6 +375,20 @@ class TestBudgets:
     def test_rejects_bad_value_by_field_name(self, field, kwargs):
         with pytest.raises(ValueError, match=rf"^{field}\b"):
             BudgetConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"entries": {"IRF": "1"}}, "entries.IRF: expected float, got '1'"),
+            ({"entries": {"IRF": 1.0, "d": None}}, "entries.d: expected float, got None"),
+            ({"decay_rate": "0.1"}, "decay_rate: expected float, got '0.1'"),
+            ({"floor": True}, "floor: expected float, got True"),
+        ],
+    )
+    def test_non_number_is_named_as_the_config_walk_names_it(self, kwargs, message):
+        with pytest.raises(TypeError) as info:
+            BudgetConfig(**kwargs)
+        assert str(info.value) == message
 
     def test_entries_are_copied(self):
         entries = {"d": 1.0}

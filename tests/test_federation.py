@@ -529,6 +529,15 @@ class TestStrategies:
         assert all(not r.gate_triggered for r in records)
         assert all(r.scale_multiplier == 1.0 for r in records)
 
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("uniform", "eps_glob"), ("static_noise", "sigma"), ("utility_threshold", "tau")],
+    )
+    def test_non_number_is_named_as_the_config_walk_names_it(self, kind, name):
+        with pytest.raises(TypeError) as info:
+            PrivacyStrategy(kind, **{name: "1"})
+        assert str(info.value) == f"{name}: expected float, got '1'"
+
     def test_uniform_requires_eps(self):
         with pytest.raises(ValueError):
             PrivacyStrategy(kind="uniform")

@@ -109,8 +109,8 @@ class TestForward:
 
     def test_pass_holds_at_most_two_activations(self):
         # numpy reports its data buffers to tracemalloc. Over n rows of width
-        # h, a pass may hold the effective weights and two n x h activations
-        # (the previous one and the fresh product the next tanh runs in).
+        # h, a pass holds the effective weights, two blocks of at most
+        # BLOCK_ROWS x h and the n logits: less than two n x h activations.
         n, k, h = 2000, 16, 64
         model = BackboneModel.random(Rng(31), k, h, 3)
         adapters = randomized_adapters(model, 4, Rng(31, "ad"))
@@ -124,6 +124,44 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * h * 8 + eff_bytes + 64 * 1024
+
+    def test_pass_grows_only_by_its_logits(self):
+        # Ten times the rows may add the 2,700 extra logits (twice over, for
+        # slack), but no activation: a pass works through blocks of rows.
+        model = BackboneModel.random(Rng(34), 16, 64, 3)
+        adapters = randomized_adapters(model, 4, Rng(34, "ad"))
+        xs = Rng(34, "x").standard_normal(3000, 16)
+        view = model_view(model, adapters)
+        view(xs[:300])  # numpy's first-call set-up is not the pass's
+        peaks = []
+        tracemalloc.start()
+        try:
+            for rows in (300, 3000):
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                view(xs[:rows])
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2 * 2700 * 8
+
+    @pytest.mark.parametrize(
+        "n", [1, trainer.BLOCK_ROWS - 1, trainer.BLOCK_ROWS, trainer.BLOCK_ROWS + 1,
+              2 * trainer.BLOCK_ROWS + 3]
+    )
+    def test_blocks_match_the_unblocked_oracle(self, n):
+        # Widths 5 -> 7 -> 3, so the block buffers are reshaped per layer.
+        rng = Rng(35)
+        model = BackboneModel(
+            (Matrix(rng.derive("w0").standard_normal(7, 5)),
+             Matrix(rng.derive("w1").standard_normal(3, 7))),
+            Matrix(rng.derive("head").standard_normal(1, 3)),
+        )
+        adapters = randomized_adapters(model, 2, rng.derive("ad"))
+        xs = rng.derive("x").standard_normal(n, 5)
+        ours, oracle = model_view(model, adapters)(xs), merged_forward(model, adapters, xs)
+        assert ours.shape == (n,)
+        assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_input_dim_mismatch(self):
         model = BackboneModel.random(Rng(8), 4, 6, 2)
@@ -255,12 +293,32 @@ class TestGradients:
         )
         xs = rng.standard_normal((m, dims[0]))
         ys = rng.integers(0, 2, m)
+        # A held workspace is refilled by each call; the 1-row batch uses a row prefix.
+        work = trainer.workspace(model, adapters.shapes, m)
         for batch_x, batch_y in ((xs, ys), (xs[:1], ys[:1])):
             flat = grad_adapters(model, adapters.factors(), batch_x, batch_y)
             pairs = pairwise_grad_adapters(model, adapters.factors(), batch_x, batch_y)
             expected = np.concatenate([part.ravel() for g_a, g_b in pairs for part in (g_b, g_a)])
             assert flat.dtype == np.float64 and flat.shape == adapters.vec.shape
             assert flat.tobytes() == expected.tobytes()
+            held = grad_adapters(model, adapters.factors(), batch_x, batch_y, work)
+            assert held is work.grad and held.tobytes() == expected.tobytes()
+
+    def test_step_on_a_held_workspace_allocates_less_than_one_layer(self):
+        model = BackboneModel.random(Rng(36), 64, 64, 3)
+        adapters = randomized_adapters(model, 4, Rng(36, "ad"))
+        params = adapters.factors()
+        xs = Rng(36, "x").standard_normal(32, 64)
+        ys = (Rng(36, "y").uniform(32) > 0.5).astype(np.float64)
+        work = trainer.workspace(model, adapters.shapes, 32)
+        grad_adapters(model, params, xs, ys, work)  # the warm-up step
+        tracemalloc.start()
+        try:
+            grad_adapters(model, params, xs, ys, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 64 * 8
 
 
 _SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 745.5, -745.5, 1e300, -1e300, np.nan, -np.nan]
