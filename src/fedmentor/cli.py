@@ -107,18 +107,17 @@ def execute_run(cfg: RunConfig, run_dir: Path) -> dict:
 def metrics_csv_lines(records: Sequence[RoundRecord]) -> list[str]:
     """Fixed-column CSV rows, one per round.
 
-    Columns: round, per-client train/eval losses (client ids sorted), comm
-    byte counters, utilities, gate flag, scale multiplier, per-domain budgets
-    (domains sorted). A float is written as ``str`` writes it, its shortest
-    round-trip form, so equal runs produce byte-equal files.
+    Columns: round, per-client validation losses (client ids sorted; empty
+    in a round the client dropped out of), comm byte counters, utilities,
+    gate flag, scale multiplier, per-domain budgets (domains sorted). A float
+    is written as ``str`` writes it, its shortest round-trip form, so equal
+    runs produce byte-equal files.
     """
     if not records:
         raise ValueError("no records to format")
-    client_ids = sorted({c.client_id for r in records for c in r.per_client})
+    client_ids = sorted({cid for r in records for cid in r.eval_losses})
     domains = sorted(records[0].budgets)
-    header = ["round"]
-    for cid in client_ids:
-        header += [f"client{cid}_train_loss", f"client{cid}_eval_loss"]
+    header = ["round", *(f"client{cid}_eval_loss" for cid in client_ids)]
     header += ["broadcast_bytes", "upload_bytes", "total_comm_bytes"]
     header += list(METRIC_NAMES)
     header += ["gate_triggered", "scale_multiplier"]
@@ -126,11 +125,8 @@ def metrics_csv_lines(records: Sequence[RoundRecord]) -> list[str]:
 
     lines = [",".join(header)]
     for rec in records:
-        by_id = {c.client_id: c for c in rec.per_client}
         row = [str(rec.round)]
-        for cid in client_ids:
-            stats = by_id.get(cid)
-            row += ["", ""] if stats is None else [str(stats.train_loss), str(stats.eval_loss)]
+        row += [str(rec.eval_losses.get(cid, "")) for cid in client_ids]
         total = rec.broadcast_bytes + rec.upload_bytes
         row += [str(rec.broadcast_bytes), str(rec.upload_bytes), str(total)]
         row += [str(rec.utilities[m]) for m in METRIC_NAMES]

@@ -19,10 +19,11 @@ A client is its id, domain and data: the server holds the backbone and the
 local-SGD schedule once. A failure in local training, privatize or upload
 names the client, its domain and the phase.
 
-The round trains every client first, then privatizes, encodes and decodes
-each update in a second loop. A raw trained update is released as soon as it
-is privatized, so the round holds the decoded uploads plus one client's
-update in flight, never two full sets of updates.
+The round trains every client first, keeping its update and validation
+loss, then privatizes, encodes and decodes each update in a second loop. A
+raw trained update is released as soon as it is privatized, so the round
+holds the decoded uploads plus one client's update in flight, never two full
+sets of updates.
 
 The gate's multiplier and each domain's current budget are round state in
 ``ServerState``; the decay schedule, a ``dp.BudgetConfig``, does not change
@@ -56,7 +57,6 @@ from .trainer import BackboneModel, _check_conformable, model_view, train_local
 __all__ = [
     "ClientState",
     "ServerState",
-    "ClientRoundStats",
     "RoundRecord",
     "RoundError",
     "aggregate",
@@ -101,7 +101,7 @@ class ServerState:
 
     def __post_init__(self):
         for name, least in (("learning_rate", 0), ("local_epochs", 0), ("batch_size", 1)):
-            if getattr(self, name) < least:
+            if not getattr(self, name) >= least:  # also rejects NaN
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         _check_conformable(self.backbone, self.global_adapters)
         object.__setattr__(self, "thresholds", dict(self.thresholds))
@@ -110,16 +110,9 @@ class ServerState:
 
 
 @dataclass(frozen=True)
-class ClientRoundStats:
-    client_id: int
-    train_loss: float
-    eval_loss: float
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     round: int  # 1-based
-    per_client: tuple[ClientRoundStats, ...]
+    eval_losses: Mapping[int, float]  # responders' validation losses, by client id
     broadcast_bytes: int
     upload_bytes: int
     utilities: Mapping[str, float]
@@ -128,6 +121,7 @@ class RoundRecord:
     budgets: Mapping[str, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "eval_losses", dict(self.eval_losses))
         object.__setattr__(self, "utilities", dict(self.utilities))
         object.__setattr__(self, "budgets", dict(self.budgets))
 
@@ -234,12 +228,12 @@ def run_round(
                 local_epochs=server.local_epochs, batch_size=server.batch_size,
             ))
 
-    per_client = []
+    eval_losses = {}
     updates = []
     sizes = []
     upload_bytes = 0
     for i, client in enumerate(responders):
-        update, train_loss, eval_loss = trained[i]
+        update, eval_losses[client.id] = trained[i]
         trained[i] = None
         rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
         eps = server.budgets[client.domain]
@@ -251,7 +245,6 @@ def run_round(
         with _phase(client, "upload"):
             updates.append(deserialize(payload))
         sizes.append(client.data.n_train)
-        per_client.append(ClientRoundStats(client.id, train_loss, eval_loss))
 
     new_global = aggregate(updates, sizes)
 
@@ -268,7 +261,7 @@ def run_round(
 
     record = RoundRecord(
         round=round_number,
-        per_client=tuple(per_client),
+        eval_losses=eval_losses,
         broadcast_bytes=broadcast_bytes,
         upload_bytes=upload_bytes,
         utilities=utilities,

@@ -15,9 +15,8 @@ step is ``grad *= lr; vec -= grad``: elementwise the same arithmetic as
 ``a - lr * ga`` per matrix. Each epoch gathers its shuffled copy of the
 training split once, and every minibatch is a slice of it. The trained
 vector becomes one ``AdapterSet``, checked for finiteness, once per
-client-round. Both post-training losses (train and validation split) then
-go through one ``model_view``, the one forward pass; the server evaluates
-through it too.
+client-round. Its validation-split loss then goes through ``model_view``,
+the one forward pass; the server evaluates through it too.
 
 No SGD step allocates an array of d x k or of batch x width entries, and a
 pass holds two ``BLOCK_ROWS`` x width buffers besides its (n,) logits. No
@@ -25,7 +24,7 @@ rule below changes an arithmetic operation, so the bits are those of the
 plain expressions:
 
 - ``train_local`` builds one ``workspace``, a single allocation, per
-  client-round and drops it before the loss passes; each epoch gathers its
+  client-round and drops it before the loss pass; each epoch gathers its
   shuffled copy of the training split into it, and each step writes every
   product into it with ``out=``, a partial batch into a row prefix;
 - an effective weight is built in its product's array (``e = B@A; e += W``);
@@ -286,7 +285,7 @@ def grad_adapters(
 def train_local(
     model: BackboneModel, data: Dataset, global_adapters: AdapterSet, rng: Rng, *,
     learning_rate: float, local_epochs: int, batch_size: int,
-) -> tuple[AdapterSet, float, float]:
+) -> tuple[AdapterSet, float]:
     """Run ``local_epochs`` of minibatch SGD on ``data`` from the global adapters.
 
     The caller hands an rng already scoped to (run seed, client, round); each
@@ -295,7 +294,7 @@ def train_local(
     Minibatches follow the shuffled order with the last partial batch kept.
     Each epoch gathers the shuffled training split once and takes its
     minibatches as slices. Only adapter weights change. Returns the trained
-    adapters and their mean losses on the full train and validation splits.
+    adapters and their mean loss on the validation split.
 
     The steps never check finiteness: a client that diverges runs its
     remaining steps on NaN/Inf, and the result fails the ``AdapterSet``
@@ -318,9 +317,7 @@ def train_local(
             grad = grad_adapters(model, params, work.xs[batch], work.ys[batch], work)
             grad *= learning_rate
             vec -= grad
-    work = grad = None  # not left alive through the loss passes
+    work = grad = None  # not left alive through the loss pass
     adapters = AdapterSet(global_adapters.shapes, vec)
-    view = model_view(model, adapters)
-    train_loss = float(np.mean(cross_entropy(view(xs), ys)))
-    eval_loss = float(np.mean(cross_entropy(view(data.val_x), data.val_y)))
-    return adapters, train_loss, eval_loss
+    logits = model_view(model, adapters)(data.val_x)
+    return adapters, float(np.mean(cross_entropy(logits, data.val_y)))

@@ -21,6 +21,8 @@ trap 'rm -rf "$tmp"' EXIT
 # Run, report and sweep on the stock config at scale 0.02, and each strategy.
 printf 'rounds: 1\ndata: {scale: 0.02}\n' > "$tmp/smoke.yaml"
 fedmentor run --config "$tmp/smoke.yaml" --out "$tmp/runs"
+metrics_header='round,client0_eval_loss,client1_eval_loss,client2_eval_loss,broadcast_bytes,upload_bytes,total_comm_bytes,accuracy,neg_eval_loss,gate_triggered,scale_multiplier,budget_Dreaddit,budget_IRF,budget_MultiWD'
+test "$(head -n 1 "$tmp"/runs/run-seed0-*/metrics.csv)" = "$metrics_header"
 fedmentor report "$tmp"/runs/run-seed0-* --plot-csv "$tmp/smoke-plot.csv"
 test "$(head -n 1 "$tmp/smoke-plot.csv")" = "$(printf 'round,metric,value\r')"
 test "$(wc -l < "$tmp/smoke-plot.csv")" -gt 1
@@ -42,9 +44,10 @@ printf 'rounds: 1\ndata: {scale: 0.02}\nstrategy: {kind: utility_threshold, tau:
 fedmentor run --config "$tmp/threshold.yaml" --out "$tmp/threshold-runs"
 fedmentor report "$tmp"/threshold-runs/run-seed0-*
 
-# At scale 0.1 the train splits (328-355 rows) span two of a forward pass's
-# 256-row blocks; the configs above stay inside the first.
-printf 'rounds: 1\ndata: {scale: 0.1}\n' > "$tmp/blocks.yaml"
+# A 300-row validation split spans two of a forward pass's 256-row blocks,
+# in its client's loss pass and in the server's evaluation; the configs
+# above stay inside the first.
+printf 'rounds: 1\ndata: {scale: 0.1, overrides: {IRF: {n_val: 300}}}\n' > "$tmp/blocks.yaml"
 fedmentor run --config "$tmp/blocks.yaml" --out "$tmp/blocks-runs"
 fedmentor report "$tmp"/blocks-runs/run-seed0-*
 

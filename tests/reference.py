@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from fedmentor import metrics as metrics_mod
-from fedmentor.federation import ClientRoundStats, ClientState, RoundRecord, ServerState
+from fedmentor.federation import ClientState, RoundRecord, ServerState
 from fedmentor.linalg import Rng
 from fedmentor.lora import AdapterSet, factor_views, serialize
 from fedmentor.trainer import grad_adapters, model_view, train_local
@@ -73,18 +73,17 @@ def run_plain_fedavg(
         blob = serialize(global_adapters)
         broadcast_bytes = len(blob) * len(ordered)
 
-        updates, sizes, per_client = [], [], []
+        updates, sizes, eval_losses = [], [], {}
         upload_bytes = 0
         for client in ordered:
             rng = Rng(seed).derive("client", client.id, "round", round_number)
-            update, train_loss, eval_loss = train_local(
+            update, eval_losses[client.id] = train_local(
                 backbone, client.data, global_adapters, rng, **schedule
             )
             payload = serialize(update)
             upload_bytes += len(payload)
             updates.append(update)
             sizes.append(client.data.n_train)
-            per_client.append(ClientRoundStats(client.id, train_loss, eval_loss))
 
         global_adapters = _weighted_mean(updates, sizes)
         utilities = metrics_mod.evaluate(
@@ -94,7 +93,7 @@ def run_plain_fedavg(
         records.append(
             RoundRecord(
                 round=round_number,
-                per_client=tuple(per_client),
+                eval_losses=eval_losses,
                 broadcast_bytes=broadcast_bytes,
                 upload_bytes=upload_bytes,
                 utilities=utilities,

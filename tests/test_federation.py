@@ -1,6 +1,7 @@
 """Aggregation, the round loop, accounting, and determinism."""
 from __future__ import annotations
 
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -195,7 +196,7 @@ def build_federation(seed: int = 0, n_clients: int = 3, dp_off: bool = False,
 def first_round_update(server: ServerState, client: ClientState):
     """The client's round-1 local update from the server's adapters, backbone and schedule."""
     rng = Rng(server.rng_seed).derive("client", client.id, "round", 1)
-    update, _, _ = train_local(
+    update, _ = train_local(
         server.backbone, client.data, server.global_adapters, rng,
         learning_rate=server.learning_rate,
         local_epochs=server.local_epochs,
@@ -258,7 +259,7 @@ class TestRunRound:
     def test_failed_client_excluded_and_weights_renormalized(self):
         server, clients = build_federation(seed=9, dp_off=True)
         new_server, record = run_round(server, clients, {(1, clients[1].id)})
-        assert {s.client_id for s in record.per_client} == {0, 2}
+        assert record.eval_losses.keys() == {0, 2}
 
         survivors = [clients[0], clients[2]]
         updates = [first_round_update(server, c) for c in survivors]
@@ -288,6 +289,7 @@ class TestRunRound:
         "field, value, message",
         [
             ("learning_rate", -0.1, "learning_rate must be >= 0, got -0.1"),
+            ("learning_rate", math.nan, "learning_rate must be >= 0, got nan"),
             ("local_epochs", -1, "local_epochs must be >= 0, got -1"),
             ("batch_size", 0, "batch_size must be >= 1, got 0"),
         ],
@@ -387,6 +389,21 @@ class TestRunTraining:
         server2, clients2 = build_federation(seed=16)
         _, records_b = run_training(server2, clients2, 3)
         assert metrics_csv_lines(records_a) == metrics_csv_lines(records_b)
+
+    def test_metrics_csv_header_and_a_dropped_clients_empty_cell(self):
+        server, clients = build_federation(seed=19)
+        _, records = run_training(server, clients, 2, {(2, 1)})
+        lines = metrics_csv_lines(records)
+        assert lines[0] == (
+            "round,client0_eval_loss,client1_eval_loss,client2_eval_loss,"
+            "broadcast_bytes,upload_bytes,total_comm_bytes,accuracy,neg_eval_loss,"
+            "gate_triggered,scale_multiplier,budget_Dreaddit,budget_IRF,budget_MultiWD"
+        )
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [row["round"] for row in rows] == ["1", "2"]
+        assert rows[1]["client1_eval_loss"] == ""
+        assert rows[0]["client1_eval_loss"] == str(records[0].eval_losses[1])
+        assert rows[1]["client2_eval_loss"] == str(records[1].eval_losses[2])
 
     def test_round_errors_carry_round_number(self):
         server, clients = build_federation(seed=17, n_clients=1)
