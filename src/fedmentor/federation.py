@@ -19,11 +19,11 @@ A client is its id, domain and data: the server holds the backbone and the
 local-SGD schedule once. A failure in local training, privatize or upload
 names the client, its domain and the phase.
 
-The round trains every client first, keeping its update and validation
-loss, then privatizes, encodes and decodes each update in a second loop. A
-raw trained update is released as soon as it is privatized, so the round
-holds the decoded uploads plus one client's update in flight, never two full
-sets of updates.
+The round streams its clients through FedAvg: ``aggregate`` draws one
+responder at a time from a generator that trains, privatizes, encodes and
+decodes it, and folds the decoded upload into its running sum before the
+next client trains. So the round holds the running sum, the first upload and
+one client's update in flight, however many clients respond.
 
 The gate's multiplier and each domain's current budget are round state in
 ``ServerState``; the decay schedule, a ``dp.BudgetConfig``, does not change
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -139,37 +139,41 @@ class RoundError(RuntimeError):
         self.records = records
 
 
-def aggregate(updates: Sequence[AdapterSet], train_sizes: Sequence[int]) -> AdapterSet:
+def aggregate(updates: Iterable[AdapterSet], train_sizes: Sequence[int]) -> AdapterSet:
     """Dataset-weighted FedAvg: entrywise convex combination of update vectors.
 
     Weights are train_sizes normalized to sum to one; the adapter vectors are
-    summed with their weights left to right, in list order.
+    summed with their weights left to right, in iteration order. ``updates``
+    is consumed once, one at a time, keeping only the first update and the
+    running sum, so it may be a generator that makes each update on demand.
     """
-    if len(updates) == 0:
-        raise ValueError("aggregate needs at least one update")
-    if len(updates) != len(train_sizes):
-        raise ValueError(
-            f"{len(updates)} updates but {len(train_sizes)} sizes"
-        )
     for size in train_sizes:
         if size <= 0:
             raise ValueError(f"train sizes must be positive, got {size}")
-    first = updates[0]
-    for u in updates[1:]:
-        if not first.conformable_with(u):
-            raise ShapeError("updates are not conformable")
-    # Identical updates are returned verbatim: a convex combination of equal
-    # points is that point, and rounding the weighted sum must not break it.
-    if all(u == first for u in updates[1:]):
-        return first
     total = float(sum(train_sizes))
     weights = [s / total for s in train_sizes]
-    assert abs(sum(weights) - 1.0) < 1e-12
 
-    acc = weights[0] * first.vec
-    for u, w in zip(updates[1:], weights[1:]):
-        acc = acc + w * u.vec
-    return AdapterSet(first.shapes, acc)
+    first = acc = None
+    all_equal = True
+    count = 0
+    for count, u in enumerate(updates, 1):
+        if count > len(weights):
+            raise ValueError(f"at least {count} updates but {len(weights)} sizes")
+        if first is None:
+            first, acc = u, weights[0] * u.vec
+            continue
+        if not first.conformable_with(u):
+            raise ShapeError("updates are not conformable")
+        all_equal = all_equal and u == first
+        acc += weights[count - 1] * u.vec  # the same IEEE add as acc = acc + w * u
+    if not weights:
+        raise ValueError("aggregate needs at least one update")
+    if count != len(weights):
+        raise ValueError(f"{count} updates but {len(weights)} sizes")
+    assert abs(sum(weights) - 1.0) < 1e-12
+    # Identical updates are returned verbatim: a convex combination of equal
+    # points is that point, and rounding the weighted sum must not break it.
+    return first if all_equal else AdapterSet(first.shapes, acc)
 
 
 def _validate_clients(server: ServerState, clients: Sequence[ClientState]) -> list[ClientState]:
@@ -219,22 +223,18 @@ def run_round(
     if not responders:
         raise ValueError(f"all clients failed in round {round_number}")
 
-    trained = []
-    for client in responders:
+    eval_losses = {}
+    upload_bytes = 0
+
+    def upload(client: ClientState) -> AdapterSet:
+        """Train, privatize and encode one client's update; return the server's decoding."""
+        nonlocal upload_bytes
         rng = Rng(server.rng_seed).derive("client", client.id, "round", round_number)
         with _phase(client, "local training"):
-            trained.append(train_local(
+            update, eval_losses[client.id] = train_local(
                 server.backbone, client.data, broadcast, rng, learning_rate=server.learning_rate,
                 local_epochs=server.local_epochs, batch_size=server.batch_size,
-            ))
-
-    eval_losses = {}
-    updates = []
-    sizes = []
-    upload_bytes = 0
-    for i, client in enumerate(responders):
-        update, eval_losses[client.id] = trained[i]
-        trained[i] = None
+            )
         rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
         eps = server.budgets[client.domain]
         with _phase(client, "privatize"):
@@ -243,10 +243,9 @@ def run_round(
         payload = serialize(private)
         upload_bytes += len(payload)
         with _phase(client, "upload"):
-            updates.append(deserialize(payload))
-        sizes.append(client.data.n_train)
+            return deserialize(payload)
 
-    new_global = aggregate(updates, sizes)
+    new_global = aggregate((upload(c) for c in responders), [c.data.n_train for c in responders])
 
     pool_datasets = [c.data for c in ordered]
     utilities = metrics_mod.evaluate(model_view(server.backbone, new_global), pool_datasets)

@@ -146,6 +146,32 @@ class TestAggregate:
         with pytest.raises(ShapeError):
             aggregate([constant_set(1.0, d=4), constant_set(1.0, d=5)], [1, 1])
 
+    @settings(max_examples=60, deadline=None)
+    @given(conformable_updates())
+    def test_one_shot_iterator_equals_list_property(self, case):
+        sets, sizes = case
+        yielded = []
+
+        def counted():
+            for s in sets:
+                yielded.append(s)
+                yield s
+
+        expected = serialize(aggregate(sets, sizes))
+        assert serialize(aggregate(iter(sets), sizes)) == expected
+        assert serialize(aggregate(counted(), sizes)) == expected
+        assert yielded == sets
+
+    @pytest.mark.parametrize("n_updates, message", [
+        (3, "at least 3 updates but 2 sizes"),
+        (1, "1 updates but 2 sizes"),
+        (0, "0 updates but 2 sizes"),
+    ])
+    def test_count_mismatch_of_an_iterator_names_both_counts(self, n_updates, message):
+        sets = (constant_set(float(i)) for i in range(n_updates))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            aggregate(sets, [1, 2])
+
 
 def build_federation(seed: int = 0, n_clients: int = 3, dp_off: bool = False,
                      thresholds: dict | None = None, epochs: int = 1, scale: float = 0.02):
@@ -333,6 +359,34 @@ class TestRunRound:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n_clients * adapters.vec.nbytes
+
+    def test_round_memory_does_not_grow_with_its_clients(self):
+        # Clients shaped like the many_clients benchmark: 3 layers, width 128,
+        # rank 8 and 35 training rows each, so one adapter set (42 KiB) is
+        # large beside one client's data. Streaming FedAvg holds a fixed
+        # number of adapter sets whatever the client count; keeping one
+        # upload per client would add 56 sets from 8 clients to 64.
+        def round_peak(n_clients: int) -> tuple[int, int]:
+            names = [f"client{i:02d}" for i in range(n_clients)]
+            cfg = config_from_dict({
+                "rounds": 1, "local_epochs": 1,
+                "model": {"n_layers": 3, "input_dim": 32, "hidden_dim": 128, "rank": 8},
+                "data": {"scale": 0.01, "domains": names,
+                         "overrides": {n: {"n_train": 35} for n in names}},
+                "budgets": {"entries": {n: 1.0 for n in names}},
+            })
+            exp = build_experiment(cfg)
+            tracemalloc.start()
+            try:
+                run_round(exp.server, exp.clients)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak, exp.server.global_adapters.vec.nbytes
+
+        small, set_bytes = round_peak(8)
+        large, _ = round_peak(64)
+        assert large - small < 2 * set_bytes
 
 
 class TestBudgetState:

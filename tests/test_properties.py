@@ -7,11 +7,16 @@ rounds, label noise 0 or 0.1, any strategy kind, and ``clip_norm`` set or
 unset wherever the strategy allows it. Each property runs 40 examples with
 ``derandomize=True``, so every run of the suite draws the same configs.
 The fixed-config acceptance criteria stay as they are; these add cases.
+
+A fifth property checks the analytic adapter gradient against central finite
+differences over random shapes: 1-3 layers, input and hidden widths 2-6,
+rank 1-2 and batch size 1-9, with both adapter factors nonzero.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +24,10 @@ from fedmentor.cli import metrics_csv_lines
 from fedmentor.config import STRATEGY_KINDS, RunConfig, build_experiment, config_from_dict
 from fedmentor.data import DEFAULT_DOMAIN_SIZES
 from fedmentor.federation import run_training
+from fedmentor.linalg import Rng
 from fedmentor.lora import serialize
+from fedmentor.trainer import BackboneModel
+from oracles import fd_gradient_check, randomized_adapters
 from reference import run_centralized_sgd, run_plain_fedavg
 
 DOMAIN_NAMES = (*sorted(DEFAULT_DOMAIN_SIZES), "alpha", "beta")
@@ -115,3 +123,19 @@ def test_rounds_compose_property(cfg, r1, r2):
     full, records = run_training(exp.server, exp.clients, r1 + r2)
     assert outcome(end, head + tail) == outcome(full, records)
     assert end == full
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 6), st.integers(2, 6),
+    st.integers(1, 2), st.integers(1, 9),
+)
+def test_gradient_matches_finite_differences_property(
+    seed, n_layers, input_dim, hidden_dim, rank, batch
+):
+    rng = Rng(seed, "fd")
+    model = BackboneModel.random(rng.derive("model"), input_dim, hidden_dim, n_layers)
+    adapters = randomized_adapters(model, rank, rng.derive("adapters"))
+    xs = rng.derive("x").standard_normal(batch, input_dim)
+    ys = (rng.derive("y").uniform(batch) > 0.5).astype(np.int64)
+    fd_gradient_check(model, adapters, xs, ys, h=1e-5, rel_tol=1e-5)

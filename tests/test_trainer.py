@@ -405,6 +405,11 @@ class TestTrainLocal:
         client, adapters = make_client(7, epochs=3)
         out, eval_loss = client.train(adapters, Rng(7, "r"))
         assert eval_loss == mean_loss(client.model, out, client.data.val_x, client.data.val_y)
+        # Independently of trainer's model_view and cross_entropy: the merged
+        # forward, and the loss softplus(z) - y z as a logaddexp.
+        logits = merged_forward(client.model, out, client.data.val_x)
+        direct = np.mean(np.logaddexp(0.0, logits) - client.data.val_y * logits)
+        assert eval_loss == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_backbone_frozen_through_training(self):
         client, adapters = make_client(4, epochs=5)
