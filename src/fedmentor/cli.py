@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -57,12 +58,12 @@ def _fresh_run_dir(parent: Path, seed: int) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = f"run-seed{seed}-{stamp}"
     candidate = parent / base
-    n = 1
-    while candidate.exists():
-        n += 1
-        candidate = parent / f"{base}-{n}"
-    candidate.mkdir()
-    return candidate
+    for n in itertools.count(2):
+        try:
+            candidate.mkdir()  # no exists() check first: another process may take the name
+            return candidate
+        except FileExistsError:
+            candidate = parent / f"{base}-{n}"
 
 
 def execute_run(cfg: RunConfig, run_dir: Path) -> dict:

@@ -20,10 +20,18 @@ local-SGD schedule once. A failure in local training, privatize or upload
 names the client, its domain and the phase.
 
 The round streams its clients through FedAvg: ``aggregate`` draws one
-responder at a time from a generator that trains, privatizes, encodes and
-decodes it, and folds the decoded upload into its running sum before the
-next client trains. So the round holds the running sum, the first upload and
-one client's update in flight, however many clients respond.
+responder at a time, in id order, from a generator that trains, privatizes,
+encodes and decodes it, and folds the decoded upload into its running sum
+before the next client trains. When a backbone layer has at least
+``HELPER_MIN_ENTRIES`` weights, two or more clients respond and the process
+may run on two CPUs, a helper thread runs ``train_local`` for the second
+client of each id-order pair while the main thread trains the first; all
+else stays on the main thread, and the helper is joined before the pair's
+first upload is folded. A client's training depends only on its data, the
+broadcast and its (seed, client, round) stream, never on its thread, and
+BLAS runs on one thread in both threads, so both paths give the same bits.
+The round holds the running sum, the first upload and one client's update in
+flight (two in a pair), however many clients respond.
 
 The gate's multiplier and each domain's current budget are round state in
 ``ServerState``; the decay schedule, a ``dp.BudgetConfig``, does not change
@@ -34,6 +42,9 @@ privatizes every upload with ``dp.privatize`` and runs the gate and the decay.
 """
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Collection, Iterable, Mapping, Sequence
@@ -192,6 +203,46 @@ def _validate_clients(server: ServerState, clients: Sequence[ClientState]) -> li
     return ordered
 
 
+# Measured in-process, best of 5, on a 2-vCPU host: with the helper, runs
+# shaped like the wide_model benchmark got slower at hidden width 128 (16,384
+# weights per layer; 224 -> 234-273 ms) and faster at 192 (36,864; 525 ->
+# 411-424 ms) and 256 (65,536; 852-873 -> 679-720 ms). 2**15 lies between.
+HELPER_MIN_ENTRIES = 2**15
+
+
+def _two_at_a_time(backbone: BackboneModel, responders: int) -> bool:
+    """Whether a round trains its responders in pairs, one of each on a helper thread."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    widest = max(w.rows * w.cols for w in backbone.layers)
+    return responders >= 2 and cpus >= 2 and widest >= HELPER_MIN_ENTRIES
+
+
+class _Helper(threading.Thread):
+    """Runs ``fn(*args)`` on its own thread, in a copy of the caller's context
+    (so ``np.errstate`` reaches it); ``result`` joins and returns or re-raises."""
+
+    def __init__(self, fn, *args):
+        super().__init__()
+        context = contextvars.copy_context()
+        self._call = lambda: context.run(fn, *args)
+        self._value = self._error = None
+        self.start()
+
+    def run(self):
+        try:
+            self._value = self._call()
+        except BaseException as exc:  # handed to the caller by ``result``
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        value, self._value = self._value, None  # the caller alone holds the update
+        return value
+
+
 @contextmanager
 def _phase(client: ClientState, phase: str):
     """Re-raise a ``ValueError`` as one naming the client, its domain and the phase."""
@@ -226,15 +277,18 @@ def run_round(
     eval_losses = {}
     upload_bytes = 0
 
-    def upload(client: ClientState) -> AdapterSet:
-        """Train, privatize and encode one client's update; return the server's decoding."""
-        nonlocal upload_bytes
+    def train(client: ClientState) -> tuple[AdapterSet, float]:
         rng = Rng(server.rng_seed).derive("client", client.id, "round", round_number)
+        return train_local(
+            server.backbone, client.data, broadcast, rng, learning_rate=server.learning_rate,
+            local_epochs=server.local_epochs, batch_size=server.batch_size,
+        )
+
+    def upload(client: ClientState, trained) -> AdapterSet:
+        """Take ``trained()``'s update, privatize and encode it; return the server's decoding."""
+        nonlocal upload_bytes
         with _phase(client, "local training"):
-            update, eval_losses[client.id] = train_local(
-                server.backbone, client.data, broadcast, rng, learning_rate=server.learning_rate,
-                local_epochs=server.local_epochs, batch_size=server.batch_size,
-            )
+            update, eval_losses[client.id] = trained()
         rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
         eps = server.budgets[client.domain]
         with _phase(client, "privatize"):
@@ -245,7 +299,22 @@ def run_round(
         with _phase(client, "upload"):
             return deserialize(payload)
 
-    new_global = aggregate((upload(c) for c in responders), [c.data.n_train for c in responders])
+    def uploads():
+        step = 2 if _two_at_a_time(server.backbone, len(responders)) else 1
+        for i in range(0, len(responders), step):
+            pair = responders[i : i + step]
+            helper = _Helper(train, pair[1]) if len(pair) == 2 else None
+            try:
+                decoded = upload(pair[0], lambda: train(pair[0]))
+            finally:
+                if helper is not None:
+                    helper.join()
+            yield decoded
+            del decoded  # not left alive while the next client trains
+            if helper is not None:
+                yield upload(pair[1], helper.result)
+
+    new_global = aggregate(uploads(), [c.data.n_train for c in responders])
 
     pool_datasets = [c.data for c in ordered]
     utilities = metrics_mod.evaluate(model_view(server.backbone, new_global), pool_datasets)
@@ -295,7 +364,9 @@ def run_training(
     whose spin-waiting roughly doubled the CPU time of every benchmarked run
     and made a set-up gemm about 50x slower on a 2-vCPU host, and one thread
     keeps results independent of the core count. The previous thread count
-    is back when this returns or raises.
+    is back when this returns or raises. The count is process-wide, so a
+    round's helper thread runs its BLAS on one thread too; no helper thread
+    outlives its round.
 
     Floating-point overflow and invalid operations raise no numpy warning in
     the rounds: a client that diverges fails its round once, with the

@@ -217,7 +217,8 @@ def single_blas_thread():
     count is restored on exit, also when the block raises, so the two nest.
     Where numpy bundles no OpenBLAS (another BLAS, or a build linked against
     the system's), the block runs unchanged. The count is process-wide, so
-    the block should not overlap BLAS work on other threads.
+    BLAS calls that a block's own helper threads make (``federation`` trains
+    some clients on one) run under the same one-thread count.
     """
     controls = _openblas_thread_controls()
     if controls is None:

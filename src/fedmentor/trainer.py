@@ -27,7 +27,8 @@ plain expressions:
   client-round and drops it before the loss pass; each epoch gathers its
   shuffled copy of the training split into it, and each step writes every
   product into it with ``out=``, a partial batch into a row prefix;
-- an effective weight is built in its product's array (``e = B@A; e += W``);
+- an effective weight is built in its product's array (``e = B@A; e += W``),
+  and a layer's gradient G is written over its E after E's last read;
 - a model view builds E once and pushes its input through in blocks of
   ``BLOCK_ROWS`` rows, and never writes into its input. A block's row count
   picks OpenBLAS's kernel path, so another block size can move bits;
@@ -198,29 +199,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-Workspace = namedtuple("Workspace", "effs g_eff acts g_acts grad grads xs ys")
+Workspace = namedtuple("Workspace", "effs acts g_acts grad grads xs ys")
 
 
 def workspace(model: BackboneModel, shapes, rows: int, split=(0, 0)) -> Workspace:
     """Step buffers for up to ``rows`` rows and adapters of ``(r, d, k)`` ``shapes``.
 
-    For ``grad_adapters``: each layer's E, one weight gradient of the largest
-    d x k, per layer a forward and a backward buffer of ``rows`` x width, and
-    the flat gradient with its ``(dL/dA, dL/dB)`` views; for ``train_local``,
-    an epoch's shuffled training split (``split`` features, as many labels).
+    For ``grad_adapters``: each layer's E, which the backward pass overwrites
+    with that layer's weight gradient once E is dead, per layer a forward and
+    a backward buffer of ``rows`` x width, and the flat gradient with its
+    ``(dL/dA, dL/dB)`` views; for ``train_local``, an epoch's shuffled
+    training split (``split`` features, as many labels).
     They are views into one allocation: glibc maps the first such block and,
     when it is freed, raises its mmap and trim thresholds above it, so later
     client-rounds reuse heap pages instead of re-faulting a trimmed heap.
     """
     layers = [w.shape for w in model.layers]
-    parts = [*layers, (max(d * k for d, k in layers),), *[(rows, d) for d, _ in layers] * 2,
+    parts = [*layers, *[(rows, d) for d, _ in layers] * 2,
              (sum(r * (d + k) for r, d, k in shapes),), split, split[:1]]
     ends = list(itertools.accumulate(math.prod(shape) for shape in parts))
     flat = np.empty(ends[-1])
     views = [flat[end - math.prod(shape) : end].reshape(shape) for shape, end in zip(parts, ends)]
     n = len(layers)
     grad = views[-3]
-    return Workspace(views[:n], views[n], views[n + 1 : 2 * n + 1], views[2 * n + 1 : -3], grad,
+    return Workspace(views[:n], views[n : 2 * n], views[2 * n : -3], grad,
                      factor_views(grad, shapes), *views[-2:])
 
 
@@ -273,12 +275,12 @@ def grad_adapters(
             g_z = np.square(acts[l + 1], out=acts[l + 1])
             np.subtract(1.0, g_z, out=g_z)
             np.multiply(g_acts[l], g_z, out=g_z)
-        g_eff = np.dot(g_z.T, acts[l], out=work.g_eff[: eff[l].size].reshape(eff[l].shape))
+        if l > 0:
+            np.dot(g_z, eff[l], out=g_acts[l - 1])
+        g_eff = np.dot(g_z.T, acts[l], out=eff[l])  # E[l] is dead from here on
         (a, b), (g_a, g_b) = params[l], work.grads[l]
         np.dot(b.T, g_eff, out=g_a)
         np.dot(g_eff, a.T, out=g_b)
-        if l > 0:
-            np.dot(g_z, eff[l], out=g_acts[l - 1])
     return work.grad
 
 

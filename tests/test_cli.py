@@ -6,6 +6,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -605,6 +606,22 @@ class TestRunCommand:
         d2 = run_command(cfg_path, out=str(tmp_path / "out"))
         assert d1 != d2
         assert d1.exists() and d2.exists()
+
+    def test_a_run_directory_name_taken_by_another_process_is_skipped(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, "rounds: 1\ndata: {scale: 0.02}\n")
+        real_mkdir, taken = Path.mkdir, []
+
+        def racing_mkdir(path, *args, **kwargs):
+            # Another process makes the first candidate just before this one does.
+            if path.name.startswith("run-seed") and not taken:
+                taken.append(path)
+                real_mkdir(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", racing_mkdir)
+        run_dir = run_command(cfg_path, out=str(tmp_path / "out"))
+        assert run_dir == taken[0].with_name(f"{taken[0].name}-2")
+        assert (run_dir / "summary.json").exists()
 
     def test_same_seed_byte_identical_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path, "rounds: 2\nseed: 5\ndata: {scale: 0.02}\n")

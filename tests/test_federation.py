@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import re
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -642,3 +644,114 @@ class TestGlobalModel:
         s = random_set(Rng(24), n_layers=3, d=8, k=6, r=2)
         out = aggregate([s, s], [5, 7])
         assert out == s
+
+
+def wide_federation(seed: int, n_clients: int):
+    """``build_federation`` on a 2-layer backbone of width 192, above ``HELPER_MIN_ENTRIES``."""
+    server, clients = build_federation(seed=seed, n_clients=n_clients)
+    model = BackboneModel.random(Rng(seed, "wide"), 6, 192, 2)
+    server = replace(server, backbone=model,
+                     global_adapters=init_adapters(model, 2, Rng(seed, "wide-adapters")))
+    return server, clients
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count the round sees: ``cpus(2)`` allows the helper on any host."""
+    def set_cpus(n: int):
+        affinity = set(range(n))
+        monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+    return set_cpus
+
+
+def failing_for(monkeypatch, ids, clients, **train_kwargs):
+    """``federation.train_local`` fails (or, with ``train_kwargs``, trains so) for ``ids``' data.
+
+    Without ``train_kwargs`` every other client starts 50 ms late, so a client
+    that fails on the main thread does so while the helper still trains.
+    """
+    real = federation.train_local
+    marked = [clients[i].data for i in ids]
+
+    def train(model, data, adapters, rng, **kwargs):
+        if any(data is d for d in marked):
+            if not train_kwargs:
+                raise ValueError("injected")
+            kwargs.update(train_kwargs)
+        elif not train_kwargs:
+            time.sleep(0.05)
+        return real(model, data, adapters, rng, **kwargs)
+
+    monkeypatch.setattr(federation, "train_local", train)
+
+
+class TestTwoAtATime:
+    @pytest.mark.parametrize("n_clients, dropouts", [(2, set()), (3, set()), (3, {(1, 1)})],
+                             ids=["two", "three", "dropout"])
+    def test_helper_keeps_every_bit(self, cpus, n_clients, dropouts):
+        runs = []
+        for n in (2, 1):
+            cpus(n)
+            server, clients = wide_federation(40 + n_clients, n_clients)
+            final, records = run_training(server, clients, 2, dropouts)
+            runs.append((serialize(final.global_adapters), metrics_csv_lines(records)))
+        assert runs[0] == runs[1]
+
+    def test_train_local_runs_on_two_threads(self, cpus, monkeypatch):
+        cpus(2)
+        real, threads = federation.train_local, []
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "train_local", spy)
+        server, clients = wide_federation(44, 3)
+        run_training(server, clients, 1)
+        assert len(threads) == 3 and len(set(threads)) == 2
+
+    @pytest.mark.parametrize("failing, named", [
+        ([0], "client 0 (Dreaddit)"), ([1], "client 1 (IRF)"), ([0, 1], "client 0 (Dreaddit)"),
+    ])
+    def test_failure_names_round_client_domain_and_phase(self, cpus, monkeypatch, failing, named):
+        cpus(2)
+        server, clients = wide_federation(45, 3)
+        failing_for(monkeypatch, failing, clients)
+        start = threading.active_count()
+        with pytest.raises(RoundError) as info:
+            run_training(server, clients, 2)
+        assert str(info.value) == f"round 1: {named}: local training: injected"
+        assert threading.active_count() == start
+
+    def test_no_thread_outlives_a_run(self, cpus):
+        cpus(2)
+        server, clients = wide_federation(46, 3)
+        start = threading.active_count()
+        run_training(server, clients, 2)
+        assert threading.active_count() == start
+
+    # The helper runs in a copy of the round's context, so run_training's
+    # np.errstate reaches it: a diverging helper client fails on the
+    # finiteness check alone, not on an escalated RuntimeWarning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_on_the_helper_warns_nothing(self, cpus, monkeypatch):
+        cpus(2)
+        server, clients = wide_federation(47, 2)
+        failing_for(monkeypatch, [1], clients, learning_rate=1e100)
+        with pytest.raises(RoundError) as info:
+            run_training(server, clients, 1)
+        assert str(info.value).startswith("round 1: client 1 (IRF): local training: entry")
+
+    def test_selection(self, cpus, monkeypatch):
+        wide = wide_federation(48, 2)[0].backbone
+        narrow = BackboneModel.random(Rng(48), 6, 128, 3)  # 16,384 weights per layer
+        cpus(2)
+        assert federation._two_at_a_time(wide, 2)
+        assert not federation._two_at_a_time(wide, 1)
+        assert not federation._two_at_a_time(narrow, 2)
+        cpus(1)
+        assert not federation._two_at_a_time(wide, 2)
+        monkeypatch.delattr(federation.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(federation.os, "cpu_count", lambda: None)
+        assert not federation._two_at_a_time(wide, 2)

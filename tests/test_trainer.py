@@ -320,6 +320,23 @@ class TestGradients:
             tracemalloc.stop()
         assert peak < 64 * 64 * 8
 
+    def test_workspace_is_one_allocation_of_every_e_two_row_buffers_the_gradient_and_split(self):
+        # Each layer's weight gradient is written over its E: no separate d x k buffer.
+        model = BackboneModel.random(Rng(37), 5, 12, 3)
+        adapters = randomized_adapters(model, 2, Rng(37, "ad"))
+        rows, split = 7, (20, 5)
+        work = trainer.workspace(model, adapters.shapes, rows, split)
+        dims = [w.shape for w in model.layers]
+        expected = (
+            sum(d * k for d, k in dims)
+            + 2 * rows * sum(d for d, _ in dims)
+            + sum(r * (d + k) for r, d, k in adapters.shapes)
+            + split[0] * split[1] + split[0]
+        )
+        views = [*work.effs, *work.acts, *work.g_acts, work.grad, work.xs, work.ys]
+        assert {id(v.base) for v in views} == {id(work.grad.base)}
+        assert work.grad.base.size == expected
+
 
 _SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 745.5, -745.5, 1e300, -1e300, np.nan, -np.nan]
 
