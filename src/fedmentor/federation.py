@@ -4,13 +4,12 @@ It does no file I/O: the rounds return records, and ``cli`` writes them, with
 the final adapters, into the run directory.
 
 One round executes, in order: encode the global adapters and decode that
-broadcast, train each responding client from the decoded adapters in
-client-id order, privatize each update under its domain's current budget,
-encode it as the client's upload, decode every upload on the server and
-aggregate the decoded sets with dataset-size weights, evaluate utility
-proxies on the pool of every client's own validation split (a client that
-dropped out this round included), apply the utility gate, and decay the
-budgets. Adapters travel only through the wire format, and the round's byte
+broadcast, train each responding client from the decoded adapters, privatize
+each update under its domain's current budget, encode it as the client's
+upload, decode every upload on the server and aggregate the decoded sets
+with dataset-size weights, evaluate utility proxies on the pool of every
+client's own validation split (a client that dropped out this round
+included), apply the utility gate, and decay the budgets. Adapters travel only through the wire format, and the round's byte
 counts are the lengths of those payloads (the broadcast once per recipient).
 Aggregation always consumes results sorted by client id, so client
 declaration order cannot change a single bit of the outcome.
@@ -20,18 +19,20 @@ local-SGD schedule once. A failure in local training, privatize or upload
 names the client, its domain and the phase.
 
 The round streams its clients through FedAvg: ``aggregate`` draws one
-responder at a time, in id order, from a generator that trains, privatizes,
-encodes and decodes it, and folds the decoded upload into its running sum
-before the next client trains. When a backbone layer has at least
-``HELPER_MIN_ENTRIES`` weights, two or more clients respond and the process
-may run on two CPUs, a helper thread runs ``train_local`` for the second
-client of each id-order pair while the main thread trains the first; all
-else stays on the main thread, and the helper is joined before the pair's
-first upload is folded. A client's training depends only on its data, the
-broadcast and its (seed, client, round) stream, never on its thread, and
-BLAS runs on one thread in both threads, so both paths give the same bits.
-The round holds the running sum, the first upload and one client's update in
-flight (two in a pair), however many clients respond.
+responder at a time, in id order, from a generator that privatizes, encodes
+and decodes it once it and every lower id have trained, and folds the upload
+into its running sum. Training runs in units: a ``train_local`` call over
+some of a client's epochs, on its working vector and the workspace its
+worker holds for the round. The main thread is a worker; with a backbone
+layer of at least ``HELPER_MIN_ENTRIES`` weights, two or more responders and
+two CPUs allowed, a helper thread is a second, and a unit is one epoch, not
+all. A free worker takes, of the first 2 x workers - 1 unfolded responders,
+the one with the most epochs left that no worker runs, the lowest id on a
+tie. So one worker trains in id order, and at most three clients are in
+flight, however many respond. A unit's bits
+depend on the client's vector, data and epoch stream and the broadcast,
+never on its worker, and BLAS runs on one thread in each. Once a unit fails,
+no higher id starts one, and the fold raises the lowest failing id's error.
 
 The gate's multiplier and each domain's current budget are round state in
 ``ServerState``; the decay schedule, a ``dp.BudgetConfig``, does not change
@@ -44,9 +45,9 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
+from threading import Condition, Thread
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -63,7 +64,7 @@ from .dp import (
 )
 from .linalg import Rng, ShapeError, single_blas_thread
 from .lora import AdapterSet, deserialize, serialize
-from .trainer import BackboneModel, _check_conformable, model_view, train_local
+from .trainer import BackboneModel, _check_conformable, model_view, train_local, workspace
 
 __all__ = [
     "ClientState",
@@ -203,44 +204,31 @@ def _validate_clients(server: ServerState, clients: Sequence[ClientState]) -> li
     return ordered
 
 
-# Measured in-process, best of 5, on a 2-vCPU host: with the helper, runs
-# shaped like the wide_model benchmark got slower at hidden width 128 (16,384
-# weights per layer; 224 -> 234-273 ms) and faster at 192 (36,864; 525 ->
-# 411-424 ms) and 256 (65,536; 852-873 -> 679-720 ms). 2**15 lies between.
+# Measured in-process, best of 5, on a 2-vCPU host, for id-order pairs: with
+# the helper, runs shaped like the wide_model benchmark got slower at hidden
+# width 128 (16,384 weights per layer; 224 -> 234-273 ms) and faster at 192
+# (36,864; 525 -> 411-424 ms) and 256 (65,536; 852-873 -> 679-720 ms). With
+# epoch units: 236 -> 240 ms at 128, 629 -> 505 ms at 192. 2**15 lies between.
 HELPER_MIN_ENTRIES = 2**15
 
 
 def _two_at_a_time(backbone: BackboneModel, responders: int) -> bool:
-    """Whether a round trains its responders in pairs, one of each on a helper thread."""
+    """Whether a round trains on two workers: the main thread and a helper thread."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     widest = max(w.rows * w.cols for w in backbone.layers)
     return responders >= 2 and cpus >= 2 and widest >= HELPER_MIN_ENTRIES
 
 
-class _Helper(threading.Thread):
-    """Runs ``fn(*args)`` on its own thread, in a copy of the caller's context
-    (so ``np.errstate`` reaches it); ``result`` joins and returns or re-raises."""
+@dataclass
+class _Training:
+    """A responder's training in a round: its vector until a unit returns or raises."""
 
-    def __init__(self, fn, *args):
-        super().__init__()
-        context = contextvars.copy_context()
-        self._call = lambda: context.run(fn, *args)
-        self._value = self._error = None
-        self.start()
-
-    def run(self):
-        try:
-            self._value = self._call()
-        except BaseException as exc:  # handed to the caller by ``result``
-            self._error = exc
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        value, self._value = self._value, None  # the caller alone holds the update
-        return value
+    next_epoch: int = 0
+    vec: np.ndarray | None = None
+    busy: bool = False
+    result: tuple[AdapterSet, float] | None = None
+    error: BaseException | None = None
 
 
 @contextmanager
@@ -277,18 +265,13 @@ def run_round(
     eval_losses = {}
     upload_bytes = 0
 
-    def train(client: ClientState) -> tuple[AdapterSet, float]:
-        rng = Rng(server.rng_seed).derive("client", client.id, "round", round_number)
-        return train_local(
-            server.backbone, client.data, broadcast, rng, learning_rate=server.learning_rate,
-            local_epochs=server.local_epochs, batch_size=server.batch_size,
-        )
-
-    def upload(client: ClientState, trained) -> AdapterSet:
-        """Take ``trained()``'s update, privatize and encode it; return the server's decoding."""
+    def upload(client: ClientState, done: _Training) -> AdapterSet:
+        """Take ``done``'s update, privatize and encode it; return the server's decoding."""
         nonlocal upload_bytes
         with _phase(client, "local training"):
-            update, eval_losses[client.id] = trained()
+            if done.error is not None:
+                raise done.error
+        (update, eval_losses[client.id]), done.result = done.result, None
         rng = Rng(server.rng_seed).derive("privatize", client.id, "round", round_number)
         eps = server.budgets[client.domain]
         with _phase(client, "privatize"):
@@ -300,21 +283,82 @@ def run_round(
             return deserialize(payload)
 
     def uploads():
-        step = 2 if _two_at_a_time(server.backbone, len(responders)) else 1
-        for i in range(0, len(responders), step):
-            pair = responders[i : i + step]
-            helper = _Helper(train, pair[1]) if len(pair) == 2 else None
-            try:
-                decoded = upload(pair[0], lambda: train(pair[0]))
-            finally:
-                if helper is not None:
-                    helper.join()
-            yield decoded
-            del decoded  # not left alive while the next client trains
-            if helper is not None:
-                yield upload(pair[1], helper.result)
+        workers = 2 if _two_at_a_time(server.backbone, len(responders)) else 1
+        n_epochs, todo, cond = server.local_epochs, [_Training() for _ in responders], Condition()
+        head, stop = 0, len(responders)  # the lowest position not folded; the lowest failed one
+        rows = max(c.data.n_train for c in responders)
+        sizes = (min(server.batch_size, rows), (rows, server.backbone.input_dim))
 
-    new_global = aggregate(uploads(), [c.data.n_train for c in responders])
+        def next_unit(folds: bool) -> int | None:
+            """Wait for a unit, mark its position busy and return it; or return None once
+            the head is ready to fold (``folds``), marking it busy, or no unit is left."""
+            with cond:
+                while head < len(responders):
+                    if folds and (todo[head].result or todo[head].error):
+                        todo[head].busy = True
+                        break
+                    free = [i for i in range(head, min(head + 2 * workers - 1, stop))
+                            if not todo[i].busy and todo[i].result is None]
+                    if free:  # the most epochs left, then the lowest id
+                        i = min(free, key=lambda i: (todo[i].next_epoch, i))
+                        todo[i].busy = True
+                        return i
+                    cond.wait()
+            return None
+
+        def run(i: int, work) -> None:
+            """Train position ``i``'s next unit in ``work`` and record how it ended."""
+            nonlocal stop
+            t, client = todo[i], responders[i]
+            end = n_epochs if workers == 1 else min(t.next_epoch + 1, n_epochs)
+            if t.vec is None:
+                t.vec = np.array(broadcast.vec)
+            rng = Rng(server.rng_seed).derive("client", client.id, "round", round_number)
+            try:
+                result, error = train_local(
+                    server.backbone, client.data, broadcast, rng, epochs=range(t.next_epoch, end),
+                    vec=t.vec, work=work, learning_rate=server.learning_rate,
+                    local_epochs=n_epochs, batch_size=server.batch_size,
+                ), None
+            except BaseException as exc:  # raised by the fold, in id order
+                result, error = None, exc
+            with cond:
+                t.busy, t.next_epoch, t.result, t.error = False, end, result, error
+                if result is not None:
+                    t.vec = None
+                if error is not None:
+                    stop = min(stop, i)  # no unit of a higher id starts
+                cond.notify_all()
+            if error is not None and not isinstance(error, Exception):
+                raise error
+
+        def help_train() -> None:
+            work = workspace(server.backbone, broadcast.shapes, *sizes)
+            while (i := next_unit(False)) is not None:
+                run(i, work)
+
+        # The helper runs in a copy of this context, so np.errstate reaches it.
+        helper = Thread(target=contextvars.copy_context().run, args=(help_train,), daemon=True)
+        try:
+            if workers == 2:
+                helper.start()
+            work = workspace(server.backbone, broadcast.shapes, *sizes)
+            for client, done in zip(responders, todo):
+                while (i := next_unit(True)) is not None:
+                    run(i, work)
+                yield upload(client, done)
+                with cond:
+                    head += 1
+                    cond.notify_all()
+        finally:
+            with cond:
+                head = len(responders)  # the helper starts no unit after this
+                cond.notify_all()
+            if helper.is_alive():
+                helper.join()
+
+    with closing(uploads()) as stream:
+        new_global = aggregate(stream, [c.data.n_train for c in responders])
 
     pool_datasets = [c.data for c in ordered]
     utilities = metrics_mod.evaluate(model_view(server.backbone, new_global), pool_datasets)
@@ -364,8 +408,9 @@ def run_training(
     whose spin-waiting roughly doubled the CPU time of every benchmarked run
     and made a set-up gemm about 50x slower on a 2-vCPU host, and one thread
     keeps results independent of the core count. The previous thread count
-    is back when this returns or raises. The count is process-wide, so a
-    round's helper thread runs its BLAS on one thread too; no helper thread
+    is back when this returns or raises. The count is process-wide, so the
+    helper thread that trains a round's epoch units beside the main thread
+    (module docstring) runs its BLAS on one thread too; no helper thread
     outlives its round.
 
     Floating-point overflow and invalid operations raise no numpy warning in

@@ -23,10 +23,11 @@ pass holds two ``BLOCK_ROWS`` x width buffers besides its (n,) logits. No
 rule below changes an arithmetic operation, so the bits are those of the
 plain expressions:
 
-- ``train_local`` builds one ``workspace``, a single allocation, per
-  client-round and drops it before the loss pass; each epoch gathers its
-  shuffled copy of the training split into it, and each step writes every
-  product into it with ``out=``, a partial batch into a row prefix;
+- a ``workspace``, a single allocation, belongs to a worker for a round
+  (a lone ``train_local`` call builds one); each epoch gathers its shuffled
+  copy of the training split into its row prefix, each step writes every
+  product into it with ``out=``, a partial batch into a row prefix, and the
+  validation pass builds its E in the workspace's E buffers;
 - an effective weight is built in its product's array (``e = B@A; e += W``),
   and a layer's gradient G is written over its E after E's last read;
 - a model view builds E once and pushes its input through in blocks of
@@ -152,7 +153,8 @@ def _effective_weights(model: BackboneModel, params, out=None) -> list[np.ndarra
 BLOCK_ROWS = 256  # rows per block of a model view's pass (module docstring)
 
 
-def model_view(model: BackboneModel, adapters: AdapterSet) -> Callable[[np.ndarray], np.ndarray]:
+def model_view(model: BackboneModel, adapters: AdapterSet,
+               effs: list[np.ndarray] | None = None) -> Callable[[np.ndarray], np.ndarray]:
     """The adapted model as a function from feature rows (n, input_dim) to logits (n,).
 
     Conformance is checked and the effective weights W + B@A are built once,
@@ -160,9 +162,10 @@ def model_view(model: BackboneModel, adapters: AdapterSet) -> Callable[[np.ndarr
     consecutive layers only; the last layer feeds the head linearly, so a
     one-layer model with identity effective weight is exactly the head.
     A pass runs in blocks of ``BLOCK_ROWS`` rows and never writes into ``xs``.
+    E is built in ``effs``, one d x k array per layer, if given (a workspace's).
     """
     _check_conformable(model, adapters)
-    effs = _effective_weights(model, adapters.factors())
+    effs = _effective_weights(model, adapters.factors(), effs)
     head = model.head.array[0]
     width = max(w.rows for w in model.layers)
 
@@ -287,7 +290,8 @@ def grad_adapters(
 def train_local(
     model: BackboneModel, data: Dataset, global_adapters: AdapterSet, rng: Rng, *,
     learning_rate: float, local_epochs: int, batch_size: int,
-) -> tuple[AdapterSet, float]:
+    epochs: range | None = None, vec: np.ndarray | None = None, work: Workspace | None = None,
+) -> tuple[AdapterSet, float] | None:
     """Run ``local_epochs`` of minibatch SGD on ``data`` from the global adapters.
 
     The caller hands an rng already scoped to (run seed, client, round); each
@@ -298,28 +302,38 @@ def train_local(
     minibatches as slices. Only adapter weights change. Returns the trained
     adapters and their mean loss on the validation split.
 
+    A scheduler may split the epochs into calls over consecutive ``epochs``
+    ranges on one writable ``vec`` (a copy of the global vector, the whole
+    state between epochs) and any ``work`` that holds the split, with the bits
+    of one call; only the call whose range ends at ``local_epochs`` returns.
+
     The steps never check finiteness: a client that diverges runs its
     remaining steps on NaN/Inf, and the result fails the ``AdapterSet``
     finiteness check with a ``ValueError``.
     """
     _check_conformable(model, global_adapters)
-    vec = np.array(global_adapters.vec)  # writable; params are views into it
+    epochs = range(local_epochs) if epochs is None else epochs
+    if vec is None:
+        vec = np.array(global_adapters.vec)  # writable; params are views into it
     params = factor_views(vec, global_adapters.shapes)
     xs, ys = data.train_x, data.train_y
     n = xs.shape[0]
-    work = workspace(model, global_adapters.shapes, min(batch_size, n), xs.shape)
-    for epoch in range(local_epochs):
+    if work is None:
+        work = workspace(model, global_adapters.shapes, min(batch_size, n), xs.shape)
+    split_x, split_y = work.xs[:n], work.ys[:n]
+    for epoch in epochs:
         order = rng.derive("epoch", epoch, "shuffle").permutation(n)
         # A permutation has no index to clip; "clip" only spares take the
         # full-size copy that "raise" gathers into before writing ``out``.
-        np.take(xs, order, axis=0, out=work.xs, mode="clip")
-        work.ys[:] = ys[order]
+        np.take(xs, order, axis=0, out=split_x, mode="clip")
+        split_y[:] = ys[order]
         for start in range(0, n, batch_size):
             batch = slice(start, start + batch_size)
-            grad = grad_adapters(model, params, work.xs[batch], work.ys[batch], work)
+            grad = grad_adapters(model, params, split_x[batch], split_y[batch], work)
             grad *= learning_rate
             vec -= grad
-    work = grad = None  # not left alive through the loss pass
+    if epochs.stop < local_epochs:
+        return None
     adapters = AdapterSet(global_adapters.shapes, vec)
-    logits = model_view(model, adapters)(data.val_x)
+    logits = model_view(model, adapters, work.effs)(data.val_x)
     return adapters, float(np.mean(cross_entropy(logits, data.val_y)))

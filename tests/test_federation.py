@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import threading
 import time
 import tracemalloc
@@ -363,32 +364,35 @@ class TestRunRound:
         assert peak < 1.5 * n_clients * adapters.vec.nbytes
 
     def test_round_memory_does_not_grow_with_its_clients(self):
-        # Clients shaped like the many_clients benchmark: 3 layers, width 128,
-        # rank 8 and 35 training rows each, so one adapter set (42 KiB) is
-        # large beside one client's data. Streaming FedAvg holds a fixed
-        # number of adapter sets whatever the client count; keeping one
-        # upload per client would add 56 sets from 8 clients to 64.
-        def round_peak(n_clients: int) -> tuple[int, int]:
-            names = [f"client{i:02d}" for i in range(n_clients)]
-            cfg = config_from_dict({
-                "rounds": 1, "local_epochs": 1,
-                "model": {"n_layers": 3, "input_dim": 32, "hidden_dim": 128, "rank": 8},
-                "data": {"scale": 0.01, "domains": names,
-                         "overrides": {n: {"n_train": 35} for n in names}},
-                "budgets": {"entries": {n: 1.0 for n in names}},
-            })
-            exp = build_experiment(cfg)
-            tracemalloc.start()
-            try:
-                run_round(exp.server, exp.clients)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            return peak, exp.server.global_adapters.vec.nbytes
-
+        # Streaming FedAvg holds a fixed number of adapter sets whatever the
+        # client count; keeping one upload per client would add 56 sets from
+        # 8 clients to 64.
         small, set_bytes = round_peak(8)
         large, _ = round_peak(64)
         assert large - small < 2 * set_bytes
+
+
+def round_peak(n_clients: int, local_epochs: int = 1) -> tuple[int, int]:
+    """A round's tracemalloc peak and one adapter set's bytes, for clients shaped
+    like the many_clients benchmark: 3 layers, width 128, rank 8 and 35
+    training rows each, so one adapter set (42 KiB) is large beside one
+    client's data."""
+    names = [f"client{i:02d}" for i in range(n_clients)]
+    cfg = config_from_dict({
+        "rounds": 1, "local_epochs": local_epochs,
+        "model": {"n_layers": 3, "input_dim": 32, "hidden_dim": 128, "rank": 8},
+        "data": {"scale": 0.01, "domains": names,
+                 "overrides": {n: {"n_train": 35} for n in names}},
+        "budgets": {"entries": {n: 1.0 for n in names}},
+    })
+    exp = build_experiment(cfg)
+    tracemalloc.start()
+    try:
+        run_round(exp.server, exp.clients)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, exp.server.global_adapters.vec.nbytes
 
 
 class TestBudgetState:
@@ -646,9 +650,19 @@ class TestGlobalModel:
         assert out == s
 
 
-def wide_federation(seed: int, n_clients: int):
-    """``build_federation`` on a 2-layer backbone of width 192, above ``HELPER_MIN_ENTRIES``."""
-    server, clients = build_federation(seed=seed, n_clients=n_clients)
+def wide_federation(seed: int, n_clients: int, epochs: int = 1):
+    """``build_federation`` on a 2-layer backbone of width 192, above ``HELPER_MIN_ENTRIES``.
+
+    Clients past the third repeat the domains, each with data of its own and
+    more training rows than any client before it.
+    """
+    server, clients = build_federation(seed=seed, n_clients=min(n_clients, 3), epochs=epochs)
+    for i in range(3, n_clients):
+        rng = Rng(seed, "client", i)
+        spec = DomainSpec(DOMAINS[i % 3], n_train=60 + 9 * i, n_val=12, input_dim=6,
+                          true_weights=tuple(rng.derive("w").standard_normal(1, 6)[0]),
+                          rotation_angle=0.1 * i)
+        clients.append(ClientState(i, spec.domain, make_domain(spec, rng.derive("data"))))
     model = BackboneModel.random(Rng(seed, "wide"), 6, 192, 2)
     server = replace(server, backbone=model,
                      global_adapters=init_adapters(model, 2, Rng(seed, "wide-adapters")))
@@ -668,8 +682,9 @@ def cpus(monkeypatch):
 def failing_for(monkeypatch, ids, clients, **train_kwargs):
     """``federation.train_local`` fails (or, with ``train_kwargs``, trains so) for ``ids``' data.
 
-    Without ``train_kwargs`` every other client starts 50 ms late, so a client
-    that fails on the main thread does so while the helper still trains.
+    Without ``train_kwargs`` every other client's first unit starts 50 ms
+    late, so a client that fails on one thread does so while the other
+    still trains.
     """
     real = federation.train_local
     marked = [clients[i].data for i in ids]
@@ -679,37 +694,73 @@ def failing_for(monkeypatch, ids, clients, **train_kwargs):
             if not train_kwargs:
                 raise ValueError("injected")
             kwargs.update(train_kwargs)
-        elif not train_kwargs:
+        elif not train_kwargs and kwargs["epochs"].start == 0:
             time.sleep(0.05)
         return real(model, data, adapters, rng, **kwargs)
 
     monkeypatch.setattr(federation, "train_local", train)
 
 
+NAMES = {2: "two", 3: "three", 4: "four", 5: "five"}
+
+
 class TestTwoAtATime:
-    @pytest.mark.parametrize("n_clients, dropouts", [(2, set()), (3, set()), (3, {(1, 1)})],
-                             ids=["two", "three", "dropout"])
-    def test_helper_keeps_every_bit(self, cpus, n_clients, dropouts):
+    @pytest.mark.parametrize("n_clients, epochs, dropouts", [
+        *(pytest.param(n, e, set(), id=name if e == 1 else f"{name}-{e}-epochs")
+          for n, name in NAMES.items() for e in (1, 2, 3)),
+        pytest.param(3, 1, {(1, 1)}, id="dropout"),
+        pytest.param(5, 2, {(1, 0), (2, 3)}, id="dropout-five-2-epochs"),
+    ])
+    def test_helper_keeps_every_bit(self, cpus, n_clients, epochs, dropouts):
         runs = []
         for n in (2, 1):
             cpus(n)
-            server, clients = wide_federation(40 + n_clients, n_clients)
+            server, clients = wide_federation(40 + n_clients, n_clients, epochs)
             final, records = run_training(server, clients, 2, dropouts)
             runs.append((serialize(final.global_adapters), metrics_csv_lines(records)))
         assert runs[0] == runs[1]
 
-    def test_train_local_runs_on_two_threads(self, cpus, monkeypatch):
-        cpus(2)
-        real, threads = federation.train_local, []
+    def test_bits_hold_under_fast_thread_switching(self, cpus, monkeypatch):
+        # A lost update to the shared schedule would retrain, skip or hang a
+        # unit; switching threads every microsecond makes one likely.
+        real, units, runs, interval = federation.train_local, [], [], sys.getswitchinterval()
 
-        def spy(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return real(*args, **kwargs)
+        def spy(model, data, adapters, rng, *, epochs, **kwargs):
+            units.extend((next(c.id for c in clients if c.data is data), e) for e in epochs)
+            return real(model, data, adapters, rng, epochs=epochs, **kwargs)
 
         monkeypatch.setattr(federation, "train_local", spy)
-        server, clients = wide_federation(44, 3)
+        for n in (2, 1):
+            cpus(n)
+            server, clients = wide_federation(51, 5, epochs=3)
+            sys.setswitchinterval(1e-6)
+            try:
+                final, records = run_training(server, clients, 2)
+            finally:
+                sys.setswitchinterval(interval)
+            runs.append((serialize(final.global_adapters), metrics_csv_lines(records)))
+            assert sorted(units) == sorted([(c, e) for c in range(5) for e in range(3)] * 2)
+            units.clear()
+        assert runs[0] == runs[1]
+
+    def test_train_local_runs_on_two_threads(self, cpus, monkeypatch):
+        # One call per (client, epoch) unit. A free worker takes the client
+        # with the most epochs left, so c2's first epoch starts before c0's
+        # last one, whichever worker frees first.
+        cpus(2)
+        server, clients = wide_federation(44, 3, epochs=2)
+        real, starts, threads = federation.train_local, [], set()
+
+        def spy(model, data, adapters, rng, *, epochs, **kwargs):
+            starts.append((next(c.id for c in clients if c.data is data), tuple(epochs)))
+            threads.add(threading.get_ident())
+            return real(model, data, adapters, rng, epochs=epochs, **kwargs)
+
+        monkeypatch.setattr(federation, "train_local", spy)
         run_training(server, clients, 1)
-        assert len(threads) == 3 and len(set(threads)) == 2
+        assert sorted(starts) == [(c, (e,)) for c in range(3) for e in range(2)]
+        assert len(threads) == 2
+        assert starts.index((2, (0,))) < starts.index((0, (1,)))
 
     @pytest.mark.parametrize("failing, named", [
         ([0], "client 0 (Dreaddit)"), ([1], "client 1 (IRF)"), ([0, 1], "client 0 (Dreaddit)"),
@@ -724,12 +775,68 @@ class TestTwoAtATime:
         assert str(info.value) == f"round 1: {named}: local training: injected"
         assert threading.active_count() == start
 
+    def test_lowest_failing_id_is_named_though_a_higher_one_fails_first(self, cpus, monkeypatch):
+        cpus(2)
+        server, clients = wide_federation(49, 3, epochs=2)
+        real, started, failed = federation.train_local, [], []
+
+        def train(model, data, adapters, rng, *, epochs, **kwargs):
+            client = next(c.id for c in clients if c.data is data)
+            started.append(client)
+            if client == 1:
+                failed.append(client)
+                raise ValueError("first in time")
+            time.sleep(0.05)  # client 1 fails while client 0's first epoch runs
+            if client == 0 and epochs.start == 1:
+                failed.append(client)
+                raise ValueError("injected")
+            return real(model, data, adapters, rng, epochs=epochs, **kwargs)
+
+        monkeypatch.setattr(federation, "train_local", train)
+        start = threading.active_count()
+        with pytest.raises(RoundError) as info:
+            run_training(server, clients, 1)
+        assert str(info.value) == "round 1: client 0 (Dreaddit): local training: injected"
+        assert failed == [1, 0]
+        assert sorted(started) == [0, 0, 1]  # no unit of client 2 starts
+        assert threading.active_count() == start
+
     def test_no_thread_outlives_a_run(self, cpus):
         cpus(2)
         server, clients = wide_federation(46, 3)
         start = threading.active_count()
         run_training(server, clients, 2)
         assert threading.active_count() == start
+
+    def test_no_thread_outlives_a_fold_that_fails(self, cpus, monkeypatch):
+        # aggregate rejects client 1's decoded upload while the helper still
+        # has units to train or waits for them; closing the stream joins it.
+        cpus(2)
+        server, clients = wide_federation(50, 4, epochs=2)
+        real, calls = federation.deserialize, []
+
+        def decode(blob):  # call 1 decodes the broadcast, call 3 client 1's upload
+            calls.append(blob)
+            return constant_set(1.0) if len(calls) == 3 else real(blob)
+
+        monkeypatch.setattr(federation, "deserialize", decode)
+        start = threading.active_count()
+        with pytest.raises(RoundError, match="round 1: updates are not conformable") as info:
+            run_training(server, clients, 1)
+        assert threading.active_count() == start, info  # while the error is still held
+
+    def test_round_memory_does_not_grow_with_its_clients(self, cpus, monkeypatch):
+        # The window holds at most three clients in flight, so 20 more clients
+        # add no adapter sets; keeping one per client would add 20. The bound
+        # leaves room for timing: when units end while an upload is folded,
+        # up to about 1.3 sets more overlap. (Three clients read about 2 sets
+        # lower than four or more: all three train before the fold holds its
+        # first upload and running sum.)
+        cpus(2)
+        monkeypatch.setattr(federation, "HELPER_MIN_ENTRIES", 1)
+        small, set_bytes = round_peak(4, local_epochs=2)
+        large, _ = round_peak(24, local_epochs=2)
+        assert large - small < 4 * set_bytes
 
     # The helper runs in a copy of the round's context, so run_training's
     # np.errstate reaches it: a diverging helper client fails on the

@@ -10,16 +10,20 @@ The fixed-config acceptance criteria stay as they are; these add cases.
 
 A fifth property checks the analytic adapter gradient against central finite
 differences over random shapes: 1-3 layers, input and hidden widths 2-6,
-rank 1-2 and batch size 1-9, with both adapter factors nonzero.
+rank 1-2 and batch size 1-9, with both adapter factors nonzero. A sixth runs
+each drawn config with every backbone wide enough for a helper thread, once
+on two workers and once on one, and finds the same bytes.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmentor import federation
 from fedmentor.cli import metrics_csv_lines
 from fedmentor.config import STRATEGY_KINDS, RunConfig, build_experiment, config_from_dict
 from fedmentor.data import DEFAULT_DOMAIN_SIZES
@@ -123,6 +127,20 @@ def test_rounds_compose_property(cfg, r1, r2):
     full, records = run_training(exp.server, exp.clients, r1 + r2)
     assert outcome(end, head + tail) == outcome(full, records)
     assert end == full
+
+
+@PROPERTY
+@given(run_configs())
+def test_schedule_changes_nothing_property(cfg):
+    runs = []
+    for cpus in (2, 1):
+        # A function-scoped monkeypatch fixture would trip hypothesis' health check.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "HELPER_MIN_ENTRIES", 1)
+            patch.setattr(federation.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                          raising=False)
+            runs.append(run(cfg))
+    assert runs[0] == runs[1]
 
 
 @PROPERTY
