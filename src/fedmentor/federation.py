@@ -9,8 +9,9 @@ each update under its domain's current budget, encode it as the client's
 upload, decode every upload on the server and aggregate the decoded sets
 with dataset-size weights, evaluate utility proxies on the pool of every
 client's own validation split (a client that dropped out this round
-included), apply the utility gate, and decay the budgets. Adapters travel only through the wire format, and the round's byte
-counts are the lengths of those payloads (the broadcast once per recipient).
+included), apply the utility gate, and decay the budgets. Adapters travel
+only through the wire format, and the round's byte counts are the lengths
+of those payloads (the broadcast once per recipient).
 Aggregation always consumes results sorted by client id, so client
 declaration order cannot change a single bit of the outcome.
 

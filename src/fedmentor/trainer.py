@@ -33,6 +33,13 @@ plain expressions:
 - a model view builds E once and pushes its input through in blocks of
   ``BLOCK_ROWS`` rows, and never writes into its input. A block's row count
   picks OpenBLAS's kernel path, so another block size can move bits;
+- every product is ``x.dot(y, out=...)`` on the ndarray: the C function
+  and BLAS call behind ``np.dot`` and ``@``, without ``np.dot``'s
+  Python-level dispatch, a large share of a call on the stock config's
+  arrays of at most 32 x 16 entries;
+- the head gradient ``dlogit[:, None] * head`` is the rank-1 product
+  ``dlogit[:, None].dot(head)``: with an inner dimension of 1 each entry
+  is one correctly rounded multiply, written into its buffer;
 - a backbone layer's draw is scaled in place before ``Matrix`` copies it.
 
 tanh is used between layers (rather than ReLU) so the analytic gradients can
@@ -145,7 +152,7 @@ def _effective_weights(model: BackboneModel, params, out=None) -> list[np.ndarra
     if out is None:
         out = [np.empty(w.shape) for w in model.layers]
     for e, w, (a, b) in zip(out, model.layers, params):
-        np.dot(b, a, out=e)
+        b.dot(a, out=e)
         e += w.array
     return out
 
@@ -179,10 +186,10 @@ def model_view(model: BackboneModel, adapters: AdapterSet,
             act = xs[start : start + BLOCK_ROWS]
             for l, eff in enumerate(effs):
                 buf = bufs[l % 2, : len(act) * eff.shape[0]].reshape(len(act), -1)
-                act = np.dot(act, eff.T, out=buf)
+                act = act.dot(eff.T, out=buf)
                 if l < len(effs) - 1:
                     np.tanh(act, out=act)
-            np.dot(act, head, out=out[start : start + len(act)])
+            act.dot(head, out=out[start : start + len(act)])
         return out
 
     return logits
@@ -196,10 +203,12 @@ def cross_entropy(logits: np.ndarray, labels) -> np.ndarray:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without a mask:
-    # both branches share ez = e^-|z|, so neither exponent can overflow.
-    # min(z, -z) rather than -abs(z) keeps a NaN's sign bit, as exp(z) does.
+    # both branches share ez = e^-|z|, so neither exponent can overflow, and
+    # the numerator e^min(z, 0) is e^0 = 1 for z >= 0 and ez's own e^z below.
+    # min(z, -z) rather than -abs(z) keeps a NaN's sign bit, as exp(z) does,
+    # and min(z, 0) passes a NaN through with its sign.
     ez = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + ez)
 
 
 Workspace = namedtuple("Workspace", "effs acts g_acts grad grads xs ys")
@@ -254,36 +263,36 @@ def grad_adapters(
     if work is None:
         work = workspace(model, [(a.shape[0], b.shape[0], a.shape[1]) for a, b in params], m)
 
-    # np.dot reaches the same BLAS calls as @, so the bits are the same, at
-    # less overhead per call on small matrices, and it writes into ``out``;
-    # the tests hold it to an @-based oracle bit for bit.
+    # Every product is ``x.dot(y, out=...)``: np.dot's BLAS call, so the bits
+    # are those of @, without np.dot's Python-level dispatch; the tests hold
+    # it to an @-based oracle bit for bit.
     eff = _effective_weights(model, params, work.effs)
-    head = model.head.array[0]
-    last = model.n_layers - 1
-    acts = [xs] + [buf[:m] for buf in work.acts]
-    g_acts = [buf[:m] for buf in work.g_acts]
+    acts, g_acts = work.acts, work.g_acts
+    if m < len(acts[0]):  # a partial batch uses a row prefix
+        acts, g_acts = [buf[:m] for buf in acts], [buf[:m] for buf in g_acts]
+    acts = [xs, *acts]
+    last = len(eff) - 1
     for l, e in enumerate(eff):
-        np.dot(acts[l], e.T, out=acts[l + 1])
+        acts[l].dot(e.T, out=acts[l + 1])
         if l < last:
             np.tanh(acts[l + 1], out=acts[l + 1])
-    logits = acts[-1].dot(head)
-
-    dlogit = (_sigmoid(logits) - ys) / m  # (m,)
-    # g_z = dlogit[:, None] * head; a broadcasting ufunc would allocate buffers.
-    np.copyto(acts[-1], dlogit[:, None])
-    np.copyto(g_acts[last], head)
-    g_z = np.multiply(acts[-1], g_acts[last], out=g_acts[last])  # (m, d_last)
+    head = model.head.array  # 1 x d_last
+    dlogit = _sigmoid(acts[-1].dot(head[0]))
+    dlogit -= ys
+    dlogit /= float(m)
+    # g_z = dlogit[:, None] * head, as a rank-1 product (module docstring).
+    g_z = dlogit[:, None].dot(head, out=g_acts[last])  # (m, d_last)
     for l in range(last, -1, -1):
         if l < last:  # g_z = g_act * (1 - act**2) through tanh, in act's buffer
             g_z = np.square(acts[l + 1], out=acts[l + 1])
             np.subtract(1.0, g_z, out=g_z)
             np.multiply(g_acts[l], g_z, out=g_z)
         if l > 0:
-            np.dot(g_z, eff[l], out=g_acts[l - 1])
-        g_eff = np.dot(g_z.T, acts[l], out=eff[l])  # E[l] is dead from here on
+            g_z.dot(eff[l], out=g_acts[l - 1])
+        g_eff = g_z.T.dot(acts[l], out=eff[l])  # E[l] is dead from here on
         (a, b), (g_a, g_b) = params[l], work.grads[l]
-        np.dot(b.T, g_eff, out=g_a)
-        np.dot(g_eff, a.T, out=g_b)
+        b.T.dot(g_eff, out=g_a)
+        g_eff.dot(a.T, out=g_b)
     return work.grad
 
 
@@ -321,15 +330,17 @@ def train_local(
     if work is None:
         work = workspace(model, global_adapters.shapes, min(batch_size, n), xs.shape)
     split_x, split_y = work.xs[:n], work.ys[:n]
+    # Each epoch refills the split in place, so its minibatch views are taken once.
+    batches = [(split_x[start : start + batch_size], split_y[start : start + batch_size])
+               for start in range(0, n, batch_size)]
     for epoch in epochs:
         order = rng.derive("epoch", epoch, "shuffle").permutation(n)
         # A permutation has no index to clip; "clip" only spares take the
         # full-size copy that "raise" gathers into before writing ``out``.
         np.take(xs, order, axis=0, out=split_x, mode="clip")
         split_y[:] = ys[order]
-        for start in range(0, n, batch_size):
-            batch = slice(start, start + batch_size)
-            grad = grad_adapters(model, params, split_x[batch], split_y[batch], work)
+        for batch_x, batch_y in batches:
+            grad = grad_adapters(model, params, batch_x, batch_y, work)
             grad *= learning_rate
             vec -= grad
     if epochs.stop < local_epochs:

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmentor import trainer
@@ -280,6 +280,18 @@ class TestGradients:
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(1, 9),
     )
+    # The layer widths of small_model, many_clients and wide_model, each at a
+    # full batch of 32 and at the tails its runs train (train size mod 32).
+    @example(dims=[8, 16, 16], seed=0, m=32)
+    @example(dims=[8, 16, 16], seed=0, m=1)
+    @example(dims=[8, 16, 16], seed=0, m=2)
+    @example(dims=[8, 16, 16], seed=0, m=17)
+    @example(dims=[32, 128, 128, 128], seed=1, m=32)
+    @example(dims=[32, 128, 128, 128], seed=1, m=3)
+    @example(dims=[64, 256, 256, 256, 256], seed=2, m=32)
+    @example(dims=[64, 256, 256, 256, 256], seed=2, m=1)
+    @example(dims=[64, 256, 256, 256, 256], seed=2, m=10)
+    @example(dims=[64, 256, 256, 256, 256], seed=2, m=24)
     def test_flat_gradient_is_the_pairwise_oracle_bit_for_bit(self, dims, seed, m):
         rng = np.random.default_rng(seed)
         rank = int(rng.integers(1, min(dims) + 1))
@@ -320,6 +332,25 @@ class TestGradients:
             tracemalloc.stop()
         assert peak < 64 * 64 * 8
 
+    def test_step_and_pass_skip_numpys_python_dispatch(self, monkeypatch):
+        # Each product is ndarray.dot and no select is left: np.dot, np.matmul
+        # and np.where would add their Python-level dispatch to every call.
+        model = BackboneModel.random(Rng(38), 8, 16, 2)
+        adapters = randomized_adapters(model, 4, Rng(38, "ad"))
+        params = adapters.factors()
+        xs = Rng(38, "x").standard_normal(32, 8)
+        ys = (Rng(38, "y").uniform(32) > 0.5).astype(np.float64)
+        work = trainer.workspace(model, adapters.shapes, 32)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called through numpy's dispatch")
+
+        for name in ("dot", "matmul", "where"):
+            monkeypatch.setattr(np, name, refuse)
+        for batch_x, batch_y in ((xs, ys), (xs[:17], ys[:17])):
+            grad_adapters(model, params, batch_x, batch_y, work)
+        model_view(model, adapters, work.effs)(xs)
+
     def test_workspace_is_one_allocation_of_every_e_two_row_buffers_the_gradient_and_split(self):
         # Each layer's weight gradient is written over its E: no separate d x k buffer.
         model = BackboneModel.random(Rng(37), 5, 12, 3)
@@ -338,7 +369,12 @@ class TestGradients:
         assert work.grad.base.size == expected
 
 
-_SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 745.5, -745.5, 1e300, -1e300, np.nan, -np.nan]
+_SIGMOID_SPECIALS = [
+    0.0, -0.0, np.inf, -np.inf, 745.5, -745.5, 1e300, -1e300, np.nan, -np.nan,
+    # the smallest subnormal and normal, exp's overflow edge, and a tiny normal
+    5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    709.78, -709.78, 1e-300, -1e-300,
+]
 
 
 class TestSigmoid:
