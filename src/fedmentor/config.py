@@ -309,9 +309,16 @@ def config_from_dict(raw: Mapping) -> RunConfig:
 
 
 class _Loader(yaml.SafeLoader):
-    """Safe YAML 1.1 loading that also reads YAML 1.2 floats such as ``1e-5`` and ``1E5``."""
+    """Safe YAML loading with YAML 1.2's booleans (``off`` is a string) and floats (``1e-5``)."""
+
+    yaml_implicit_resolvers = {  # YAML 1.1's booleans also take yes/no and on/off
+        first: [(tag, regexp) for tag, regexp in resolvers if tag != "tag:yaml.org,2002:bool"]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+    }
 
 
+_Loader.add_implicit_resolver("tag:yaml.org,2002:bool", re.compile(
+    r"^(?:true|True|TRUE|false|False|FALSE)$"), list("tTfF"))
 _Loader.add_implicit_resolver(  # YAML 1.1 wants a dot and a signed exponent
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),

@@ -63,6 +63,8 @@ DEFAULT_BUDGETS: dict[DomainId, float] = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD"
 class UnknownDomainError(KeyError):
     """A client's domain has no privacy budget."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 def expect_float(where: str, value):
     """``value`` if it is a real number, which a bool is not.

@@ -24,16 +24,18 @@ responder at a time, in id order, from a generator that privatizes, encodes
 and decodes it once it and every lower id have trained, and folds the upload
 into its running sum. Training runs in units: a ``train_local`` call over
 some of a client's epochs, on its working vector and the workspace its
-worker holds for the round. The main thread is a worker; with a backbone
-layer of at least ``HELPER_MIN_ENTRIES`` weights, two or more responders and
-two CPUs allowed, a helper thread is a second, and a unit is one epoch, not
-all. A free worker takes, of the first 2 x workers - 1 unfolded responders,
-the one with the most epochs left that no worker runs, the lowest id on a
-tie. So one worker trains in id order, and at most three clients are in
-flight, however many respond. A unit's bits
-depend on the client's vector, data and epoch stream and the broadcast,
-never on its worker, and BLAS runs on one thread in each. Once a unit fails,
-no higher id starts one, and the fold raises the lowest failing id's error.
+worker holds for the round. After a client's last unit, that worker builds
+the client's update from the vector and its validation loss in the same
+workspace. The main thread is a worker; with a backbone layer of at least
+``HELPER_MIN_ENTRIES`` weights, two or more responders and two CPUs
+allowed, a helper thread is a second, and a unit is one epoch, not all. A
+free worker takes, of the first 2 x workers - 1 unfolded responders, the
+one with the most epochs left that no worker runs, the lowest id on a tie.
+So one worker trains in id order, and at most three clients are in flight,
+however many respond. A unit's bits depend on the client's vector, data
+and epoch stream and the broadcast, never on its worker, and BLAS runs on
+one thread in each. Once a unit fails, no higher id starts one, and the
+fold raises the lowest failing id's error.
 
 The gate's multiplier and each domain's current budget are round state in
 ``ServerState``; the decay schedule, a ``dp.BudgetConfig``, does not change
@@ -65,7 +67,8 @@ from .dp import (
 )
 from .linalg import Rng, ShapeError, single_blas_thread
 from .lora import AdapterSet, deserialize, serialize
-from .trainer import BackboneModel, _check_conformable, model_view, train_local, workspace
+from .trainer import (BackboneModel, _check_conformable, cross_entropy, model_view, train_local,
+                      workspace)
 
 __all__ = [
     "ClientState",
@@ -223,7 +226,7 @@ def _two_at_a_time(backbone: BackboneModel, responders: int) -> bool:
 
 @dataclass
 class _Training:
-    """A responder's training in a round: its vector until a unit returns or raises."""
+    """A responder's training in a round: its vector until its last unit ends or one raises."""
 
     next_epoch: int = 0
     vec: np.ndarray | None = None
@@ -315,14 +318,19 @@ def run_round(
             if t.vec is None:
                 t.vec = np.array(broadcast.vec)
             rng = Rng(server.rng_seed).derive("client", client.id, "round", round_number)
+            result = error = None
             try:
-                result, error = train_local(
-                    server.backbone, client.data, broadcast, rng, epochs=range(t.next_epoch, end),
-                    vec=t.vec, work=work, learning_rate=server.learning_rate,
-                    local_epochs=n_epochs, batch_size=server.batch_size,
-                ), None
+                train_local(
+                    server.backbone, client.data, broadcast, rng, vec=t.vec, work=work,
+                    epochs=range(t.next_epoch, end), learning_rate=server.learning_rate,
+                    batch_size=server.batch_size,
+                )
+                if end == n_epochs:  # the client's update and its validation loss
+                    update = AdapterSet(broadcast.shapes, t.vec)
+                    logits = model_view(server.backbone, update, work.effs)(client.data.val_x)
+                    result = update, float(np.mean(cross_entropy(logits, client.data.val_y)))
             except BaseException as exc:  # raised by the fold, in id order
-                result, error = None, exc
+                error = exc
             with cond:
                 t.busy, t.next_epoch, t.result, t.error = False, end, result, error
                 if result is not None:

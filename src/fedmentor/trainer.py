@@ -7,27 +7,26 @@ receive gradient; the backbone and head never change.
 
 ``train_local`` knows no client: it trains one dataset on the backbone and
 the local-SGD schedule that the server holds once per run. Local training
-runs on one plain vector: ``train_local`` copies the global ``AdapterSet``'s
-flat vector once, takes ``(a, b)`` views of the copy once, one pair per
+runs on one plain vector, the caller's copy of the broadcast ``AdapterSet``'s
+flat vector: ``train_local`` takes ``(a, b)`` views of it, one pair per
 layer, and updates it in place. ``grad_adapters`` reads those views and
 writes one flat gradient in the same B-then-A-per-layer order, so each SGD
 step is ``grad *= lr; vec -= grad``: elementwise the same arithmetic as
 ``a - lr * ga`` per matrix. Each epoch gathers its shuffled copy of the
-training split once, and every minibatch is a slice of it. The trained
-vector becomes one ``AdapterSet``, checked for finiteness, once per
-client-round. Its validation-split loss then goes through ``model_view``,
-the one forward pass; the server evaluates through it too.
+training split once, and every minibatch is a slice of it. ``model_view``
+is the one forward pass: the round takes a client's validation loss and
+the server its utilities through it.
 
 No SGD step allocates an array of d x k or of batch x width entries, and a
 pass holds two ``BLOCK_ROWS`` x width buffers besides its (n,) logits. No
 rule below changes an arithmetic operation, so the bits are those of the
 plain expressions:
 
-- a ``workspace``, a single allocation, belongs to a worker for a round
-  (a lone ``train_local`` call builds one); each epoch gathers its shuffled
-  copy of the training split into its row prefix, each step writes every
-  product into it with ``out=``, a partial batch into a row prefix, and the
-  validation pass builds its E in the workspace's E buffers;
+- a ``workspace``, a single allocation, belongs to a worker for a round;
+  each epoch gathers its shuffled copy of the training split into its row
+  prefix, each step writes every product into it with ``out=``, a partial
+  batch into a row prefix, and the validation pass builds its E in the
+  workspace's E buffers;
 - an effective weight is built in its product's array (``e = B@A; e += W``),
   and a layer's gradient G is written over its E after E's last read;
 - a model view builds E once and pushes its input through in blocks of
@@ -243,7 +242,7 @@ def grad_adapters(
     params: list[tuple[np.ndarray, np.ndarray]],
     xs: np.ndarray,
     ys: np.ndarray,
-    work: Workspace | None = None,
+    work: Workspace,
 ) -> np.ndarray:
     """Mean batch gradient of the loss w.r.t. every A and B entry, as one flat vector.
 
@@ -252,16 +251,14 @@ def grad_adapters(
     views into its working vector). The result is laid out like
     ``AdapterSet.vec``: per layer dL/dB then dL/dA, row-major, so a step is
     ``grad *= lr; vec -= grad``. The backbone gradient is never formed into
-    updates. With a ``workspace`` the result is its ``grad``, which the next
-    call on it overwrites; without one, the result is a fresh array.
+    updates. The result is ``work``'s ``grad``, which the next call on
+    ``work`` overwrites; ``work`` holds at least the batch's rows.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise ValueError("grad_adapters needs a nonempty 2-D batch")
     m = xs.shape[0]
-    if work is None:
-        work = workspace(model, [(a.shape[0], b.shape[0], a.shape[1]) for a, b in params], m)
 
     # Every product is ``x.dot(y, out=...)``: np.dot's BLAS call, so the bits
     # are those of @, without np.dot's Python-level dispatch; the tests hold
@@ -297,38 +294,28 @@ def grad_adapters(
 
 
 def train_local(
-    model: BackboneModel, data: Dataset, global_adapters: AdapterSet, rng: Rng, *,
-    learning_rate: float, local_epochs: int, batch_size: int,
-    epochs: range | None = None, vec: np.ndarray | None = None, work: Workspace | None = None,
-) -> tuple[AdapterSet, float] | None:
-    """Run ``local_epochs`` of minibatch SGD on ``data`` from the global adapters.
+    model: BackboneModel, data: Dataset, broadcast: AdapterSet, rng: Rng, *,
+    vec: np.ndarray, work: Workspace, epochs: range, learning_rate: float, batch_size: int,
+) -> None:
+    """Run ``epochs`` of minibatch SGD on ``data``, updating ``vec`` in place.
 
-    The caller hands an rng already scoped to (run seed, client, round); each
-    epoch derives its own shuffle stream from it, so results depend only on
-    (data, schedule, global adapters, rng identity) and never on scheduling.
-    Minibatches follow the shuffled order with the last partial batch kept.
-    Each epoch gathers the shuffled training split once and takes its
-    minibatches as slices. Only adapter weights change. Returns the trained
-    adapters and their mean loss on the validation split.
-
-    A scheduler may split the epochs into calls over consecutive ``epochs``
-    ranges on one writable ``vec`` (a copy of the global vector, the whole
-    state between epochs) and any ``work`` that holds the split, with the bits
-    of one call; only the call whose range ends at ``local_epochs`` returns.
+    ``vec`` is a writable copy of ``broadcast``'s vector, or what earlier
+    epochs made of it: the whole training state between epochs, so epochs
+    split over calls give the bits of one call. ``work`` holds
+    ``min(batch_size, n)`` rows and the n-row training split. The caller
+    hands an rng already scoped to (run seed, client, round); each epoch
+    derives its own shuffle stream from it, so the bits never depend on
+    scheduling. Minibatches follow the shuffled order with the last partial
+    batch kept. Only adapter weights change.
 
     The steps never check finiteness: a client that diverges runs its
-    remaining steps on NaN/Inf, and the result fails the ``AdapterSet``
-    finiteness check with a ``ValueError``.
+    remaining steps on NaN/Inf, and the ``AdapterSet`` its caller builds from
+    ``vec`` fails its finiteness check with a ``ValueError``.
     """
-    _check_conformable(model, global_adapters)
-    epochs = range(local_epochs) if epochs is None else epochs
-    if vec is None:
-        vec = np.array(global_adapters.vec)  # writable; params are views into it
-    params = factor_views(vec, global_adapters.shapes)
+    _check_conformable(model, broadcast)
+    params = factor_views(vec, broadcast.shapes)
     xs, ys = data.train_x, data.train_y
     n = xs.shape[0]
-    if work is None:
-        work = workspace(model, global_adapters.shapes, min(batch_size, n), xs.shape)
     split_x, split_y = work.xs[:n], work.ys[:n]
     # Each epoch refills the split in place, so its minibatch views are taken once.
     batches = [(split_x[start : start + batch_size], split_y[start : start + batch_size])
@@ -343,8 +330,3 @@ def train_local(
             grad = grad_adapters(model, params, batch_x, batch_y, work)
             grad *= learning_rate
             vec -= grad
-    if epochs.stop < local_epochs:
-        return None
-    adapters = AdapterSet(global_adapters.shapes, vec)
-    logits = model_view(model, adapters, work.effs)(data.val_x)
-    return adapters, float(np.mean(cross_entropy(logits, data.val_y)))

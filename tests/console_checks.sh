@@ -31,7 +31,7 @@ sweep_csv=$(ls "$tmp"/sweeps/run-seed0-*/sweep.csv)
 test "$(wc -l < "$sweep_csv")" -eq 3
 sweep_header=$(printf 'domain,eps,final_accuracy,gate_rounds,scale_multiplier,total_comm_bytes,run_dir\r')
 test "$(head -n 1 "$sweep_csv")" = "$sweep_header"
-printf "rounds: 1\ndata: {scale: 0.02}\nstrategy: {kind: 'off'}\n" > "$tmp/off.yaml"
+printf "rounds: 1\ndata: {scale: 0.02}\nstrategy: {kind: off}\n" > "$tmp/off.yaml"
 fedmentor run --config "$tmp/off.yaml" --out "$tmp/off-runs"
 fedmentor report "$tmp"/off-runs/run-seed0-*
 printf 'rounds: 1\ndata: {scale: 0.02}\nstrategy: {kind: static_noise, sigma: 0.008}\n' > "$tmp/static.yaml"

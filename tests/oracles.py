@@ -23,7 +23,7 @@ import numpy as np
 
 from fedmentor.linalg import Rng
 from fedmentor.lora import AdapterSet
-from fedmentor.trainer import BackboneModel, cross_entropy, grad_adapters, model_view
+from fedmentor.trainer import BackboneModel, cross_entropy, grad_adapters, model_view, workspace
 
 
 def masked_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -237,7 +237,8 @@ def fd_gradient_check(model, adapters, xs, ys, h=1e-5, rel_tol=1e-5, abs_floor=1
     worst relative error seen.
     """
     factors = adapters.factors()
-    analytic = unflatten_gradient(adapters, grad_adapters(model, factors, xs, ys))
+    work = workspace(model, adapters.shapes, len(xs))
+    analytic = unflatten_gradient(adapters, grad_adapters(model, factors, xs, ys, work))
     worst = 0.0
     for li, pair in enumerate(factors):
         for slot, field in enumerate(("a", "b")):

@@ -11,6 +11,10 @@ SGD over one dataset using the same per-round/per-epoch stream derivation,
 with no federation machinery at all. A one-client federated run with noise
 off must reproduce it exactly.
 
+``train_client`` is one client's whole local update, as a round makes it
+on one worker: ``train_local`` over every epoch on a copy of the broadcast
+vector, then the trained adapters and their validation loss.
+
 The server holds the backbone and the local-SGD schedule (learning rate,
 epochs, batch size) once per run; both loops read them, the starting
 adapters and the seed from a ``ServerState`` and nothing else from it.
@@ -19,13 +23,37 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from fedmentor import metrics as metrics_mod
+from fedmentor.data import Dataset
 from fedmentor.federation import ClientState, RoundRecord, ServerState
 from fedmentor.linalg import Rng
 from fedmentor.lora import AdapterSet, factor_views, serialize
-from fedmentor.trainer import grad_adapters, model_view, train_local
+from fedmentor.trainer import (
+    BackboneModel,
+    cross_entropy,
+    grad_adapters,
+    model_view,
+    train_local,
+    workspace,
+)
 
-__all__ = ["run_plain_fedavg", "run_centralized_sgd"]
+__all__ = ["train_client", "run_plain_fedavg", "run_centralized_sgd"]
+
+
+def train_client(
+    model: BackboneModel, data: Dataset, broadcast: AdapterSet, rng: Rng, *,
+    learning_rate: float, local_epochs: int, batch_size: int,
+) -> tuple[AdapterSet, float]:
+    """What ``local_epochs`` of local SGD make of ``broadcast``, and its validation loss."""
+    vec = np.array(broadcast.vec)  # writable; train_local updates it in place
+    work = workspace(model, broadcast.shapes, min(batch_size, data.n_train), data.train_x.shape)
+    train_local(model, data, broadcast, rng, vec=vec, work=work, epochs=range(local_epochs),
+                learning_rate=learning_rate, batch_size=batch_size)
+    update = AdapterSet(broadcast.shapes, vec)
+    logits = model_view(model, update, work.effs)(data.val_x)
+    return update, float(np.mean(cross_entropy(logits, data.val_y)))
 
 
 def _weighted_mean(sets: Sequence[AdapterSet], sizes: Sequence[int]) -> AdapterSet:
@@ -77,7 +105,7 @@ def run_plain_fedavg(
         upload_bytes = 0
         for client in ordered:
             rng = Rng(seed).derive("client", client.id, "round", round_number)
-            update, eval_losses[client.id] = train_local(
+            update, eval_losses[client.id] = train_client(
                 backbone, client.data, global_adapters, rng, **schedule
             )
             payload = serialize(update)
@@ -116,6 +144,7 @@ def run_centralized_sgd(server: ServerState, client: ClientState, rounds: int) -
     xs, ys = client.data.train_x, client.data.train_y
     n = xs.shape[0]
     lr, size = server.learning_rate, server.batch_size
+    work = workspace(server.backbone, adapters.shapes, min(size, n))
     for round_number in range(1, rounds + 1):
         rng = Rng(server.rng_seed).derive("client", client.id, "round", round_number)
         for epoch in range(server.local_epochs):
@@ -123,7 +152,7 @@ def run_centralized_sgd(server: ServerState, client: ClientState, rounds: int) -
             for start in range(0, n, size):
                 batch = order[start : start + size]
                 params = adapters.factors()
-                grad = grad_adapters(server.backbone, params, xs[batch], ys[batch])
+                grad = grad_adapters(server.backbone, params, xs[batch], ys[batch], work)
                 grads = factor_views(grad, adapters.shapes)
                 adapters = AdapterSet.from_factors(
                     (a - lr * g_a, b - lr * g_b) for (a, b), (g_a, g_b) in zip(params, grads)

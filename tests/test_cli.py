@@ -128,6 +128,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write_config(tmp_path, "learning_rate: '1e-5'\n"))
 
+    def test_yaml_1_1_booleans_load_as_strings(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "strategy: {kind: off}\n"))
+        assert cfg.strategy.kind == "off"
+        text = "strategy: {kind: uniform, eps_glob: 1.0}\ndata: {domains: [IRF, no]}\n"
+        assert load_config(write_config(tmp_path, text)).data.domains == ("IRF", "no")
+
+    @pytest.mark.parametrize("literal", ["true", "True", "TRUE", "false"])
+    def test_yaml_1_2_booleans_are_still_rejected(self, tmp_path, literal):
+        message = f"rounds: expected int, got {literal.lower() == 'true'}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write_config(tmp_path, f"rounds: {literal}\n"))
+
     def test_nominal_delta_in_exponent_notation(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "calibration: {nominal_delta: 1e-5}\n"))
         assert cfg.calibration.nominal_delta == 1e-5

@@ -35,9 +35,9 @@ from fedmentor.lora import (
     deserialize,
     serialize,
 )
-from fedmentor.trainer import BackboneModel, init_adapters, model_view, train_local
+from fedmentor.trainer import BackboneModel, init_adapters, model_view
 from oracles import brute_force_weighted_mean, merged_forward, reference_std, wire_length
-from reference import run_plain_fedavg
+from reference import run_plain_fedavg, train_client
 
 EPS = {"IRF": 0.5, "Dreaddit": 2.0, "MultiWD": 1.5}
 DOMAINS = ("Dreaddit", "IRF", "MultiWD")
@@ -225,7 +225,7 @@ def build_federation(seed: int = 0, n_clients: int = 3, dp_off: bool = False,
 def first_round_update(server: ServerState, client: ClientState):
     """The client's round-1 local update from the server's adapters, backbone and schedule."""
     rng = Rng(server.rng_seed).derive("client", client.id, "round", 1)
-    update, _ = train_local(
+    update, _ = train_client(
         server.backbone, client.data, server.global_adapters, rng,
         learning_rate=server.learning_rate,
         local_epochs=server.local_epochs,
@@ -306,6 +306,13 @@ class TestRunRound:
         message = "domain 'IRF' has no budget; known: ['Dreaddit']"
         with pytest.raises(UnknownDomainError, match=re.escape(message)):
             run_round(server, clients)
+
+    def test_unknown_domain_fails_its_round_with_the_plain_message(self):
+        server, clients = build_federation(seed=11)
+        server = replace(server, budgets={"Dreaddit": 1.0})
+        with pytest.raises(RoundError) as info:
+            run_training(server, clients, 1)
+        assert str(info.value) == "round 1: domain 'IRF' has no budget; known: ['Dreaddit']"
 
     def test_client_data_must_match_the_server_backbone_width(self):
         server, clients = build_federation(seed=12, n_clients=2)
@@ -800,6 +807,25 @@ class TestTwoAtATime:
         assert failed == [1, 0]
         assert sorted(started) == [0, 0, 1]  # no unit of client 2 starts
         assert threading.active_count() == start
+
+    @pytest.mark.parametrize("n_cpus, n_clients, workers", [
+        (1, 1, 1), (1, 3, 1), (1, 5, 1), (2, 1, 1), (2, 3, 2), (2, 5, 2),
+    ])
+    def test_a_round_builds_one_workspace_per_worker(self, cpus, monkeypatch,
+                                                     n_cpus, n_clients, workers):
+        # Finishing a client (its update and validation loss) reuses the
+        # workspace its worker holds for the round.
+        cpus(n_cpus)
+        server, clients = wide_federation(52, n_clients, epochs=2)
+        real, built = federation.workspace, []
+
+        def spy(*args):
+            built.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(federation, "workspace", spy)
+        run_round(server, clients)
+        assert len(built) == len(set(built)) == workers
 
     def test_no_thread_outlives_a_run(self, cpus):
         cpus(2)

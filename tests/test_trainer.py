@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from fedmentor import trainer
 from fedmentor.data import Dataset, DomainSpec, make_domain
+from fedmentor.dp import BudgetConfig, NoiseCalibration
+from fedmentor.federation import ClientState, ServerState, run_round
 from fedmentor.linalg import Matrix, Rng, ShapeError
 from fedmentor.lora import AdapterSet, factor_views, serialize
 from fedmentor.trainer import (
@@ -20,7 +22,6 @@ from fedmentor.trainer import (
     grad_adapters,
     init_adapters,
     model_view,
-    train_local,
 )
 from oracles import (
     backbone_checksum,
@@ -34,6 +35,7 @@ from oracles import (
     unflatten_gradient,
     zero_adapters,
 )
+from reference import train_client
 
 
 def tiny_dataset(rng: Rng, n: int = 40, dim: int = 5) -> Dataset:
@@ -207,7 +209,7 @@ class TestEffectiveWeights:
         client, start = make_client(33, lr=1e300)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
             client.train(start, Rng(33, "r"))
-        # The round loop, not train_local, adds the client, domain and phase.
+        # The AdapterSet check names the entry; the round adds client, domain and phase.
         assert str(info.value).startswith("entry ")
         assert "not finite" in str(info.value)
 
@@ -251,7 +253,7 @@ class TestGradients:
         params = [(np.full((1, 1), 0.5), np.full((1, 1), 0.5))]
         xs = np.ones((4, 1))
         ys = np.ones(4, dtype=np.int64)
-        grad = grad_adapters(model, params, xs, ys)
+        grad = grad_adapters(model, params, xs, ys, trainer.workspace(model, [(1, 1, 1)], 4))
         total = float(np.abs(grad).sum())
         assert total < 1e-6
 
@@ -263,7 +265,8 @@ class TestGradients:
         )
         xs = Rng(11, "x").standard_normal(5, 4)
         ys = np.array([0, 1, 0, 1, 0])
-        grads = unflatten_gradient(adapters, grad_adapters(model, adapters.factors(), xs, ys))
+        work = trainer.workspace(model, adapters.shapes, 5)
+        grads = unflatten_gradient(adapters, grad_adapters(model, adapters.factors(), xs, ys, work))
         for (_, b), (_, g_b) in zip(adapters.factors(), grads):
             assert g_b.shape == b.shape
             assert not g_b.any()
@@ -272,7 +275,8 @@ class TestGradients:
         model = BackboneModel.random(Rng(12), 4, 5, 1)
         adapters = init_adapters(model, 2, Rng(12))
         with pytest.raises(ValueError):
-            grad_adapters(model, adapters.factors(), np.zeros((0, 4)), np.zeros(0))
+            grad_adapters(model, adapters.factors(), np.zeros((0, 4)), np.zeros(0),
+                          trainer.workspace(model, adapters.shapes, 1))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -308,7 +312,8 @@ class TestGradients:
         # A held workspace is refilled by each call; the 1-row batch uses a row prefix.
         work = trainer.workspace(model, adapters.shapes, m)
         for batch_x, batch_y in ((xs, ys), (xs[:1], ys[:1])):
-            flat = grad_adapters(model, adapters.factors(), batch_x, batch_y)
+            fresh = trainer.workspace(model, adapters.shapes, len(batch_x))
+            flat = grad_adapters(model, adapters.factors(), batch_x, batch_y, fresh)
             pairs = pairwise_grad_adapters(model, adapters.factors(), batch_x, batch_y)
             expected = np.concatenate([part.ravel() for g_a, g_b in pairs for part in (g_b, g_a)])
             assert flat.dtype == np.float64 and flat.shape == adapters.vec.shape
@@ -400,7 +405,21 @@ class Client(NamedTuple):
     schedule: dict
 
     def train(self, adapters: AdapterSet, rng: Rng) -> tuple[AdapterSet, float]:
-        return train_local(self.model, self.data, adapters, rng, **self.schedule)
+        return train_client(self.model, self.data, adapters, rng, **self.schedule)
+
+    def round(self, adapters: AdapterSet) -> tuple[AdapterSet, float]:
+        """Round 1 of a noise-free federation of this client alone, from ``adapters``:
+        the new global adapters, which are the client's update, and its validation loss."""
+        server = ServerState(
+            backbone=self.model,
+            global_adapters=adapters,
+            schedule=BudgetConfig({"d": 1.0}, decay_rate=0.0),
+            calibration=NoiseCalibration(0.0, 0.0, 0.0, multiplier_a=1.0, multiplier_b=1.0),
+            thresholds={},
+            **self.schedule,
+        )
+        new_server, record = run_round(server, [ClientState(0, "d", self.data)])
+        return new_server.global_adapters, record.eval_losses[0]
 
 
 def make_client(
@@ -441,7 +460,7 @@ class TestTrainLocal:
     def test_zero_learning_rate_keeps_adapters_but_reports_losses(self, monkeypatch):
         steps = count_steps(monkeypatch)
         client, adapters = make_client(2, lr=0.0)
-        out, eval_loss = client.train(adapters, Rng(2, "r"))
+        out, eval_loss = client.round(adapters)
         assert out == adapters
         assert len(steps) > 0
         assert eval_loss > 0.0
@@ -456,7 +475,7 @@ class TestTrainLocal:
 
     def test_reported_losses_equal_mean_loss_bitwise(self):
         client, adapters = make_client(7, epochs=3)
-        out, eval_loss = client.train(adapters, Rng(7, "r"))
+        out, eval_loss = client.round(adapters)
         assert eval_loss == mean_loss(client.model, out, client.data.val_x, client.data.val_y)
         # Independently of trainer's model_view and cross_entropy: the merged
         # forward, and the loss softplus(z) - y z as a logaddexp.
@@ -491,7 +510,9 @@ class TestTrainLocal:
         assert len(steps) == 6
 
     def test_matrix_constructions_do_not_grow_with_steps(self, monkeypatch):
-        # No Matrix at all, and one AdapterSet: the trained factors packed once.
+        # No Matrix at all, and a round's AdapterSets: the decoded broadcast,
+        # the trained vector packed once, the privatized update, the decoded
+        # upload (the aggregate of one update is that update).
         clients = [make_client(9, epochs=1), make_client(9, epochs=4)]
         built = []
         for cls in (Matrix, AdapterSet):
@@ -506,11 +527,11 @@ class TestTrainLocal:
         counts, steps = [], []
         for client, adapters in clients:
             before, steps_before = len(built), len(calls)
-            client.train(adapters, Rng(9, "r"))
+            client.round(adapters)
             counts.append(built[before:])
             steps.append(len(calls) - steps_before)
         assert steps == [5, 20]
-        assert counts == [[AdapterSet], [AdapterSet]]
+        assert counts == [[AdapterSet] * 4] * 2
 
     def test_nonconformable_global_adapters_rejected(self):
         client, _ = make_client(8)
